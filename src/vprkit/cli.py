@@ -41,7 +41,7 @@ from .retrieval import DescriptorIndex, GeoTag, IndexEntry, global_retrieve, rec
 from .selfcheck import run_all
 from .tensor import conv_output_size
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 RECALL_KS = (1, 5, 10)
 
 
@@ -197,16 +197,20 @@ def add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_model(cfg: RunConfig) -> ModelParams:
+    """The run's model, always carrying the fused backbone form (derived once
+    here when the weights lack it) so extraction never re-fuses per image."""
     if cfg.weights:
-        return load_weights(cfg.weights)
-    return random_model(
-        seed=cfg.seed,
-        clusters=cfg.clusters,
-        pca_dim=cfg.pca_dim,
-        attention_rounds=cfg.attention_rounds,
-        attention_key_dim=cfg.attention_key_dim or None,
-        dustbin_score=cfg.dustbin_score,
-    )
+        model = load_weights(cfg.weights)
+    else:
+        model = random_model(
+            seed=cfg.seed,
+            clusters=cfg.clusters,
+            pca_dim=cfg.pca_dim,
+            attention_rounds=cfg.attention_rounds,
+            attention_key_dim=cfg.attention_key_dim or None,
+            dustbin_score=cfg.dustbin_score,
+        )
+    return model.with_fused()
 
 
 def _settings(cfg: RunConfig, model: ModelParams) -> ExtractionSettings:
@@ -214,7 +218,7 @@ def _settings(cfg: RunConfig, model: ModelParams) -> ExtractionSettings:
         patch_size=cfg.patch_size,
         patch_stride=cfg.patch_stride,
         input_dims=cfg.input_dims(),
-        fused=model.backbone.blocks is None,
+        fused=model.backbone.fused is not None,
         strict_dims=False,
     )
 
@@ -305,6 +309,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     initial_lists = []
     reranked_lists = []
     match_seconds = 0.0
+    pairs = 0
+    unconverged_pairs = 0
     for record, (desc, patches) in zip(queries, extracted):
         initial = global_retrieve(desc, index, record.image_id, k=cfg.candidates)
         start = time.perf_counter()
@@ -319,6 +325,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             normalization=cfg.attention_normalization,  # type: ignore[arg-type]
         )
         match_seconds += time.perf_counter() - start
+        pairs += len(reranked.ranked) - len(reranked.missing_patches)
+        unconverged_pairs += len(reranked.unconverged)
         initial_lists.append(initial)
         reranked_lists.append(reranked)
         report.add(
@@ -327,6 +335,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             initial=[[i, round(s, 6)] for i, s in initial.ranked[:10]],
             reranked=[[i, round(s, 6)] for i, s in reranked.ranked[:10]],
             missing_patches=list(reranked.missing_patches),
+            unconverged=list(reranked.unconverged),
         )
 
     table_rows: list[Sequence[str]] = [("stage", *(f"R@{k}" for k in RECALL_KS))]
@@ -343,8 +352,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
         radius_m=cfg.radius_m,
         candidates=cfg.candidates,
         match_seconds=round(match_seconds, 6),
+        matched_pairs=pairs,
+        unconverged_pairs=unconverged_pairs,
     )
     report.flush()
+    if unconverged_pairs:
+        print(
+            f"warning: transport did not converge for {unconverged_pairs} of {pairs} candidate pairs "
+            f"within {cfg.sinkhorn_iters} iterations at tol {cfg.sinkhorn_tol:g}; their match scores "
+            "come from the last iterate",
+            file=sys.stderr,
+        )
     _table(table_rows)
     print(f"{len(queries)} queries against {len(index)} database images, radius {cfg.radius_m} m")
     return 0
@@ -440,9 +458,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "bench",
         speed1_extract_ms=round(extract_ms, 3),
         speed2_match_ms=round(match_ms, 3),
-        params=params_fused if model.backbone.blocks is None else params_multi,
+        params=params_fused,  # extraction always runs the fused form
         params_fused=params_fused,
-        theo_flops=flops_fused if model.backbone.blocks is None else flops_multi,
+        theo_flops=flops_fused,
         theo_flops_fused=flops_fused,
         model_size_bytes=model_size,
         images=args.images,

@@ -195,6 +195,14 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
+# Scalings outside [1/_SCALING_RANGE, _SCALING_RANGE] are folded into the log
+# duals. A plan row sums to at least r_i / (M + N) after a column update (a
+# column to c_j / (M + N) after a row update), so inside this range no
+# matrix-vector product falls below about 1e-50 / (M + N); a kernel entry that
+# underflows to zero drops less than 1e-200 of it, and nothing overflows.
+_SCALING_RANGE = 1e50
+
+
 def sinkhorn_assign(
     scores: np.ndarray,
     dustbin_score: float,
@@ -205,11 +213,26 @@ def sinkhorn_assign(
     """Entropy-regularized transport of scores to a soft assignment.
 
     The score matrix is augmented with a dustbin row and column pinned at a
-    single scalar score. Target marginals are 1 for every real row/column, N
-    for the dustbin row and M for the dustbin column. Iterations run in the
-    log domain; convergence means the worst marginal violation is within tol.
-    tol=0 disables the early exit and always runs max_iters iterations.
-    Non-convergence is reported through the flag, never raised.
+    single scalar score. Target marginals r and c are 1 for every real
+    row/column, N for the dustbin row and M for the dustbin column.
+
+    The iterates are those of alternating log-domain updates, computed in
+    scaling form (Cuturi, arXiv 1306.0895). The first row update is done in
+    the log domain, f = log r - logsumexp_j(s), and fixes the kernel
+    K = exp(s + f[:, None] + g[None, :]) with g = 0, so no entry of K exceeds
+    its row's marginal whatever reg is. Each iteration is then two
+    matrix-vector products: u = r / (K v), v = c / (K^T u). When a scaling
+    leaves a fixed range it is absorbed into the log duals (f += log u,
+    g += log v), K is rebuilt and the scalings reset to 1 (Schmitzer,
+    arXiv 1610.06519), which keeps small reg stable. The dustbin row and
+    column keep an entry of every row and column of K away from zero.
+
+    Convergence means the worst marginal violation is within tol. It is read
+    from vectors the loop has anyway: row sums of the plan are u * (K v),
+    where K v is the product the next row update needs, and column sums are
+    v * (K^T u). tol=0 disables the early exit and always runs max_iters
+    iterations. Non-convergence is reported through the flag, never raised.
+    The plan is u[:, None] * K * v[None, :].
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or 0 in scores.shape:
@@ -224,24 +247,47 @@ def sinkhorn_assign(
     m, n = scores.shape
     s = _augment(scores, dustbin_score) / reg
     log_r, log_c = _log_marginals(m, n)
-    log_u = np.zeros(m + 1)
-    log_v = np.zeros(n + 1)
+    r, c = np.exp(log_r), np.exp(log_c)
+
+    # First row update in the log domain; its exponentials become the kernel.
+    hi = s.max(axis=1)
+    kernel = s - hi[:, None]
+    np.exp(kernel, out=kernel)
+    row_scale = r / kernel.sum(axis=1)
+    kernel *= row_scale[:, None]
+    f = np.log(row_scale) - hi
+    g = np.zeros(n + 1)
+    u = np.ones(m + 1)
 
     iterations = 0
     converged = False
+    kv = None
     for _ in range(max_iters):
-        log_u = log_r - _logsumexp(s + log_v[None, :], axis=1)
-        log_v = log_c - _logsumexp(s + log_u[:, None], axis=0)
+        if kv is not None:
+            u = r / kv
+        ktu = kernel.T @ u
+        v = c / ktu
         iterations += 1
-        if tol > 0:
-            z = np.exp(s + log_u[:, None] + log_v[None, :])
-            err_r = np.abs(z.sum(axis=1) - np.exp(log_r)).max()
-            err_c = np.abs(z.sum(axis=0) - np.exp(log_c)).max()
-            if max(err_r, err_c) <= tol:
-                converged = True
-                break
-    z = np.exp(s + log_u[:, None] + log_v[None, :])
-    return AssignmentMatrix(z=z, iterations=iterations, converged=converged)
+        kv = kernel @ v
+        if tol > 0 and max(np.abs(u * kv - r).max(), np.abs(v * ktu - c).max()) <= tol:
+            converged = True
+            break
+        if _out_of_range(u) or _out_of_range(v):
+            f += np.log(u)
+            g += np.log(v)
+            np.add(s, f[:, None], out=kernel)
+            kernel += g[None, :]
+            np.exp(kernel, out=kernel)
+            u = np.ones(m + 1)
+            v = np.ones(n + 1)
+            kv = kernel.sum(axis=1)
+    kernel *= u[:, None]
+    kernel *= v[None, :]
+    return AssignmentMatrix(z=kernel, iterations=iterations, converged=converged)
+
+
+def _out_of_range(x: np.ndarray) -> bool:
+    return bool(x.max() > _SCALING_RANGE or x.min() < 1.0 / _SCALING_RANGE)
 
 
 def match_score(assignment: AssignmentMatrix) -> float:
@@ -369,6 +415,22 @@ def loss_gradient(
     return g_s[:m, :n] / reg
 
 
+class PairScore(float):
+    """A pair's match score that also carries how its transport ended.
+
+    It is a plain float in every arithmetic use; ``iterations`` and
+    ``converged`` are copied from the AssignmentMatrix it summarizes.
+    """
+
+    __slots__ = ("iterations", "converged")
+
+    def __new__(cls, value: float, iterations: int, converged: bool) -> "PairScore":
+        out = super().__new__(cls, value)
+        out.iterations = iterations
+        out.converged = converged
+        return out
+
+
 def match_pair(
     q_patches: np.ndarray,
     d_patches: np.ndarray,
@@ -377,11 +439,11 @@ def match_pair(
     tol: float = 1e-6,
     max_iters: int = 100,
     normalization: Normalization = "per_destination",
-) -> float:
+) -> PairScore:
     """Enhance, score, transport, and summarize one query/candidate pair."""
     yq, yd = enhance_descriptors(q_patches, d_patches, params, normalization)
     assignment = sinkhorn_assign(score_matrix(yq, yd), params.dustbin_score, reg=reg, tol=tol, max_iters=max_iters)
-    return match_score(assignment)
+    return PairScore(match_score(assignment), assignment.iterations, assignment.converged)
 
 
 def _as_rows(x: np.ndarray, dim: int, what: str) -> np.ndarray:

@@ -103,6 +103,7 @@ class CandidateList:
     ranked: tuple[tuple[str, float], ...]
     stage: Literal["initial", "reranked"]
     missing_patches: tuple[str, ...] = ()
+    unconverged: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         ids = [i for i, _ in self.ranked]
@@ -144,10 +145,13 @@ def rerank(
     """Re-score candidates with the patch matcher and sort by match score.
 
     Candidates without stored patch descriptors keep their stage-one score and
-    are listed in missing_patches. Ties keep the stage-one order.
+    are listed in missing_patches; candidates whose transport stopped at
+    max_iters without meeting tol are listed in unconverged, in stage-one
+    order. Ties keep the stage-one order.
     """
     rescored: list[tuple[str, float]] = []
     missing: list[str] = []
+    unconverged: list[str] = []
     for image_id, score in candidates.ranked:
         patches = patch_store.get(image_id)
         if patches is None:
@@ -163,11 +167,17 @@ def rerank(
                 max_iters=max_iters,
                 normalization=normalization,
             )
+            if not value.converged:
+                unconverged.append(image_id)
             rescored.append((image_id, float(value)))
     order = sorted(range(len(rescored)), key=lambda i: (-rescored[i][1], i))  # stable in initial rank
     ranked = tuple(rescored[i] for i in order)
     return CandidateList(
-        query_id=candidates.query_id, ranked=ranked, stage="reranked", missing_patches=tuple(missing)
+        query_id=candidates.query_id,
+        ranked=ranked,
+        stage="reranked",
+        missing_patches=tuple(missing),
+        unconverged=tuple(unconverged),
     )
 
 

@@ -88,6 +88,54 @@ def sinkhorn_linear(
     return u[:, None] * kern * v[None, :]
 
 
+def sinkhorn_log(
+    scores: np.ndarray,
+    dustbin_score: float,
+    reg: float = 1.0,
+    tol: float = 1e-6,
+    max_iters: int = 100,
+) -> tuple[np.ndarray, int, bool]:
+    """Log-domain alternating updates on the dustbin-augmented scores.
+
+    The transport loop the package ran before it moved to the scaling form,
+    kept as a reference: one logsumexp per half-step and a full plan rebuilt
+    for every convergence check. Returns (plan, iterations, converged).
+    """
+
+    def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+        hi = a.max(axis=axis, keepdims=True)
+        out = np.log(np.exp(a - hi).sum(axis=axis, keepdims=True)) + hi
+        return np.squeeze(out, axis=axis)
+
+    scores = np.asarray(scores, dtype=np.float64)
+    m, n = scores.shape
+    aug = np.full((m + 1, n + 1), float(dustbin_score), dtype=np.float64)
+    aug[:m, :n] = scores
+    s = aug / reg
+    log_r = np.zeros(m + 1)
+    log_r[m] = np.log(n)
+    log_c = np.zeros(n + 1)
+    log_c[n] = np.log(m)
+    log_u = np.zeros(m + 1)
+    log_v = np.zeros(n + 1)
+
+    iterations = 0
+    converged = False
+    for _ in range(max_iters):
+        log_u = log_r - logsumexp(s + log_v[None, :], axis=1)
+        log_v = log_c - logsumexp(s + log_u[:, None], axis=0)
+        iterations += 1
+        if tol > 0:
+            z = np.exp(s + log_u[:, None] + log_v[None, :])
+            err_r = np.abs(z.sum(axis=1) - np.exp(log_r)).max()
+            err_c = np.abs(z.sum(axis=0) - np.exp(log_c)).max()
+            if max(err_r, err_c) <= tol:
+                converged = True
+                break
+    z = np.exp(s + log_u[:, None] + log_v[None, :])
+    return z, iterations, converged
+
+
 def jacobi_eigh(s: np.ndarray, sweeps: int = 50) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi rotations for a symmetric matrix.
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from vprkit.backbone import NetworkSpec, StageSpec
-from vprkit.cli import RunConfig, main, parse_config_file, resolve_config
+from vprkit.cli import REPORT_SCHEMA_VERSION, RunConfig, _resolve_model, _settings, main, parse_config_file, resolve_config
 from vprkit.errors import ConfigError
 from vprkit.io_store import ManifestRecord, load_weights, save_manifest, save_weights, write_ppm
 from vprkit.model import random_model
@@ -80,6 +80,21 @@ class TestConfigResolution:
         monkeypatch.delenv("VPR_THREADS", raising=False)
         cfg = resolve_config(self.args())
         assert cfg == RunConfig()
+
+    def test_default_model_runs_fused_forward(self, monkeypatch):
+        monkeypatch.delenv("VPR_THREADS", raising=False)
+        cfg = resolve_config(self.args())
+        model = _resolve_model(cfg)
+        assert model.backbone.blocks is not None and model.backbone.fused is not None
+        assert _settings(cfg, model).fused is True
+
+    def test_multibranch_weights_gain_fused_form(self, monkeypatch, tmp_path, small_model):
+        monkeypatch.delenv("VPR_THREADS", raising=False)
+        weights = tmp_path / "multi.vprw"
+        save_weights(weights, small_model)
+        assert load_weights(weights).backbone.fused is None
+        cfg = resolve_config(self.args(weights=str(weights)))
+        assert _settings(cfg, _resolve_model(cfg)).fused is True
 
     def test_env_overrides_default(self, monkeypatch):
         monkeypatch.setenv("VPR_THREADS", "6")
@@ -171,7 +186,7 @@ class TestExtract:
         main(["extract", str(manifest), "--out", str(tmp_path / "i.vpri"), "--report", str(report), *MODEL_FLAGS])
         records = read_report(report)
         assert records[0]["type"] == "extract"
-        assert records[0]["version"] == 1
+        assert records[0]["version"] == REPORT_SCHEMA_VERSION == 2
         assert records[0]["images"] == 5
 
     def test_missing_manifest_is_usage_error(self, tmp_path):
@@ -253,6 +268,33 @@ class TestEval:
         queries = [r for r in read_report(report) if r["type"] == "eval_query"]
         assert len(queries) == 6
         assert queries[0]["initial"][0][0] == "db0"  # pixel-identical twin on top
+
+    @pytest.mark.parametrize("iters", ["1", "1000"])
+    def test_unconverged_pairs_reported(self, indexed, tmp_path, capsys, iters):
+        manifest, index, weights = indexed
+        report = tmp_path / "eval.jsonl"
+        main(
+            [
+                "eval", str(manifest),
+                "--index", str(index),
+                "--weights", str(weights),
+                "--report", str(report),
+                *EVAL_FLAGS,
+                "--sinkhorn-iters", iters,
+            ]
+        )
+        records = read_report(report)
+        queries = [r for r in records if r["type"] == "eval_query"]
+        summary = next(r for r in records if r["type"] == "eval_summary")
+        assert summary["matched_pairs"] == sum(len(q["reranked"]) for q in queries) == 30
+        assert summary["unconverged_pairs"] == sum(len(q["unconverged"]) for q in queries)
+        warned = "did not converge" in capsys.readouterr().err
+        if iters == "1":
+            assert summary["unconverged_pairs"] == 30
+            assert queries[0]["unconverged"] == [i for i, _ in queries[0]["initial"]]
+        else:
+            assert summary["unconverged_pairs"] == 0
+        assert warned == (summary["unconverged_pairs"] > 0)
 
     def test_missing_index_is_usage_error(self, tmp_path):
         manifest = write_corpus(tmp_path, twins=[0], query_positions=[0.0])

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import central_difference, sinkhorn_linear
+from oracles import central_difference, sinkhorn_linear, sinkhorn_log
 from vprkit.errors import DegenerateInputError, EmptyGroundTruthWarning, ShapeError
+from vprkit import matcher
 from vprkit.matcher import (
     AssignmentMatrix,
     AttentionLayer,
     GroundTruthMatches,
     MatcherParams,
+    PairScore,
     attention_forward,
     enhance_descriptors,
     loss_gradient,
@@ -241,6 +243,76 @@ class TestSinkhorn:
         z = np.array([[0.25, 0.25, 0.5], [0.25, 0.25, 0.5]])
         a = AssignmentMatrix(z=z, iterations=1, converged=True)
         assert match_score(a) == pytest.approx(0.5 / 1.0)
+
+
+def assert_same_as_log_domain(scores, dustbin, reg, tol, max_iters=100):
+    got = sinkhorn_assign(scores, dustbin, reg=reg, tol=tol, max_iters=max_iters)
+    z, iterations, converged = sinkhorn_log(scores, dustbin, reg=reg, tol=tol, max_iters=max_iters)
+    want = AssignmentMatrix(z=z, iterations=iterations, converged=converged)
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert_allclose(got.z, want.z, rtol=0, atol=1e-10)
+    assert abs(match_score(got) - match_score(want)) <= 1e-12
+    return got
+
+
+class TestSinkhornScalingForm:
+    """The scaling-form loop reproduces the log-domain iterates it replaced."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 0.0])
+    @pytest.mark.parametrize("reg", [1.0, 0.1, 0.02, 1e-3, 1e-4])
+    def test_same_iterates_as_log_domain_loop(self, reg, tol):
+        rng = np.random.default_rng(SEED + 17)
+        for _ in range(12):
+            m, n = (int(k) for k in rng.integers(1, 40, size=2))
+            spread = float(rng.choice([0.5, 2.0, 10.0]))
+            scores = rng.standard_normal((m, n)) * spread
+            max_iters = int(rng.choice([1, 7, 100]))
+            assert_same_as_log_domain(scores, float(rng.normal()), reg, tol, max_iters)
+
+    @pytest.mark.parametrize("tol", [1e-6, 0.0])
+    @pytest.mark.parametrize("reg", [1e-3, 1e-4])
+    def test_absorbs_drifting_duals(self, reg, tol, monkeypatch):
+        # Scores of spread 10 put the log duals 1e4 to 1e5 apart. Every row
+        # prefers column 0, so each iteration multiplies the row scalings by
+        # about the row count while the surplus mass works its way to the
+        # dustbin; within 100 iterations they leave their range and the loop
+        # must absorb them.
+        absorbed = []
+
+        def counting(x):
+            absorbed.append(out_of_range(x))
+            return absorbed[-1]
+
+        out_of_range = matcher._out_of_range
+        monkeypatch.setattr(matcher, "_out_of_range", counting)
+        rng = np.random.default_rng(SEED + 18)
+        for m, n in ((30, 30), (12, 40), (40, 3)):
+            scores = rng.uniform(-5.0, 5.0, size=(m, n))
+            scores[:, 0] = 5.0 + rng.uniform(0.0, 1.0, size=m)
+            assert_same_as_log_domain(scores, 0.3, reg, tol)
+        assert any(absorbed)
+
+    def test_large_sharp_matrix(self):
+        rng = np.random.default_rng(SEED + 19)
+        base = rng.standard_normal(64)
+        q = base + 0.3 * rng.standard_normal((300, 64))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        d = q + 0.05 * rng.standard_normal((300, 64))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        assert_same_as_log_domain(q @ d.T, 0.9, 0.02, 1e-6)
+
+    def test_match_pair_carries_transport_outcome(self):
+        rng = np.random.default_rng(SEED + 20)
+        params = random_matcher_params(dim=6, rng=rng, rounds=1)
+        q = rng.standard_normal((7, 6))
+        d = rng.standard_normal((5, 6))
+        yq, yd = enhance_descriptors(q, d, params)
+        for max_iters in (1, 200):
+            want = sinkhorn_assign(score_matrix(yq, yd), params.dustbin_score, max_iters=max_iters)
+            got = match_pair(q, d, params, max_iters=max_iters)
+            assert isinstance(got, PairScore)
+            assert float(got) == match_score(want)
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
 
 
 class TestLoss:

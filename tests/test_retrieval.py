@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import haversine_reference, topk_ids
+from oracles import haversine_reference, sinkhorn_log, topk_ids
+from vprkit import matcher
+from vprkit.backbone import NetworkSpec, StageSpec
 from vprkit.descriptor import GlobalDescriptor, PatchDescriptorSet, make_patch_grid
 from vprkit.errors import DegenerateInputError, FrameMismatchError, ShapeError
-from vprkit.matcher import random_matcher_params
+from vprkit.io_store import ManifestRecord, write_ppm
+from vprkit.matcher import AssignmentMatrix, random_matcher_params
+from vprkit.model import random_model
+from vprkit.pipeline import ExtractionSettings, extract_image, extract_index
 from vprkit.retrieval import (
     CandidateList,
     DescriptorIndex,
@@ -171,6 +176,58 @@ class TestRerank:
         initial = CandidateList(query_id="q", ranked=(("first", 0.9), ("second", 0.8)), stage="initial")
         out = rerank(q, initial, store, params)
         assert list(out.ids()) == ["first", "second"]
+
+
+    def test_unconverged_candidates_listed(self):
+        rng = np.random.default_rng(SEED + 5)
+        params = random_matcher_params(dim=6, rng=rng, rounds=1)
+        q = patch_set(rng, 4)
+        store = {"a": patch_set(rng, 4), "b": patch_set(rng, 4)}
+        initial = CandidateList(query_id="q", ranked=(("a", 0.9), ("ghost", 0.85), ("b", 0.8)), stage="initial")
+        assert rerank(q, initial, store, params, max_iters=500).unconverged == ()
+        capped = rerank(q, initial, store, params, max_iters=1)
+        assert capped.unconverged == ("a", "b")
+        assert capped.missing_patches == ("ghost",)
+
+
+class TestRerankAgainstLogDomainTransport:
+    """On the acceptance gate's self-retrieval fixtures (criterion 08),
+    re-ranking through the scaling-form transport gives the order and the
+    scores of the log-domain loop it replaced."""
+
+    def test_same_order_and_scores(self, tmp_path, monkeypatch):
+        spec = NetworkSpec(
+            stages=(
+                StageSpec(layer_count=1, out_channels=16),
+                StageSpec(layer_count=2, out_channels=24),
+                StageSpec(layer_count=2, out_channels=32),
+            ),
+            input_dims=(120, 160),
+        )
+        model = random_model(seed=0, spec=spec, clusters=8, pca_dim=32)
+        settings = ExtractionSettings(patch_size=2, patch_stride=1, input_dims=(120, 160), strict_dims=False)
+        rng = np.random.default_rng(20260821 + 8)
+        records = []
+        for i in range(20):
+            path = tmp_path / f"place{i:02d}.ppm"
+            write_ppm(path, rng.integers(0, 256, size=(120, 160, 3), dtype=np.uint8))
+            records.append(ManifestRecord(f"db{i:02d}", str(path), 100.0 * i, 0.0, "database"))
+        index, patch_store = extract_index(records, model, settings)
+
+        def log_domain(*args, **kwargs):
+            return AssignmentMatrix(*sinkhorn_log(*args, **kwargs))
+
+        for record in records[::5]:
+            gd, patches = extract_image(record.path, model, settings)
+            initial = global_retrieve(gd, index, record.image_id, k=20)
+            got = rerank(patches, initial, patch_store, model.matcher, reg=0.02)
+            with monkeypatch.context() as patched:
+                patched.setattr(matcher, "sinkhorn_assign", log_domain)
+                want = rerank(patches, initial, patch_store, model.matcher, reg=0.02)
+            assert got.ids() == want.ids()
+            assert got.ids()[0] == record.image_id
+            assert_allclose([s for _, s in got.ranked], [s for _, s in want.ranked], rtol=0, atol=1e-12)
+            assert got.unconverged == want.unconverged
 
 
 class TestRecall:
