@@ -219,7 +219,8 @@ def block_forward_multibranch(x: Tensor4, block: RepVggBlock) -> Tensor4:
 
 
 def block_forward_fused(x: Tensor4, conv: ConvParams) -> Tensor4:
-    return relu(conv2d(x, conv))
+    out = conv2d(x, conv)
+    return np.maximum(out, np.float32(0.0), out=out)
 
 
 def _check_input_dims(h: int, w: int, strict: bool) -> None:

@@ -277,6 +277,16 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
+def _warn_unconverged(unconverged_pairs: int, pairs: int, cfg: RunConfig) -> None:
+    if unconverged_pairs:
+        print(
+            f"warning: transport did not converge for {unconverged_pairs} of {pairs} candidate pairs "
+            f"within {cfg.sinkhorn_iters} iterations at tol {cfg.sinkhorn_tol:g}; their match scores "
+            "come from the last iterate",
+            file=sys.stderr,
+        )
+
+
 def _extract_queries(records, model, settings, threads):
     queries = [r for r in records if r.split == "query"]
     if not queries:
@@ -356,13 +366,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         unconverged_pairs=unconverged_pairs,
     )
     report.flush()
-    if unconverged_pairs:
-        print(
-            f"warning: transport did not converge for {unconverged_pairs} of {pairs} candidate pairs "
-            f"within {cfg.sinkhorn_iters} iterations at tol {cfg.sinkhorn_tol:g}; their match scores "
-            "come from the last iterate",
-            file=sys.stderr,
-        )
+    _warn_unconverged(unconverged_pairs, pairs, cfg)
     _table(table_rows)
     print(f"{len(queries)} queries against {len(index)} database images, radius {cfg.radius_m} m")
     return 0
@@ -434,10 +438,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     index = DescriptorIndex(entries=entries)
     patch_store = {f"bench{i:03d}": patches for i, (_, patches) in enumerate(extracted)}
     queries = extracted[: args.queries]
+    pairs = 0
+    unconverged_pairs = 0
     start = time.perf_counter()
     for desc, patches in queries:
         initial = global_retrieve(desc, index, "q", k=min(cfg.candidates, len(index)))
-        rerank(
+        reranked = rerank(
             patches,
             initial,
             patch_store,
@@ -447,6 +453,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             max_iters=cfg.sinkhorn_iters,
             normalization=cfg.attention_normalization,  # type: ignore[arg-type]
         )
+        pairs += len(reranked.ranked) - len(reranked.missing_patches)
+        unconverged_pairs += len(reranked.unconverged)
     match_ms = (time.perf_counter() - start) * 1000.0 / len(queries)
 
     params_multi, flops_multi = count_params_flops(model.backbone, fused=False)
@@ -466,8 +474,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         images=args.images,
         queries=args.queries,
         input_dims=[h, w],
+        matched_pairs=pairs,
+        unconverged_pairs=unconverged_pairs,
     )
     report.flush()
+    _warn_unconverged(unconverged_pairs, pairs, cfg)
     _table(
         [
             ("metric", "value"),

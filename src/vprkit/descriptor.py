@@ -211,10 +211,11 @@ def random_projection(in_dim: int, out_dim: int, rng: np.random.Generator) -> Pc
 
 
 def _project_rows(rows: np.ndarray, m: PcaModel) -> np.ndarray:
+    """Center float64 rows in place, project them, and L2-renormalize each."""
     if rows.shape[1] != m.in_dim:
         raise ShapeError(f"vectors of dim {rows.shape[1]} do not match projection input dim {m.in_dim}")
-    centered = rows.astype(np.float64) - m.mean.astype(np.float64)
-    projected = centered @ m.projection.astype(np.float64).T
+    rows -= m.mean.astype(np.float64)
+    projected = rows @ m.projection.astype(np.float64).T
     norms = np.sqrt((projected**2).sum(axis=1))
     if np.any(norms == 0.0):
         raise DegenerateInputError("projection collapsed an input to zero (input equals the mean?)")
@@ -226,7 +227,7 @@ def pca_project(v: np.ndarray, m: PcaModel) -> np.ndarray:
     v = np.asarray(v)
     if v.ndim != 1:
         raise ShapeError(f"pca_project expects a rank-1 vector, got rank {v.ndim}")
-    return _project_rows(v[None, :], m)[0]
+    return _project_rows(v[None, :].astype(np.float64), m)[0]
 
 
 @dataclass(frozen=True)
@@ -324,7 +325,9 @@ def extract_patch_descriptors(
 
     Assignment weights are computed once per position and reused by every
     window containing that position, so a window's descriptor equals
-    vlad_aggregate run on exactly its own positions.
+    vlad_aggregate run on exactly its own positions. All windows are
+    aggregated by one batched product into a (patches, K, D) float64 buffer,
+    which is then normalized, centered and projected in place.
     """
     fmap = as_tensor4(fmap)
     _, d, h, w = fmap.shape
@@ -333,28 +336,29 @@ def extract_patch_descriptors(
     x = feature_map_descriptors(fmap)
     a = soft_assign(x, vlad)
     xd = x.astype(np.float64)
-    ad = a.astype(np.float64)
-    centers_t = vlad.centers.astype(np.float64).T
+    k = vlad.cluster_count
 
-    raw = np.empty((grid.count, d * vlad.cluster_count), dtype=np.float64)
+    # (patches, positions per window) row-major position indices of each window.
     idx = np.arange(h * w).reshape(h, w)
-    p = 0
-    for r in range(grid.rows):
-        for c in range(grid.cols):
-            sel = idx[r * grid.stride : r * grid.stride + grid.d_y, c * grid.stride : c * grid.stride + grid.d_x]
-            sel = sel.reshape(-1)
-            v = xd[sel].T @ ad[sel] - centers_t * ad[sel].sum(axis=0)
-            norms = np.sqrt((v**2).sum(axis=0))
-            v = v / np.where(norms > 0.0, norms, 1.0)
-            raw[p] = v.T.reshape(-1)
-            p += 1
-    totals = np.sqrt((raw**2).sum(axis=1))
+    win = np.lib.stride_tricks.sliding_window_view(idx, (grid.d_y, grid.d_x))[:: grid.stride, :: grid.stride]
+    win = win.reshape(grid.count, grid.d_y * grid.d_x)
+    aw = a[win]
+    raw = np.empty((grid.count, k, d), dtype=np.float64)  # cluster blocks contiguous per patch
+    np.matmul(aw.transpose(0, 2, 1), xd[win], out=raw)
+    mass = aw.sum(axis=1)
+    centers = vlad.centers.astype(np.float64)
+    for p0 in range(0, grid.count, 32):  # in slices, so that no second (patches, K, D) array is built
+        raw[p0 : p0 + 32] -= mass[p0 : p0 + 32, :, None] * centers
+    norms = np.sqrt(np.einsum("pkd,pkd->pk", raw, raw))
+    raw /= np.where(norms > 0.0, norms, 1.0)[:, :, None]
+    flat = raw.reshape(grid.count, k * d)
+    totals = np.sqrt(np.einsum("pj,pj->p", flat, flat))
     if np.any(totals == 0.0):
         raise DegenerateInputError("a patch produced an identically zero descriptor")
-    raw = raw / totals[:, None]
+    flat /= totals[:, None]
     if pca is not None:
-        raw = _project_rows(raw, pca)
-    return PatchDescriptorSet(descriptors=raw.astype(np.float32), grid=grid)
+        flat = _project_rows(flat, pca)
+    return PatchDescriptorSet(descriptors=flat.astype(np.float32), grid=grid)
 
 
 def triplet_loss(

@@ -9,6 +9,7 @@ localization radius of the query's own position.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Mapping, Optional, Sequence
 
 import numpy as np
@@ -88,8 +89,15 @@ class DescriptorIndex:
     def __len__(self) -> int:
         return len(self.entries)
 
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        stacked = np.stack([e.descriptor.values for e in self.entries]).astype(np.float64)
+        stacked.flags.writeable = False
+        return stacked
+
     def matrix(self) -> np.ndarray:
-        return np.stack([e.descriptor.values for e in self.entries]).astype(np.float64)
+        """The (N, D) float64 descriptor rows, stacked on first use and shared, read-only, after."""
+        return self._matrix
 
     def geotags(self) -> dict[str, GeoTag]:
         return {e.image_id: e.geotag for e in self.entries}

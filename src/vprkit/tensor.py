@@ -4,6 +4,11 @@ Activations are float32 arrays, laid out (batch, channels, height, width) and
 row-major. Reductions (convolution dot products, norms, softmax sums)
 accumulate in float64 before results are cast back, so that comparisons
 against slow reference implementations are stable.
+
+A convolution is one float64 GEMM per image: the taps are copied, cast to
+float64 on the way, into a (channels, kh, kw, out_h, out_w) column buffer
+straight from the unpadded input, and the product with the flattened weight
+comes out in (out_channels, out_h, out_w) order, so no transpose follows.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ShapeError
+from .errors import ShapeError
 
 # A Tensor4 is a plain ndarray; the alias marks the (B, C, H, W) float32 contract.
 Tensor4 = np.ndarray
@@ -115,6 +120,11 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     """Cross-correlate x with p.weight and add p.bias.
 
     Output spatial size along each axis is floor((in + 2*padding - kernel)/stride) + 1.
+    Each image fills one float64 column buffer of shape (in_channels, kh, kw,
+    out_h, out_w), one strided slice of the unpadded input per tap, with zeros
+    where a tap reads padding; then weight.reshape(out, in*kh*kw) @ columns is
+    one GEMM whose result is already in (out, out_h, out_w) order. Products
+    accumulate in float64; the output is a fresh contiguous float32 array.
     """
     x = as_tensor4(x)
     b, c, h, w = x.shape
@@ -125,17 +135,40 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     kh, kw = p.kernel_size
     oh = conv_output_size(h, kh, p.stride, p.padding)
     ow = conv_output_size(w, kw, p.stride, p.padding)
+    stride, pad = p.stride, p.padding
 
-    if p.padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (p.padding, p.padding), (p.padding, p.padding)))
-    # (b, c, oh', ow', kh, kw) view, strided down to the requested placements.
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, :: p.stride, :: p.stride][:, :, :oh, :ow]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, c * kh * kw)
-    flat_w = p.weight.reshape(p.out_channels, c * kh * kw)
-    out = cols.astype(np.float64) @ flat_w.astype(np.float64).T
-    out += p.bias.astype(np.float64)
-    return out.reshape(b, oh, ow, p.out_channels).transpose(0, 3, 1, 2).astype(np.float32)
+    def span(tap: int, size: int, out: int) -> tuple[slice, slice]:
+        """The outputs o whose input index o*stride + tap - pad lies in [0, size), and that input slice."""
+        lo = max(0, -((tap - pad) // stride))
+        hi = max(lo, min(out, (size - 1 + pad - tap) // stride + 1))
+        first = lo * stride + tap - pad
+        return slice(lo, hi), slice(first, first + (hi - lo - 1) * stride + 1, stride)
+
+    cols = np.empty((c, kh, kw, oh, ow), dtype=np.float64)
+    copies = []  # (column view, input row slice, input column slice) per tap that reads any input
+    for u in range(kh):
+        out_rows, in_rows = span(u, h, oh)
+        for v in range(kw):
+            out_cols, in_cols = span(v, w, ow)
+            tap = cols[:, u, v]
+            tap[:, : out_rows.start] = 0.0
+            tap[:, out_rows.stop :] = 0.0
+            tap[:, :, : out_cols.start] = 0.0
+            tap[:, :, out_cols.stop :] = 0.0
+            if out_rows.stop > out_rows.start and out_cols.stop > out_cols.start:
+                copies.append((tap[:, out_rows, out_cols], in_rows, in_cols))
+
+    flat_w = p.weight.reshape(p.out_channels, c * kh * kw).astype(np.float64)
+    bias = p.bias.astype(np.float64)[:, None]
+    prod = np.empty((p.out_channels, oh * ow), dtype=np.float64)
+    out = np.empty((b, p.out_channels, oh, ow), dtype=np.float32)
+    for n in range(b):
+        for dst, in_rows, in_cols in copies:
+            dst[...] = x[n, :, in_rows, in_cols]
+        np.matmul(flat_w, cols.reshape(c * kh * kw, oh * ow), out=prod)
+        prod += bias
+        out[n] = prod.reshape(p.out_channels, oh, ow)
+    return out
 
 
 def relu(x: Tensor4) -> Tensor4:
@@ -154,17 +187,6 @@ def batchnorm_infer(x: Tensor4, p: BatchNormParams) -> Tensor4:
     return out.astype(np.float32)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2-D matrix product with an explicit inner-dimension check; accumulates in float64."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects two rank-2 arrays, got ranks {a.ndim} and {b.ndim}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    return a.astype(np.float64) @ b.astype(np.float64)
-
-
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise softmax, shifted by the row max for stability. Returns float64."""
     m = np.asarray(m, dtype=np.float64)
@@ -173,17 +195,6 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     z = m - m.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm. Zero vectors are refused."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"l2_normalize expects a rank-1 array, got rank {v.ndim}")
-    n = float(np.sqrt(np.dot(v, v)))
-    if n == 0.0:
-        raise DegenerateInputError("cannot normalize an all-zero vector")
-    return v / n
 
 
 def bilinear_resize(x: Tensor4, out_h: int, out_w: int) -> Tensor4:

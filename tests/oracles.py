@@ -41,6 +41,73 @@ def conv2d_loops(
     return out
 
 
+def conv2d_im2col(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: np.ndarray,
+    stride: int,
+    padding: int,
+) -> np.ndarray:
+    """Padded im2col and one float64 GEMM, NHWC-ordered and transposed back.
+
+    The convolution the package ran before it filled its column buffer tap by
+    tap, kept as a reference. Returns float32 like the package.
+    """
+    b, c, h, w = x.shape
+    o, _, kh, kw = weight.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride][:, :, :oh, :ow]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, c * kh * kw)
+    out = cols.astype(np.float64) @ weight.reshape(o, c * kh * kw).astype(np.float64).T
+    out += bias.astype(np.float64)
+    return out.reshape(b, oh, ow, o).transpose(0, 3, 1, 2).astype(np.float32)
+
+
+def patch_descriptors_loop(
+    fmap: np.ndarray,
+    d_x: int,
+    d_y: int,
+    stride: int,
+    centers: np.ndarray,
+    assign_weight: np.ndarray,
+    assign_bias: np.ndarray,
+    projection: np.ndarray | None = None,
+    mean: np.ndarray | None = None,
+) -> np.ndarray:
+    """Patch VLAD one window at a time over a (1, D, H, W) feature map.
+
+    The per-window loop the package ran before it aggregated every window in
+    one batched product, kept as a reference: soft assignment per position,
+    residual sums per window, per-cluster then global L2, and optionally a
+    centered projection renormalized per row. Returns (patches, dim) float32.
+    """
+    _, d, h, w = fmap.shape
+    x = fmap[0].reshape(d, -1).T.astype(np.float64)
+    scores = x @ assign_weight.astype(np.float64).T + assign_bias.astype(np.float64)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    a = e / e.sum(axis=1, keepdims=True)
+    centers_t = centers.astype(np.float64).T
+    idx = np.arange(h * w).reshape(h, w)
+    rows = []
+    for r in range(0, h - d_y + 1, stride):
+        for c in range(0, w - d_x + 1, stride):
+            sel = idx[r : r + d_y, c : c + d_x].reshape(-1)
+            v = x[sel].T @ a[sel] - centers_t * a[sel].sum(axis=0)
+            norms = np.sqrt((v**2).sum(axis=0))
+            v = v / np.where(norms > 0.0, norms, 1.0)
+            rows.append(v.T.reshape(-1))
+    raw = np.stack(rows)
+    raw = raw / np.sqrt((raw**2).sum(axis=1))[:, None]
+    if projection is not None:
+        projected = (raw - mean.astype(np.float64)) @ projection.astype(np.float64).T
+        raw = projected / np.sqrt((projected**2).sum(axis=1))[:, None]
+    return raw.astype(np.float32)
+
+
 def vlad_double_loop(x: np.ndarray, a: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Residual aggregation elementwise: V[j, k] = sum_i a[i, k] (x[i, j] - c[k, j])."""
     n, d = x.shape

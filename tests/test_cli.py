@@ -348,6 +348,19 @@ class TestBench:
         for key in ("params", "params_fused", "theo_flops", "theo_flops_fused", "model_size_bytes", "input_dims"):
             assert a[key] == b[key]
 
+    @pytest.mark.parametrize("iters", ["1", "500"])
+    def test_unconverged_pairs_reported(self, tmp_path, capsys, iters):
+        report = tmp_path / "bench.jsonl"
+        assert main([*self.BENCH_FLAGS, "--sinkhorn-iters", iters, "--report", str(report)]) == 0
+        record = read_report(report)[0]
+        assert record["matched_pairs"] == 2  # one query against both images
+        warned = "did not converge" in capsys.readouterr().err
+        if iters == "1":
+            assert record["unconverged_pairs"] == 2
+        else:
+            assert record["unconverged_pairs"] == 0
+        assert warned == (record["unconverged_pairs"] > 0)
+
     def test_queries_bounded_by_images(self):
         assert main([*self.BENCH_FLAGS[:3], "--queries", "5"]) == 2
 

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import jacobi_eigh, normalized_vlad_reference, patch_placements, vlad_double_loop
+from oracles import (
+    jacobi_eigh,
+    normalized_vlad_reference,
+    patch_descriptors_loop,
+    patch_placements,
+    vlad_double_loop,
+)
 from vprkit.descriptor import (
     PatchGrid,
     PcaModel,
@@ -182,6 +188,14 @@ class TestPca:
         with pytest.raises(DegenerateInputError):
             pca_project(np.zeros(4, dtype=np.float32), m)
 
+    def test_project_leaves_input_alone(self):
+        rng = np.random.default_rng(SEED + 15)
+        m = PcaModel(projection=random_projection(6, 3, rng).projection, mean=rng.standard_normal(6).astype(np.float32))
+        v = rng.standard_normal(6)
+        before = v.copy()
+        pca_project(v, m)
+        assert_array_equal(v, before)
+
     def test_random_projection_deterministic(self):
         a = random_projection(6, 3, np.random.default_rng(12))
         b = random_projection(6, 3, np.random.default_rng(12))
@@ -271,6 +285,52 @@ class TestPatchDescriptors:
         proj = random_projection(6, 4, rng)
         out = global_descriptor(fmap, p, proj)
         assert out.pca_applied and out.dim == 4
+
+
+class TestPatchDescriptorsAgainstLoop:
+    """The batched patch VLAD against the per-window loop it replaced."""
+
+    @pytest.mark.parametrize("d_x, d_y", [(1, 1), (2, 2), (3, 3), (4, 4), (1, 3), (4, 2), (2, 3)])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_matches_loop(self, d_x, d_y, stride, projected):
+        rng = np.random.default_rng(SEED + 20)
+        p = random_vlad_params(dim=5, clusters=3, rng=rng)
+        fmap = rng.standard_normal((1, 5, 9, 11)).astype(np.float32)
+        pca = None
+        if projected:
+            pca = PcaModel(
+                projection=random_projection(15, 6, rng).projection,
+                mean=(0.01 * rng.standard_normal(15)).astype(np.float32),
+            )
+        grid = make_patch_grid(9, 11, d_x, d_y, stride=stride)
+        got = extract_patch_descriptors(fmap, grid, p, pca)
+        want = patch_descriptors_loop(
+            fmap,
+            d_x,
+            d_y,
+            stride,
+            p.centers,
+            p.assign_weight,
+            p.assign_bias,
+            None if pca is None else pca.projection,
+            None if pca is None else pca.mean,
+        )
+        assert got.descriptors.shape == want.shape == (grid.count, 6 if projected else 15)
+        assert_allclose(got.descriptors, want, rtol=0, atol=1e-6)
+
+    def test_zero_patch_refused(self):
+        # With every center at the origin a window of zero features has zero residuals.
+        rng = np.random.default_rng(SEED + 21)
+        p = VladParams(
+            centers=np.zeros((2, 3), dtype=np.float32),
+            assign_weight=rng.standard_normal((2, 3)).astype(np.float32),
+            assign_bias=rng.standard_normal(2).astype(np.float32),
+        )
+        fmap = rng.standard_normal((1, 3, 4, 6)).astype(np.float32)
+        fmap[:, :, 2:4, 4:6] = 0.0
+        with pytest.raises(DegenerateInputError, match="identically zero"):
+            extract_patch_descriptors(fmap, make_patch_grid(4, 6, 2, 2, stride=2), p, None)
 
 
 class TestFeatureMapLayout:

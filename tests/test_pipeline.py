@@ -7,11 +7,15 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import build_corpus
-from vprkit.backbone import backbone_forward
-from vprkit.descriptor import extract_patch_descriptors, global_descriptor, make_patch_grid
+from oracles import conv2d_im2col, patch_descriptors_loop
+from vprkit import backbone, pipeline
+from vprkit.backbone import NetworkSpec, StageSpec, backbone_forward
+from vprkit.descriptor import PatchDescriptorSet, extract_patch_descriptors, global_descriptor, make_patch_grid
 from vprkit.errors import FormatError, ShapeError
-from vprkit.io_store import load_manifest
+from vprkit.io_store import ManifestRecord, load_manifest, write_ppm
+from vprkit.model import random_model
 from vprkit.pipeline import ExtractionSettings, extract_from_tensor, extract_image, extract_index
+from vprkit.retrieval import global_retrieve, rerank
 
 SEED = 51515
 
@@ -121,3 +125,74 @@ class TestExtractImage:
         desc_mem, patches_mem = extract_from_tensor(load_image(record.path, (32, 32)), small_model, settings)
         assert_array_equal(desc_file.values, desc_mem.values)
         assert_array_equal(patches_file.descriptors, patches_mem.descriptors)
+
+
+class TestExtractionAgainstOldKernels:
+    """On the acceptance gate's self-retrieval fixtures (criterion 08), the
+    tap-by-tap convolution and the batched patch VLAD give the descriptors
+    and both stages' rankings of the im2col and per-window kernels they
+    replaced."""
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_same_index_and_rankings(self, tmp_path, monkeypatch, fused):
+        spec = NetworkSpec(
+            stages=(
+                StageSpec(layer_count=1, out_channels=16),
+                StageSpec(layer_count=2, out_channels=24),
+                StageSpec(layer_count=2, out_channels=32),
+            ),
+            input_dims=(120, 160),
+        )
+        model = random_model(seed=0, spec=spec, clusters=8, pca_dim=32).with_fused()
+        settings = ExtractionSettings(
+            patch_size=2, patch_stride=1, input_dims=(120, 160), strict_dims=False, fused=fused
+        )
+        rng = np.random.default_rng(20260821 + 8)
+        records = []
+        for i in range(20):
+            path = tmp_path / f"place{i:02d}.ppm"
+            write_ppm(path, rng.integers(0, 256, size=(120, 160, 3), dtype=np.uint8))
+            records.append(ManifestRecord(f"db{i:02d}", str(path), 100.0 * i, 0.0, "database"))
+
+        def old_conv2d(x, p):
+            return conv2d_im2col(x, p.weight, p.bias, p.stride, p.padding)
+
+        def old_patches(fmap, grid, vlad, pca):
+            descriptors = patch_descriptors_loop(
+                fmap,
+                grid.d_x,
+                grid.d_y,
+                grid.stride,
+                vlad.centers,
+                vlad.assign_weight,
+                vlad.assign_bias,
+                pca.projection,
+                pca.mean,
+            )
+            return PatchDescriptorSet(descriptors=descriptors, grid=grid)
+
+        def search(index, patch_store):
+            rankings = []
+            for record in records[::4]:
+                gd, patches = extract_image(record.path, model, settings)
+                initial = global_retrieve(gd, index, record.image_id, k=20)
+                rankings.append((initial, rerank(patches, initial, patch_store, model.matcher, reg=0.02)))
+            return rankings
+
+        index, patch_store = extract_index(records, model, settings)
+        got = search(index, patch_store)
+        with monkeypatch.context() as patched:
+            patched.setattr(backbone, "conv2d", old_conv2d)
+            patched.setattr(pipeline, "extract_patch_descriptors", old_patches)
+            old_index, old_store = extract_index(records, model, settings)
+            want = search(old_index, old_store)
+
+        for new_entry, old_entry in zip(index.entries, old_index.entries):
+            assert_allclose(new_entry.descriptor.values, old_entry.descriptor.values, rtol=0, atol=1e-6)
+            new_patches = patch_store[new_entry.image_id].descriptors
+            assert_allclose(new_patches, old_store[old_entry.image_id].descriptors, rtol=0, atol=1e-6)
+        for (initial, reranked), (old_initial, old_reranked) in zip(got, want):
+            assert initial.ids() == old_initial.ids()
+            assert reranked.ids() == old_reranked.ids()
+            assert reranked.ids()[0] == initial.query_id
+            assert_allclose([s for _, s in initial.ranked], [s for _, s in old_initial.ranked], rtol=0, atol=1e-6)

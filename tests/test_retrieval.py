@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import haversine_reference, sinkhorn_log, topk_ids
 from vprkit import matcher
@@ -102,6 +102,22 @@ class TestGlobalRetrieve:
         assert list(got.ids()) == topk_ids(scores, 5)
         assert got.stage == "initial"
         assert got.query_id == "q"
+
+    def test_matrix_stacked_once_and_shared(self):
+        rng = np.random.default_rng(SEED + 2)
+        entries = tuple(entry(f"db{i}", rng.standard_normal(6)) for i in range(9))
+        idx = DescriptorIndex(entries=entries)
+        stacked = np.stack([e.descriptor.values for e in entries]).astype(np.float64)
+        first = idx.matrix()
+        for _ in range(2):
+            q = GlobalDescriptor(values=unit(rng.standard_normal(6)), pca_applied=False)
+            got = global_retrieve(q, idx, "q", k=9)
+            assert idx.matrix() is first
+            scores = stacked @ q.values.astype(np.float64)
+            assert list(got.ids()) == topk_ids({e.image_id: s for e, s in zip(entries, scores)}, 9)
+            assert [s for _, s in got.ranked] == sorted(scores.tolist(), reverse=True)
+        assert not first.flags.writeable
+        assert_array_equal(first, stacked)
 
     def test_ties_break_toward_smaller_id(self):
         idx = DescriptorIndex(entries=(entry("z", [1, 0]), entry("m", [1, 0]), entry("a", [1, 0])))

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import conv2d_loops
-from vprkit.errors import DegenerateInputError, ShapeError
+from oracles import conv2d_im2col, conv2d_loops
+from vprkit.errors import ShapeError
 from vprkit.tensor import (
     BatchNormParams,
     ConvParams,
@@ -18,8 +18,6 @@ from vprkit.tensor import (
     bilinear_resize,
     conv2d,
     conv_output_size,
-    l2_normalize,
-    matmul,
     neutral_batchnorm,
     relu,
     softmax_rows,
@@ -61,6 +59,29 @@ class TestConv2d:
         p = random_conv(rng, 3, 2, 3, 1, 1)
         with pytest.raises(ShapeError):
             conv2d(x, p)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_matches_im2col(self, k, stride, padding, batch):
+        rng = np.random.default_rng(SEED + 7)
+        x = rng.standard_normal((batch, 3, 9, 7)).astype(np.float32)
+        p = random_conv(rng, 3, 5, k, stride, padding)
+        got = conv2d(x, p)
+        want = conv2d_im2col(x, p.weight, p.bias, stride, padding)
+        assert got.shape == want.shape and got.dtype == np.float32 and got.flags.c_contiguous
+        assert_allclose(got, want, rtol=0, atol=1e-6)
+
+    def test_tap_entirely_in_padding(self):
+        # A 1-pixel-high input padded by 2 under a 3x3 kernel at stride 3: the
+        # outer kernel rows never reach the input.
+        rng = np.random.default_rng(SEED + 8)
+        x = rng.standard_normal((2, 2, 1, 5)).astype(np.float32)
+        p = random_conv(rng, 2, 3, 3, 3, 2)
+        got = conv2d(x, p)
+        assert_allclose(got, conv2d_im2col(x, p.weight, p.bias, 3, 2), rtol=0, atol=1e-6)
+        assert_allclose(got, conv2d_loops(x, p.weight, p.bias, 3, 2), atol=1e-5)
 
     def test_identity_kernel_is_identity(self):
         x = np.arange(2 * 3 * 4 * 4, dtype=np.float32).reshape(2, 3, 4, 4)
@@ -148,20 +169,6 @@ class TestSmallOps:
         rng = np.random.default_rng(SEED + 5)
         x = rng.standard_normal((3, 5))
         assert_allclose(softmax_rows(x), softmax_rows(x + 123.0), atol=1e-12)
-
-    def test_matmul_checks_inner_dims(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((4, 2)))
-
-    def test_l2_normalize_unit_norm(self):
-        v = np.array([3.0, 4.0], dtype=np.float32)
-        out = l2_normalize(v)
-        assert_allclose(np.linalg.norm(out), 1.0, atol=1e-7)
-        assert_allclose(out, [0.6, 0.8], atol=1e-7)
-
-    def test_l2_normalize_zero_vector_refused(self):
-        with pytest.raises(DegenerateInputError):
-            l2_normalize(np.zeros(4, dtype=np.float32))
 
     def test_as_tensor4_rejects_wrong_rank(self):
         with pytest.raises(ShapeError):
