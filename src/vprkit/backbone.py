@@ -263,6 +263,20 @@ def backbone_forward(
     return (x, stages) if collect_stages else x
 
 
+def form_deviation(net: Backbone, probe: Tensor4) -> tuple[float, float]:
+    """Largest elementwise gap between the multibranch and fused outputs on a
+    probe batch, absolute and relative to max(1, largest multibranch output).
+    The fused form is derived on the fly when the backbone does not carry it.
+
+    Deep stacks reach activation magnitudes where float32 spacing alone exceeds
+    any fixed absolute budget, so verdicts on them read the relative figure.
+    """
+    multi = backbone_forward(probe, net, fused=False, strict_dims=False)
+    fused = backbone_forward(probe, net, fused=True, strict_dims=False)
+    deviation = float(np.abs(multi.astype(np.float64) - fused.astype(np.float64)).max())
+    return deviation, deviation / max(1.0, float(np.abs(multi).max()))
+
+
 def random_backbone(
     spec: NetworkSpec = DEFAULT_SPEC,
     rng: np.random.Generator | None = None,

@@ -15,17 +15,16 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .backbone import backbone_forward, count_params_flops
+from .backbone import count_params_flops, form_deviation
+from .descriptor import GlobalDescriptor, PatchDescriptorSet
 from .errors import ConfigError, FormatError, VprError
 from .io_store import (
-    ManifestRecord,
     load_index,
     load_manifest,
     load_weights,
@@ -36,8 +35,8 @@ from .io_store import (
     WEIGHTS_MAGIC,
 )
 from .model import ModelParams, random_model
-from .pipeline import ExtractionSettings, extract_from_tensor, extract_image, extract_index
-from .retrieval import DescriptorIndex, GeoTag, IndexEntry, global_retrieve, recall_at_k, rerank
+from .pipeline import ExtractionSettings, extract_from_tensor, extract_images, extract_index
+from .retrieval import CandidateList, DescriptorIndex, GeoTag, IndexEntry, global_retrieve, recall_at_k, rerank
 from .selfcheck import run_all
 from .tensor import conv_output_size
 
@@ -90,20 +89,7 @@ class RunConfig:
             self.attention_normalization in ("per_destination", "global"),
             f"attention_normalization must be per_destination or global, got {self.attention_normalization!r}",
         )
-        fh, fw = self.feature_dims()
-        need(
-            self.patch_size <= min(fh, fw),
-            f"patch_size {self.patch_size} does not fit the {fh}x{fw} feature map of a "
-            f"{self.input_height}x{self.input_width} input",
-        )
         return self
-
-    def feature_dims(self) -> tuple[int, int]:
-        h, w = self.input_height, self.input_width
-        for _ in range(4):
-            h = conv_output_size(h, 3, 2, 1)
-            w = conv_output_size(w, 3, 2, 1)
-        return h, w
 
     def input_dims(self) -> tuple[int, int]:
         return self.input_height, self.input_width
@@ -214,11 +200,21 @@ def _resolve_model(cfg: RunConfig) -> ModelParams:
 
 
 def _settings(cfg: RunConfig, model: ModelParams) -> ExtractionSettings:
+    """Extraction settings for the model from _resolve_model; refuses a patch
+    that does not fit the feature map the model's own stage layout produces."""
+    fh, fw = cfg.input_dims()
+    for _, _, stride, _ in model.backbone.spec.layer_plan():
+        fh, fw = conv_output_size(fh, 3, stride, 1), conv_output_size(fw, 3, stride, 1)
+    if cfg.patch_size > min(fh, fw):
+        raise ConfigError(
+            f"patch_size {cfg.patch_size} does not fit the {fh}x{fw} feature map of a "
+            f"{cfg.input_height}x{cfg.input_width} input"
+        )
     return ExtractionSettings(
         patch_size=cfg.patch_size,
         patch_stride=cfg.patch_stride,
         input_dims=cfg.input_dims(),
-        fused=model.backbone.fused is not None,
+        fused=True,
         strict_dims=False,
     )
 
@@ -287,42 +283,25 @@ def _warn_unconverged(unconverged_pairs: int, pairs: int, cfg: RunConfig) -> Non
         )
 
 
-def _extract_queries(records, model, settings, threads):
-    queries = [r for r in records if r.split == "query"]
-    if not queries:
-        raise FormatError("manifest contains no query records")
+def _search(
+    cfg: RunConfig,
+    model: ModelParams,
+    index: DescriptorIndex,
+    patch_store: Mapping[str, PatchDescriptorSet],
+    queries: Sequence[tuple[str, GlobalDescriptor, PatchDescriptorSet]],
+) -> tuple[list[CandidateList], list[CandidateList], float, int, int]:
+    """Stage one then stage two for each (query_id, descriptor, patches).
 
-    def work(record: ManifestRecord):
-        return extract_image(record.path, model, settings)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, queries))
-    else:
-        results = [work(r) for r in queries]
-    return queries, results
-
-
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    records = load_manifest(args.manifest)
-    model = _resolve_model(cfg)
-    settings = _settings(cfg, model)
-    index, patch_store = load_index(args.index)
-    if len(index) == 0:
-        raise FormatError(f"{args.index}: index is empty")
-    queries, extracted = _extract_queries(records, model, settings, cfg.threads)
-    query_geotags = {r.image_id: GeoTag.utm(r.easting, r.northing) for r in queries}
-    db_geotags = index.geotags()
-
-    report = _Report(args.report)
-    initial_lists = []
-    reranked_lists = []
+    Returns the stage-one lists, the re-ranked lists, the seconds spent in
+    stage two, and the counts of matched and unconverged candidate pairs.
+    """
+    initial_lists: list[CandidateList] = []
+    reranked_lists: list[CandidateList] = []
     match_seconds = 0.0
     pairs = 0
     unconverged_pairs = 0
-    for record, (desc, patches) in zip(queries, extracted):
-        initial = global_retrieve(desc, index, record.image_id, k=cfg.candidates)
+    for query_id, desc, patches in queries:
+        initial = global_retrieve(desc, index, query_id, k=cfg.candidates)
         start = time.perf_counter()
         reranked = rerank(
             patches,
@@ -339,9 +318,32 @@ def cmd_eval(args: argparse.Namespace) -> int:
         unconverged_pairs += len(reranked.unconverged)
         initial_lists.append(initial)
         reranked_lists.append(reranked)
+    return initial_lists, reranked_lists, match_seconds, pairs, unconverged_pairs
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    cfg = resolve_config(args)
+    records = load_manifest(args.manifest)
+    model = _resolve_model(cfg)
+    settings = _settings(cfg, model)
+    index, patch_store = load_index(args.index)
+    if len(index) == 0:
+        raise FormatError(f"{args.index}: index is empty")
+    queries = [r for r in records if r.split == "query"]
+    if not queries:
+        raise FormatError("manifest contains no query records")
+    extracted = extract_images([r.path for r in queries], model, settings, threads=cfg.threads)
+    initial_lists, reranked_lists, match_seconds, pairs, unconverged_pairs = _search(
+        cfg, model, index, patch_store, [(r.image_id, *e) for r, e in zip(queries, extracted)]
+    )
+    query_geotags = {r.image_id: GeoTag.utm(r.easting, r.northing) for r in queries}
+    db_geotags = index.geotags()
+
+    report = _Report(args.report)
+    for initial, reranked in zip(initial_lists, reranked_lists):
         report.add(
             "eval_query",
-            query_id=record.image_id,
+            query_id=initial.query_id,
             initial=[[i, round(s, 6)] for i, s in initial.ranked[:10]],
             reranked=[[i, round(s, 6)] for i, s in reranked.ranked[:10]],
             missing_patches=list(reranked.missing_patches),
@@ -385,10 +387,7 @@ def cmd_reparam(args: argparse.Namespace) -> int:
     fused_model = model.with_fused()
     rng = np.random.default_rng(cfg.seed)
     probe = rng.standard_normal((1, model.backbone.spec.in_channels, 64, 64)).astype(np.float32)
-    multi = backbone_forward(probe, model.backbone, fused=False, strict_dims=False)
-    fused = backbone_forward(probe, fused_model.backbone, fused=True, strict_dims=False)
-    deviation = float(np.abs(multi.astype(np.float64) - fused.astype(np.float64)).max())
-    scale = max(1.0, float(np.abs(multi).max()))
+    deviation, rel_deviation = form_deviation(fused_model.backbone, probe)
     params_multi, flops_multi = count_params_flops(model.backbone, fused=False)
     params_fused, flops_fused = count_params_flops(model.backbone, fused=True)
     save_weights(args.out, fused_model)
@@ -396,7 +395,7 @@ def cmd_reparam(args: argparse.Namespace) -> int:
         "reparam",
         status="fused",
         max_abs_deviation=deviation,
-        max_rel_deviation=deviation / scale,
+        max_rel_deviation=rel_deviation,
         params_multibranch=params_multi,
         params_fused=params_fused,
         flops_multibranch=flops_multi,
@@ -410,7 +409,7 @@ def cmd_reparam(args: argparse.Namespace) -> int:
             ("mult-adds", str(flops_multi), str(flops_fused)),
         ]
     )
-    print(f"max elementwise deviation on probe batch: {deviation:.3e} (relative {deviation / scale:.3e})")
+    print(f"max elementwise deviation on probe batch: {deviation:.3e} (relative {rel_deviation:.3e})")
     print(f"wrote both forms -> {args.out}")
     return 0
 
@@ -437,25 +436,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     index = DescriptorIndex(entries=entries)
     patch_store = {f"bench{i:03d}": patches for i, (_, patches) in enumerate(extracted)}
-    queries = extracted[: args.queries]
-    pairs = 0
-    unconverged_pairs = 0
-    start = time.perf_counter()
-    for desc, patches in queries:
-        initial = global_retrieve(desc, index, "q", k=min(cfg.candidates, len(index)))
-        reranked = rerank(
-            patches,
-            initial,
-            patch_store,
-            model.matcher,
-            reg=cfg.sinkhorn_reg,
-            tol=cfg.sinkhorn_tol,
-            max_iters=cfg.sinkhorn_iters,
-            normalization=cfg.attention_normalization,  # type: ignore[arg-type]
-        )
-        pairs += len(reranked.ranked) - len(reranked.missing_patches)
-        unconverged_pairs += len(reranked.unconverged)
-    match_ms = (time.perf_counter() - start) * 1000.0 / len(queries)
+    queries = [("q", desc, patches) for desc, patches in extracted[: args.queries]]
+    _, _, match_seconds, pairs, unconverged_pairs = _search(cfg, model, index, patch_store, queries)
+    match_ms = match_seconds * 1000.0 / len(queries)
 
     params_multi, flops_multi = count_params_flops(model.backbone, fused=False)
     params_fused, flops_fused = count_params_flops(model.backbone, fused=True)

@@ -48,16 +48,6 @@ class VladParams:
         return self.centers.shape[1]
 
 
-def vlad_params_from_centers(centers: np.ndarray, alpha: float = 1.0) -> VladParams:
-    """Assignment scores -alpha * ||x - c_k||^2 up to an x-only term, as in classic
-    soft codebooks: W = 2*alpha*C, b_k = -alpha*||c_k||^2. Large alpha approaches
-    nearest-center hard assignment."""
-    centers = np.asarray(centers, dtype=np.float32)
-    weight = (2.0 * alpha * centers.astype(np.float64)).astype(np.float32)
-    bias = (-alpha * np.sum(centers.astype(np.float64) ** 2, axis=1)).astype(np.float32)
-    return VladParams(centers=centers, assign_weight=weight, assign_bias=bias)
-
-
 def random_vlad_params(dim: int, clusters: int, rng: np.random.Generator) -> VladParams:
     centers = rng.standard_normal((clusters, dim)).astype(np.float32)
     return VladParams(
@@ -89,17 +79,6 @@ def soft_assign(x: np.ndarray, p: VladParams) -> np.ndarray:
     x = _as_descriptor_rows(x, p.dim)
     scores = x.astype(np.float64) @ p.assign_weight.astype(np.float64).T + p.assign_bias.astype(np.float64)
     return softmax_rows(scores)
-
-
-def hard_assign(x: np.ndarray, p: VladParams) -> np.ndarray:
-    """One-hot rows selecting each descriptor's nearest center (ties to the lowest index)."""
-    x = _as_descriptor_rows(x, p.dim)
-    xd = x.astype(np.float64)
-    c = p.centers.astype(np.float64)
-    d2 = np.sum(xd**2, axis=1, keepdims=True) - 2.0 * xd @ c.T + np.sum(c**2, axis=1)
-    out = np.zeros((x.shape[0], p.cluster_count), dtype=np.float64)
-    out[np.arange(x.shape[0]), np.argmin(d2, axis=1)] = 1.0
-    return out
 
 
 def vlad_raw(x: np.ndarray, assignments: np.ndarray, p: VladParams) -> np.ndarray:
@@ -359,22 +338,6 @@ def extract_patch_descriptors(
     if pca is not None:
         flat = _project_rows(flat, pca)
     return PatchDescriptorSet(descriptors=flat.astype(np.float32), grid=grid)
-
-
-def triplet_loss(
-    query: GlobalDescriptor, positive: GlobalDescriptor, negative: GlobalDescriptor, margin: float = 0.1
-) -> float:
-    """max(0, ||q - pos||^2 + margin - ||q - neg||^2)."""
-    if not (query.dim == positive.dim == negative.dim):
-        raise ShapeError(
-            f"descriptor dims disagree: query {query.dim}, positive {positive.dim}, negative {negative.dim}"
-        )
-    if margin < 0:
-        raise ShapeError(f"margin must be >= 0, got {margin}")
-    q = query.values.astype(np.float64)
-    dp = q - positive.values.astype(np.float64)
-    dn = q - negative.values.astype(np.float64)
-    return float(max(0.0, float(dp @ dp) + margin - float(dn @ dn)))
 
 
 def _as_descriptor_rows(x: np.ndarray, dim: int) -> np.ndarray:

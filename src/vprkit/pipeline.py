@@ -56,6 +56,17 @@ def extract_image(
     return extract_from_tensor(image, model, settings)
 
 
+def extract_images(
+    paths: Sequence[str], model: ModelParams, settings: ExtractionSettings, threads: int = 1
+) -> list[tuple[GlobalDescriptor, PatchDescriptorSet]]:
+    """extract_image over each path, results in input order; a worker pool runs
+    them only when threads > 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(lambda path: extract_image(path, model, settings), paths))
+    return [extract_image(path, model, settings) for path in paths]
+
+
 def extract_index(
     records: Sequence[ManifestRecord],
     model: ModelParams,
@@ -70,15 +81,7 @@ def extract_index(
     rows = sorted((r for r in records if r.split == "database"), key=lambda r: r.image_id)
     if not rows:
         raise FormatError("manifest contains no database records")
-
-    def work(record: ManifestRecord) -> tuple[GlobalDescriptor, PatchDescriptorSet]:
-        return extract_image(record.path, model, settings)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, rows))
-    else:
-        results = [work(r) for r in rows]
+    results = extract_images([r.path for r in rows], model, settings, threads=threads)
 
     entries = []
     patch_store: dict[str, PatchDescriptorSet] = {}

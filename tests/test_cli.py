@@ -10,10 +10,21 @@ import numpy as np
 import pytest
 
 from vprkit.backbone import NetworkSpec, StageSpec
-from vprkit.cli import REPORT_SCHEMA_VERSION, RunConfig, _resolve_model, _settings, main, parse_config_file, resolve_config
+from vprkit.cli import (
+    REPORT_SCHEMA_VERSION,
+    RunConfig,
+    _resolve_model,
+    _search,
+    _settings,
+    main,
+    parse_config_file,
+    resolve_config,
+)
 from vprkit.errors import ConfigError
-from vprkit.io_store import ManifestRecord, load_weights, save_manifest, save_weights, write_ppm
+from vprkit.io_store import ManifestRecord, load_index, load_manifest, load_weights, save_manifest, save_weights, write_ppm
 from vprkit.model import random_model
+from vprkit.pipeline import extract_images
+from vprkit.retrieval import global_retrieve, rerank
 
 SEED = 11311
 
@@ -121,8 +132,23 @@ class TestConfigResolution:
 
     def test_validation_patch_must_fit(self, monkeypatch):
         monkeypatch.delenv("VPR_THREADS", raising=False)
+        cfg = resolve_config(self.args(input_height=16, input_width=16, patch_size=3))
         with pytest.raises(ConfigError):
-            resolve_config(self.args(input_height=16, input_width=16, patch_size=3))
+            _settings(cfg, _resolve_model(cfg))
+
+    def test_patch_fit_follows_the_model_layout(self, monkeypatch, tmp_path):
+        # Three stride-2 stages take a 32x32 input to a 4x4 map, not the 2x2
+        # of the default four-stage layout.
+        monkeypatch.delenv("VPR_THREADS", raising=False)
+        weights = tmp_path / "three_stage.vprw"
+        save_weights(weights, random_model(seed=13, spec=EVAL_SPEC, clusters=8, pca_dim=32))
+        for patch, fits in ((3, True), (4, True), (5, False)):
+            cfg = resolve_config(self.args(weights=str(weights), input_height=32, input_width=32, patch_size=patch))
+            if fits:
+                assert _settings(cfg, _resolve_model(cfg)).patch_size == patch
+            else:
+                with pytest.raises(ConfigError, match="4x4 feature map"):
+                    _settings(cfg, _resolve_model(cfg))
 
     def test_validation_ranges(self, monkeypatch):
         monkeypatch.delenv("VPR_THREADS", raising=False)
@@ -295,6 +321,50 @@ class TestEval:
         else:
             assert summary["unconverged_pairs"] == 0
         assert warned == (summary["unconverged_pairs"] > 0)
+
+    @pytest.mark.parametrize("iters", [1, 100])
+    def test_search_matches_per_query_loop(self, indexed, iters):
+        manifest, index_path, weights = indexed
+        cfg = RunConfig(weights=str(weights), input_height=48, input_width=64, sinkhorn_reg=0.02, sinkhorn_iters=iters)
+        model = _resolve_model(cfg)
+        index, patch_store = load_index(index_path)
+        queries = [r for r in load_manifest(manifest) if r.split == "query"]
+        extracted = extract_images([r.path for r in queries], model, _settings(cfg, model))
+        got_initial, got_reranked, seconds, pairs, unconverged_pairs = _search(
+            cfg, model, index, patch_store, [(r.image_id, *e) for r, e in zip(queries, extracted)]
+        )
+
+        # Reference: the loop eval and bench each ran before they shared one.
+        want_initial, want_reranked = [], []
+        want_pairs = want_unconverged = 0
+        for record, (desc, patches) in zip(queries, extracted):
+            initial = global_retrieve(desc, index, record.image_id, k=cfg.candidates)
+            reranked = rerank(
+                patches,
+                initial,
+                patch_store,
+                model.matcher,
+                reg=cfg.sinkhorn_reg,
+                tol=cfg.sinkhorn_tol,
+                max_iters=cfg.sinkhorn_iters,
+                normalization=cfg.attention_normalization,
+            )
+            want_pairs += len(reranked.ranked) - len(reranked.missing_patches)
+            want_unconverged += len(reranked.unconverged)
+            want_initial.append(initial)
+            want_reranked.append(reranked)
+
+        def bits(lists):
+            return [
+                (c.query_id, c.stage, c.ids(), np.array([s for _, s in c.ranked]).tobytes(), c.missing_patches, c.unconverged)
+                for c in lists
+            ]
+
+        assert bits(got_initial) == bits(want_initial)
+        assert bits(got_reranked) == bits(want_reranked)
+        assert (pairs, unconverged_pairs) == (want_pairs, want_unconverged)
+        assert pairs == 30 and seconds > 0.0
+        assert (unconverged_pairs == 30) if iters == 1 else (0 < unconverged_pairs < 30)  # all, then a mix
 
     def test_missing_index_is_usage_error(self, tmp_path):
         manifest = write_corpus(tmp_path, twins=[0], query_positions=[0.0])

@@ -22,16 +22,13 @@ from vprkit.descriptor import (
     extract_patch_descriptors,
     feature_map_descriptors,
     global_descriptor,
-    hard_assign,
     make_patch_grid,
     pca_fit,
     pca_project,
     random_projection,
     random_vlad_params,
     soft_assign,
-    triplet_loss,
     vlad_aggregate,
-    vlad_params_from_centers,
     vlad_raw,
 )
 from vprkit.errors import DegenerateInputError, ShapeError
@@ -47,27 +44,14 @@ class TestAssignments:
         assert a.shape == (9, 4)
         assert_allclose(a.sum(axis=1), np.ones(9), atol=1e-12)
 
-    def test_hard_picks_nearest_center(self):
-        centers = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]], dtype=np.float32)
-        p = vlad_params_from_centers(centers)
-        x = np.array([[1.0, 1.0], [9.0, 1.0], [2.0, 8.0]], dtype=np.float32)
-        a = hard_assign(x, p)
-        assert_array_equal(np.argmax(a, axis=1), [0, 1, 2])
-        assert_array_equal(a.sum(axis=1), np.ones(3))
 
-    def test_hard_ties_take_lowest_index(self):
-        centers = np.array([[-1.0], [1.0]], dtype=np.float32)
-        p = vlad_params_from_centers(centers)
-        a = hard_assign(np.array([[0.0]], dtype=np.float32), p)
-        assert_array_equal(a, [[1.0, 0.0]])
-
-    def test_sharpened_soft_approaches_hard(self):
-        rng = np.random.default_rng(SEED + 1)
-        centers = rng.standard_normal((4, 3)).astype(np.float32)
-        x = rng.standard_normal((12, 3)).astype(np.float32)
-        soft = soft_assign(x, vlad_params_from_centers(centers, alpha=200.0))
-        hard = hard_assign(x, vlad_params_from_centers(centers))
-        assert_allclose(soft, hard, atol=1e-8)
+def _codebook(centers: np.ndarray) -> VladParams:
+    """Centers with a zero assignment map; the tests here pass assignments explicitly."""
+    return VladParams(
+        centers=centers,
+        assign_weight=np.zeros_like(centers),
+        assign_bias=np.zeros(centers.shape[0], dtype=np.float32),
+    )
 
 
 class TestVlad:
@@ -93,9 +77,10 @@ class TestVlad:
 
     def test_zero_residuals_give_zero_matrix(self):
         centers = np.array([[1.0, 2.0], [-3.0, 0.5]], dtype=np.float32)
-        p = vlad_params_from_centers(centers)
+        p = _codebook(centers)
         x = np.array([[1.0, 2.0], [-3.0, 0.5], [1.0, 2.0]], dtype=np.float32)
-        v = vlad_raw(x, hard_assign(x, p), p)
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])  # each row on its own center
+        v = vlad_raw(x, a, p)
         assert_array_equal(v, np.zeros((2, 2)))
 
     def test_permutation_invariance_bitwise(self):
@@ -110,21 +95,17 @@ class TestVlad:
     def test_cluster_blocks_are_contiguous(self):
         # Build a raw matrix by hand and check the flattening order: the
         # descriptor must list all of cluster 0, then all of cluster 1.
-        p = VladParams(
-            centers=np.zeros((2, 2), dtype=np.float32),
-            assign_weight=np.zeros((2, 2), dtype=np.float32),
-            assign_bias=np.zeros(2, dtype=np.float32),
-        )
+        p = _codebook(np.zeros((2, 2), dtype=np.float32))
         x = np.array([[3.0, 4.0]], dtype=np.float32)
         a = np.array([[1.0, 0.0]])  # everything in cluster 0
         desc = vlad_aggregate(x, a, p).values
         assert_allclose(desc, [0.6, 0.8, 0.0, 0.0], atol=1e-7)
 
     def test_all_zero_descriptor_refused(self):
-        p = vlad_params_from_centers(np.array([[1.0, 2.0]], dtype=np.float32))
+        p = _codebook(np.array([[1.0, 2.0]], dtype=np.float32))
         x = np.array([[1.0, 2.0]], dtype=np.float32)
         with pytest.raises(DegenerateInputError):
-            vlad_aggregate(x, hard_assign(x, p), p)
+            vlad_aggregate(x, np.array([[1.0]]), p)
 
     def test_assignment_shape_checked(self):
         rng = np.random.default_rng(SEED + 5)
@@ -345,29 +326,3 @@ class TestFeatureMapLayout:
     def test_batch_must_be_one(self):
         with pytest.raises(ShapeError):
             feature_map_descriptors(np.zeros((2, 3, 4, 4), dtype=np.float32))
-
-
-def _desc(*vals: float) -> "GlobalDescriptor":
-    from vprkit.descriptor import GlobalDescriptor
-
-    return GlobalDescriptor(values=np.array(vals, dtype=np.float32), pca_applied=False)
-
-
-class TestTripletLoss:
-    def test_zero_when_negative_is_far(self):
-        assert triplet_loss(_desc(1.0, 0.0), _desc(1.0, 0.0), _desc(-1.0, 0.0), margin=0.1) == 0.0
-
-    def test_margin_boundary(self):
-        # Negative at squared distance exactly margin: hinge sits at zero.
-        q, pos = _desc(1.0, 0.0), _desc(1.0, 0.0)
-        neg = _desc(1.0, float(np.sqrt(0.1)))
-        assert triplet_loss(q, pos, neg, margin=0.1) == pytest.approx(0.0, abs=1e-7)
-
-    def test_violation_is_positive(self):
-        # d2(pos) = 1, d2(neg) = 0.25, margin 0.1 -> loss 0.85
-        loss = triplet_loss(_desc(0.0, 0.0), _desc(1.0, 0.0), _desc(0.5, 0.0), margin=0.1)
-        assert loss == pytest.approx(0.85, abs=1e-6)
-
-    def test_dim_mismatch_refused(self):
-        with pytest.raises(ShapeError):
-            triplet_loss(_desc(1.0), _desc(1.0, 0.0), _desc(0.0, 1.0))

@@ -14,7 +14,7 @@ from vprkit.descriptor import PatchDescriptorSet, extract_patch_descriptors, glo
 from vprkit.errors import FormatError, ShapeError
 from vprkit.io_store import ManifestRecord, load_manifest, write_ppm
 from vprkit.model import random_model
-from vprkit.pipeline import ExtractionSettings, extract_from_tensor, extract_image, extract_index
+from vprkit.pipeline import ExtractionSettings, extract_from_tensor, extract_image, extract_images, extract_index
 from vprkit.retrieval import global_retrieve, rerank
 
 SEED = 51515
@@ -125,6 +125,18 @@ class TestExtractImage:
         desc_mem, patches_mem = extract_from_tensor(load_image(record.path, (32, 32)), small_model, settings)
         assert_array_equal(desc_file.values, desc_mem.values)
         assert_array_equal(patches_file.descriptors, patches_mem.descriptors)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_many_in_input_order(self, small_model, tmp_path, threads):
+        manifest = build_corpus(tmp_path, count=4, dims=(32, 32), seed=6)
+        paths = [r.path for r in load_manifest(manifest) if r.split == "database"][::-1]
+        settings = ExtractionSettings(input_dims=(32, 32))
+        got = extract_images(paths, small_model, settings, threads=threads)
+        assert len(got) == len(paths)
+        for path, (desc, patches) in zip(paths, got):
+            want_desc, want_patches = extract_image(path, small_model, settings)
+            assert_array_equal(desc.values, want_desc.values)
+            assert_array_equal(patches.descriptors, want_patches.descriptors)
 
 
 class TestExtractionAgainstOldKernels:
