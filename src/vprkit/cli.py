@@ -1,7 +1,7 @@
 """Operator surface: extract | eval | reparam | bench | selfcheck.
 
-Settings resolve in four layers: built-in defaults, then the VPR_THREADS
-environment variable, then a key=value config file, then command-line flags.
+Settings resolve in three layers: built-in defaults, then a key=value config
+file, then command-line flags.
 Reports come out twice: a human table on stdout and, when requested,
 machine-readable JSON lines with a frozen, versioned schema. Every command is
 deterministic for fixed (seed, weights, inputs) apart from wall-clock fields.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -53,8 +52,6 @@ class RunConfig:
     patch_size: int = 2
     patch_stride: int = 1
     pca_dim: int = 512
-    attention_rounds: int = 2
-    attention_key_dim: int = 0  # 0 means "same as the descriptor dim"
     sinkhorn_reg: float = 1.0
     sinkhorn_tol: float = 1e-6
     sinkhorn_iters: int = 100
@@ -64,8 +61,6 @@ class RunConfig:
     seed: int = 0
     input_height: int = 480
     input_width: int = 640
-    dustbin_score: float = 0.9
-    attention_normalization: str = "per_destination"
 
     def validate(self) -> "RunConfig":
         def need(cond: bool, msg: str) -> None:
@@ -76,8 +71,6 @@ class RunConfig:
         need(self.patch_size >= 1, f"patch_size must be >= 1, got {self.patch_size}")
         need(self.patch_stride >= 1, f"patch_stride must be >= 1, got {self.patch_stride}")
         need(self.pca_dim >= 1, f"pca_dim must be >= 1, got {self.pca_dim}")
-        need(self.attention_rounds >= 0, f"attention_rounds must be >= 0, got {self.attention_rounds}")
-        need(self.attention_key_dim >= 0, f"attention_key_dim must be >= 0, got {self.attention_key_dim}")
         need(self.sinkhorn_reg > 0, f"sinkhorn_reg must be > 0, got {self.sinkhorn_reg}")
         need(self.sinkhorn_tol >= 0, f"sinkhorn_tol must be >= 0, got {self.sinkhorn_tol}")
         need(self.sinkhorn_iters >= 1, f"sinkhorn_iters must be >= 1, got {self.sinkhorn_iters}")
@@ -85,33 +78,14 @@ class RunConfig:
         need(self.radius_m >= 0, f"radius_m must be >= 0, got {self.radius_m}")
         need(self.threads >= 1, f"threads must be >= 1, got {self.threads}")
         need(self.input_height >= 16 and self.input_width >= 16, "input dims must be at least 16 per axis")
-        need(
-            self.attention_normalization in ("per_destination", "global"),
-            f"attention_normalization must be per_destination or global, got {self.attention_normalization!r}",
-        )
         return self
 
     def input_dims(self) -> tuple[int, int]:
         return self.input_height, self.input_width
 
 
-_INT_KEYS = {
-    "clusters",
-    "patch_size",
-    "patch_stride",
-    "pca_dim",
-    "attention_rounds",
-    "attention_key_dim",
-    "sinkhorn_iters",
-    "candidates",
-    "threads",
-    "seed",
-    "input_height",
-    "input_width",
-}
-_FLOAT_KEYS = {"sinkhorn_reg", "sinkhorn_tol", "radius_m", "dustbin_score"}
-_STR_KEYS = {"weights", "attention_normalization"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+# Each config-file key parses as the type of its default; weights is a path.
+_KEY_TYPES = {f.name: str if f.default is None else type(f.default) for f in fields(RunConfig)}
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
@@ -124,15 +98,10 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
         if "=" not in line:
             raise ConfigError(f"{path}: line {lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"{path}: line {lineno}: unknown setting {key!r}")
         try:
-            if key in _INT_KEYS:
-                out[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(value)
-            else:
-                out[key] = value
+            out[key] = _KEY_TYPES[key](value)
         except ValueError:
             raise ConfigError(f"{path}: line {lineno}: bad value {value!r} for {key}") from None
     return out
@@ -140,18 +109,16 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     layers: dict[str, object] = {}
-    env_threads = os.environ.get("VPR_THREADS")
-    if env_threads is not None:
-        try:
-            layers["threads"] = int(env_threads)
-        except ValueError:
-            raise ConfigError(f"VPR_THREADS must be an integer, got {env_threads!r}") from None
     if getattr(args, "config", None):
         layers.update(parse_config_file(args.config))
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
             layers[f.name] = value
+    if layers.get("weights"):
+        for key in ("clusters", "pca_dim"):  # they shape only the seeded random model
+            if key in layers:
+                raise ConfigError(f"{key} cannot be set together with weights: the weights file fixes the model shape")
     return RunConfig(**layers).validate()  # type: ignore[arg-type]
 
 
@@ -162,24 +129,15 @@ def add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--patch-size", type=int, dest="patch_size", help="square patch side on the feature map")
     parser.add_argument("--patch-stride", type=int, dest="patch_stride", help="patch grid stride")
     parser.add_argument("--pca-dim", type=int, dest="pca_dim", help="final descriptor dimension")
-    parser.add_argument("--attention-rounds", type=int, dest="attention_rounds", help="self+cross rounds")
-    parser.add_argument("--attention-key-dim", type=int, dest="attention_key_dim", help="key space dim (0 = descriptor dim)")
     parser.add_argument("--sinkhorn-reg", type=float, dest="sinkhorn_reg", help="transport regularization")
     parser.add_argument("--sinkhorn-tol", type=float, dest="sinkhorn_tol", help="marginal tolerance")
     parser.add_argument("--sinkhorn-iters", type=int, dest="sinkhorn_iters", help="max scaling iterations")
     parser.add_argument("--candidates", type=int, help="stage-one candidate depth")
     parser.add_argument("--radius-m", type=float, dest="radius_m", help="localization radius in meters")
-    parser.add_argument("--threads", type=int, help="worker threads (also VPR_THREADS)")
+    parser.add_argument("--threads", type=int, help="extraction worker threads")
     parser.add_argument("--seed", type=int, help="seed for random weights and probes")
     parser.add_argument("--input-height", type=int, dest="input_height", help="working image height")
     parser.add_argument("--input-width", type=int, dest="input_width", help="working image width")
-    parser.add_argument("--dustbin-score", type=float, dest="dustbin_score", help="unmatched-patch score")
-    parser.add_argument(
-        "--attention-normalization",
-        dest="attention_normalization",
-        choices=("per_destination", "global"),
-        help="attention weight normalization",
-    )
 
 
 def _resolve_model(cfg: RunConfig) -> ModelParams:
@@ -188,14 +146,7 @@ def _resolve_model(cfg: RunConfig) -> ModelParams:
     if cfg.weights:
         model = load_weights(cfg.weights)
     else:
-        model = random_model(
-            seed=cfg.seed,
-            clusters=cfg.clusters,
-            pca_dim=cfg.pca_dim,
-            attention_rounds=cfg.attention_rounds,
-            attention_key_dim=cfg.attention_key_dim or None,
-            dustbin_score=cfg.dustbin_score,
-        )
+        model = random_model(seed=cfg.seed, clusters=cfg.clusters, pca_dim=cfg.pca_dim)
     return model.with_fused()
 
 
@@ -311,7 +262,6 @@ def _search(
             reg=cfg.sinkhorn_reg,
             tol=cfg.sinkhorn_tol,
             max_iters=cfg.sinkhorn_iters,
-            normalization=cfg.attention_normalization,  # type: ignore[arg-type]
         )
         match_seconds += time.perf_counter() - start
         pairs += len(reranked.ranked) - len(reranked.missing_patches)

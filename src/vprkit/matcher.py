@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Iterable, Literal, Optional
 
 import numpy as np
 
 from .errors import EmptyGroundTruthWarning, ShapeError
-
-Normalization = Literal["per_destination", "global"]
 
 
 @dataclass(frozen=True)
@@ -94,44 +92,26 @@ def random_matcher_params(
     return MatcherParams(layers=tuple(layers), dustbin_score=dustbin_score)
 
 
-def attention_forward(
-    x_src: np.ndarray,
-    x_dst: np.ndarray,
-    layer: AttentionLayer,
-    normalization: Normalization = "per_destination",
-) -> tuple[np.ndarray, np.ndarray]:
+def attention_forward(x_src: np.ndarray, x_dst: np.ndarray, layer: AttentionLayer) -> tuple[np.ndarray, np.ndarray]:
     """Aggregate source descriptors into each destination.
 
-    Logits are f(src_i) . g(dst_j). With per-destination normalization (the
-    default) the weights into each destination form a softmax over sources, so
-    every column of the returned (N_src, N_dst) map sums to 1; "global"
-    normalizes by the sum over all pairs instead. The enhanced output is
-    x_dst[j] + sum_i rho[i, j] * w_h @ x_src[i].
+    Logits are f(src_i) . g(dst_j). The weights into each destination form a
+    softmax over sources, so every column of the returned (N_src, N_dst) map
+    sums to 1. The enhanced output is x_dst[j] + sum_i rho[i, j] * w_h @ x_src[i].
     """
     xs = _as_rows(x_src, layer.dim, "source")
     xd = _as_rows(x_dst, layer.dim, "destination")
     f = xs @ layer.w_f.astype(np.float64).T
     g = xd @ layer.w_g.astype(np.float64).T
     logits = f @ g.T  # (N_src, N_dst)
-    if normalization == "per_destination":
-        e = np.exp(logits - logits.max(axis=0, keepdims=True))
-        rho = e / e.sum(axis=0, keepdims=True)
-    elif normalization == "global":
-        e = np.exp(logits - logits.max())
-        rho = e / e.sum()
-    else:
-        raise ShapeError(f"unknown normalization {normalization!r}")
+    e = np.exp(logits - logits.max(axis=0, keepdims=True))
+    rho = e / e.sum(axis=0, keepdims=True)
     values = xs @ layer.w_h.astype(np.float64).T
     out = xd + rho.T @ values
     return out, rho
 
 
-def enhance_descriptors(
-    q: np.ndarray,
-    d: np.ndarray,
-    params: MatcherParams,
-    normalization: Normalization = "per_destination",
-) -> tuple[np.ndarray, np.ndarray]:
+def enhance_descriptors(q: np.ndarray, d: np.ndarray, params: MatcherParams) -> tuple[np.ndarray, np.ndarray]:
     """Run the attention stack over both descriptor sets.
 
     Self layers update each set from itself; cross layers update both sets
@@ -141,11 +121,11 @@ def enhance_descriptors(
     yd = np.asarray(d, dtype=np.float64)
     for layer in params.layers:
         if layer.mode == "self":
-            yq, _ = attention_forward(yq, yq, layer, normalization)
-            yd, _ = attention_forward(yd, yd, layer, normalization)
+            yq, _ = attention_forward(yq, yq, layer)
+            yd, _ = attention_forward(yd, yd, layer)
         else:
-            new_q, _ = attention_forward(yd, yq, layer, normalization)
-            new_d, _ = attention_forward(yq, yd, layer, normalization)
+            new_q, _ = attention_forward(yd, yq, layer)
+            new_d, _ = attention_forward(yq, yd, layer)
             yq, yd = new_q, new_d
     return yq, yd
 
@@ -438,10 +418,9 @@ def match_pair(
     reg: float = 1.0,
     tol: float = 1e-6,
     max_iters: int = 100,
-    normalization: Normalization = "per_destination",
 ) -> PairScore:
     """Enhance, score, transport, and summarize one query/candidate pair."""
-    yq, yd = enhance_descriptors(q_patches, d_patches, params, normalization)
+    yq, yd = enhance_descriptors(q_patches, d_patches, params)
     assignment = sinkhorn_assign(score_matrix(yq, yd), params.dustbin_score, reg=reg, tol=tol, max_iters=max_iters)
     return PairScore(match_score(assignment), assignment.iterations, assignment.converged)
 

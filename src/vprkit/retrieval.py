@@ -16,7 +16,7 @@ import numpy as np
 
 from .descriptor import GlobalDescriptor, PatchDescriptorSet, PatchGrid
 from .errors import DegenerateInputError, FrameMismatchError, ShapeError
-from .matcher import GroundTruthMatches, MatcherParams, Normalization, match_pair
+from .matcher import GroundTruthMatches, MatcherParams, match_pair
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -148,7 +148,6 @@ def rerank(
     reg: float = 1.0,
     tol: float = 1e-6,
     max_iters: int = 100,
-    normalization: Normalization = "per_destination",
 ) -> CandidateList:
     """Re-score candidates with the patch matcher and sort by match score.
 
@@ -173,7 +172,6 @@ def rerank(
                 reg=reg,
                 tol=tol,
                 max_iters=max_iters,
-                normalization=normalization,
             )
             if not value.converged:
                 unconverged.append(image_id)

@@ -17,7 +17,6 @@ from . import descriptor as dsc
 from . import matcher as mt
 from . import retrieval as rt
 from . import tensor as tn
-from .model import ModelParams
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from vprkit.backbone import (
-    Backbone,
     DEFAULT_SPEC,
     NetworkSpec,
     RepVggBlock,

@@ -16,6 +16,7 @@ from vprkit.cli import (
     _resolve_model,
     _search,
     _settings,
+    add_config_flags,
     main,
     parse_config_file,
     resolve_config,
@@ -87,59 +88,69 @@ class TestConfigResolution:
             setattr(ns, key, value)
         return ns
 
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv("VPR_THREADS", raising=False)
+    def test_defaults(self):
         cfg = resolve_config(self.args())
         assert cfg == RunConfig()
 
-    def test_default_model_runs_fused_forward(self, monkeypatch):
-        monkeypatch.delenv("VPR_THREADS", raising=False)
+    def test_default_model_runs_fused_forward(self):
         cfg = resolve_config(self.args())
         model = _resolve_model(cfg)
         assert model.backbone.blocks is not None and model.backbone.fused is not None
         assert _settings(cfg, model).fused is True
 
-    def test_multibranch_weights_gain_fused_form(self, monkeypatch, tmp_path, small_model):
-        monkeypatch.delenv("VPR_THREADS", raising=False)
+    def test_multibranch_weights_gain_fused_form(self, tmp_path, small_model):
         weights = tmp_path / "multi.vprw"
         save_weights(weights, small_model)
         assert load_weights(weights).backbone.fused is None
         cfg = resolve_config(self.args(weights=str(weights)))
         assert _settings(cfg, _resolve_model(cfg)).fused is True
 
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("VPR_THREADS", "6")
-        assert resolve_config(self.args()).threads == 6
-
-    def test_file_overrides_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("VPR_THREADS", "6")
+    def test_file_overrides_default(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("threads = 3\nclusters = 16\n")
         cfg = resolve_config(self.args(config=str(cfg_file)))
         assert cfg.threads == 3
         assert cfg.clusters == 16
 
-    def test_flag_overrides_file(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("VPR_THREADS", raising=False)
+    def test_flag_overrides_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("threads = 3\n")
         assert resolve_config(self.args(config=str(cfg_file), threads=5)).threads == 5
 
-    def test_bad_env_value_refused(self, monkeypatch):
-        monkeypatch.setenv("VPR_THREADS", "many")
-        with pytest.raises(ConfigError):
-            resolve_config(self.args())
+    @pytest.mark.parametrize("key, flag", [("clusters", "--clusters"), ("pca_dim", "--pca-dim")])
+    def test_model_shape_flag_refused_with_weights(self, tmp_path, capsys, small_model, key, flag):
+        manifest = write_corpus(tmp_path, twins=[0], query_positions=[0.0])
+        weights = tmp_path / "model.vprw"
+        save_weights(weights, small_model)
+        out = tmp_path / "i.vpri"
+        assert main(["extract", str(manifest), "--out", str(out), "--weights", str(weights), flag, "4"]) == 2
+        assert f"{key} cannot be set together with weights" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_validation_patch_must_fit(self, monkeypatch):
-        monkeypatch.delenv("VPR_THREADS", raising=False)
+    def test_model_shape_file_key_refused_with_weights(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        for key in ("clusters", "pca_dim"):
+            cfg_file.write_text(f"weights = model.vprw\n{key} = 8\n")
+            with pytest.raises(ConfigError, match=key):
+                resolve_config(self.args(config=str(cfg_file)))
+            cfg_file.write_text(f"{key} = 8\n")
+            with pytest.raises(ConfigError, match=key):
+                resolve_config(self.args(config=str(cfg_file), weights="model.vprw"))
+
+    def test_model_shape_settings_accepted_without_weights(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("clusters = 8\n")
+        cfg = resolve_config(self.args(config=str(cfg_file), pca_dim=16))
+        assert (cfg.weights, cfg.clusters, cfg.pca_dim) == (None, 8, 16)
+
+    def test_validation_patch_must_fit(self):
         cfg = resolve_config(self.args(input_height=16, input_width=16, patch_size=3))
         with pytest.raises(ConfigError):
             _settings(cfg, _resolve_model(cfg))
 
-    def test_patch_fit_follows_the_model_layout(self, monkeypatch, tmp_path):
+    def test_patch_fit_follows_the_model_layout(self, tmp_path):
         # Three stride-2 stages take a 32x32 input to a 4x4 map, not the 2x2
         # of the default four-stage layout.
-        monkeypatch.delenv("VPR_THREADS", raising=False)
         weights = tmp_path / "three_stage.vprw"
         save_weights(weights, random_model(seed=13, spec=EVAL_SPEC, clusters=8, pca_dim=32))
         for patch, fits in ((3, True), (4, True), (5, False)):
@@ -150,8 +161,7 @@ class TestConfigResolution:
                 with pytest.raises(ConfigError, match="4x4 feature map"):
                     _settings(cfg, _resolve_model(cfg))
 
-    def test_validation_ranges(self, monkeypatch):
-        monkeypatch.delenv("VPR_THREADS", raising=False)
+    def test_validation_ranges(self):
         for field, bad in [
             ("clusters", 0),
             ("sinkhorn_reg", 0.0),
@@ -172,9 +182,30 @@ class TestConfigFile:
 
     def test_unknown_key_refused(self, tmp_path):
         f = tmp_path / "run.cfg"
-        f.write_text("cluster_count = 8\n")
-        with pytest.raises(ConfigError, match="unknown setting"):
-            parse_config_file(f)
+        # The last four were settings once; old files that set them are refused.
+        for line in (
+            "cluster_count = 8",
+            "attention_normalization = global",
+            "dustbin_score = 0.9",
+            "attention_rounds = 2",
+            "attention_key_dim = 0",
+        ):
+            f.write_text(line + "\n")
+            with pytest.raises(ConfigError, match="unknown setting"):
+                parse_config_file(f)
+
+    def test_every_setting_is_a_key_and_a_flag(self, tmp_path):
+        parser = argparse.ArgumentParser(allow_abbrev=False)
+        add_config_flags(parser)
+        f = tmp_path / "run.cfg"
+        for field in dataclasses.fields(RunConfig):
+            want_type = str if field.default is None else type(field.default)
+            value = "model.vprw" if field.default is None else str(field.default)
+            f.write_text(f"{field.name} = {value}\n")
+            parsed = parse_config_file(f)[field.name]
+            assert type(parsed) is want_type and str(parsed) == value, field.name
+            flagged = getattr(parser.parse_args(["--" + field.name.replace("_", "-"), value]), field.name)
+            assert type(flagged) is want_type and flagged == parsed, field.name
 
     def test_bad_value_reports_line(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -347,7 +378,6 @@ class TestEval:
                 reg=cfg.sinkhorn_reg,
                 tol=cfg.sinkhorn_tol,
                 max_iters=cfg.sinkhorn_iters,
-                normalization=cfg.attention_normalization,
             )
             want_pairs += len(reranked.ranked) - len(reranked.missing_patches)
             want_unconverged += len(reranked.unconverged)

@@ -16,7 +16,6 @@ from oracles import (
     vlad_double_loop,
 )
 from vprkit.descriptor import (
-    PatchGrid,
     PcaModel,
     VladParams,
     extract_patch_descriptors,

@@ -1,0 +1,44 @@
+"""Every name a module imports is used somewhere in that module."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The package __init__ imports in order to re-export; acceptance tests are
+# frozen as the behavioural contract.
+SOURCES = sorted(p for p in (ROOT / "src" / "vprkit").glob("*.py") if p.name != "__init__.py") + sorted(
+    p for p in (ROOT / "tests").glob("test_*.py") if p.name != "test_acceptance.py"
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that no Name node in the module reads.
+
+    `import a.b` binds `a`; `from __future__` imports bind nothing to read.
+    """
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1]) if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_sees_unused_and_used_names():
+    source = "import os\nimport numpy as np\nfrom typing import Optional, Sequence\nx: Optional[int] = np.pi\n"
+    assert unused_imports(source) == ["line 1: os", "line 3: Sequence"]

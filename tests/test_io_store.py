@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from conftest import SMALL_SPEC
-from vprkit.errors import FormatError, ShapeError
+from vprkit.errors import FormatError
 from vprkit.descriptor import PatchDescriptorSet, make_patch_grid
 from vprkit.io_store import (
     INDEX_MAGIC,
@@ -31,7 +30,6 @@ from vprkit.io_store import (
     unpack_tensors,
     write_ppm,
 )
-from vprkit.model import random_model
 from vprkit.retrieval import DescriptorIndex, GeoTag, IndexEntry
 
 SEED = 77001
