@@ -429,7 +429,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    results = run_all(seed=cfg.seed, weights_path=args.weights)
+    results = run_all(seed=cfg.seed, weights_path=cfg.weights or None)
     report = _Report(args.report)
     rows: list[Sequence[str]] = [("module", "check", "status", "detail")]
     for r in results:
@@ -479,7 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_flags(p)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("selfcheck", help="run built-in oracle suites")
+    p = sub.add_parser(
+        "selfcheck",
+        help="check the installed numerics: backbone, descriptor, matcher, io_store, and the weights file if one is "
+        "set (oracle comparisons live in the test suite)",
+    )
     p.add_argument("--report", metavar="FILE", help="write JSON-lines report here")
     add_config_flags(p)
     p.set_defaults(func=cmd_selfcheck)

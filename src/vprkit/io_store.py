@@ -134,14 +134,14 @@ def unpack_tensors(data: bytes, expect_magic: bytes) -> dict[str, np.ndarray]:
         if expected != nbytes:
             raise FormatError(f"tensor {name!r} declares {nbytes} bytes but dims {dims} require {expected}")
         entries.append((name, code, dims, offset, nbytes))
-    payload = data[cur.pos :]
+    base = cur.pos  # payload offsets count from here; read in place rather than slice a copy of the payload
     out: dict[str, np.ndarray] = {}
     for name, code, dims, offset, nbytes in entries:
         if name in out:
             raise FormatError(f"duplicate tensor name {name!r}")
-        if offset + nbytes > len(payload):
+        if base + offset + nbytes > len(data):
             raise FormatError(f"tensor {name!r} payload runs past end of file")
-        arr = np.frombuffer(payload, dtype=_DTYPE_CODES[code], count=math.prod(dims), offset=offset)
+        arr = np.frombuffer(data, dtype=_DTYPE_CODES[code], count=math.prod(dims), offset=base + offset)
         out[name] = arr.reshape(dims).copy()
     return out
 

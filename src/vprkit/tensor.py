@@ -78,9 +78,6 @@ class ConvParams:
     def kernel_size(self) -> tuple[int, int]:
         return self.weight.shape[2], self.weight.shape[3]
 
-    def param_count(self) -> int:
-        return int(self.weight.size + self.bias.size)
-
 
 @dataclass(frozen=True)
 class BatchNormParams:

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from vprkit import backbone, descriptor, io_store, matcher
 from vprkit.backbone import NetworkSpec, StageSpec
 from vprkit.cli import (
     REPORT_SCHEMA_VERSION,
@@ -26,6 +27,7 @@ from vprkit.io_store import ManifestRecord, load_index, load_manifest, load_weig
 from vprkit.model import random_model
 from vprkit.pipeline import extract_images
 from vprkit.retrieval import global_retrieve, rerank
+from vprkit.selfcheck import run_all
 
 SEED = 11311
 
@@ -465,23 +467,84 @@ class TestBench:
         assert main([*self.BENCH_FLAGS[:3], "--queries", "5"]) == 2
 
 
+def _tampered_weights(path, model):
+    both = model.with_fused()
+    fused = list(both.backbone.fused)
+    bad_weight = fused[0].weight.copy()
+    bad_weight[0, 0, 1, 1] += 0.5
+    fused[0] = dataclasses.replace(fused[0], weight=bad_weight)
+    save_weights(path, dataclasses.replace(both, backbone=dataclasses.replace(both.backbone, fused=tuple(fused))))
+    return path
+
+
+def _one_sinkhorn_iteration(original):
+    return lambda scores, dustbin_score, reg=1.0, tol=1e-6, max_iters=100: original(
+        scores, dustbin_score, reg=reg, tol=tol, max_iters=1
+    )
+
+
+def _attention_off_by_one_percent(original):
+    def broken(x_src, x_dst, layer):
+        out, rho = original(x_src, x_dst, layer)
+        return out, rho * 1.01
+
+    return broken
+
+
+def _vlad_raw_zero_centers(original):
+    def broken(x, assignments, p):
+        zero = dataclasses.replace(p, centers=np.zeros_like(p.centers))
+        return original(x, assignments, zero)
+
+    return broken
+
+
+def _unpack_as_float64(original):
+    return lambda data, magic: {k: v.astype(np.float64) for k, v in original(data, magic).items()}
+
+
 class TestSelfcheck:
     def test_clean_run_exits_zero(self, tmp_path):
         report = tmp_path / "check.jsonl"
         assert main(["selfcheck", "--report", str(report)]) == 0
         summary = [r for r in read_report(report) if r["type"] == "selfcheck_summary"]
         assert summary[0]["failed"] == 0
+        assert summary[0]["checks"] == 6
 
     def test_tampered_weights_exit_one(self, tmp_path, small_model):
-        both = small_model.with_fused()
-        fused = list(both.backbone.fused)
-        bad_weight = fused[0].weight.copy()
-        bad_weight[0, 0, 1, 1] += 0.5
-        fused[0] = dataclasses.replace(fused[0], weight=bad_weight)
-        tampered = dataclasses.replace(both, backbone=dataclasses.replace(both.backbone, fused=tuple(fused)))
-        path = tmp_path / "tampered.vprw"
-        save_weights(path, tampered)
+        path = _tampered_weights(tmp_path / "tampered.vprw", small_model)
         assert main(["selfcheck", "--weights", str(path)]) == 1
+
+    def test_tampered_weights_from_config_exit_one(self, tmp_path, small_model):
+        path = _tampered_weights(tmp_path / "tampered.vprw", small_model)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"weights = {path}\n", encoding="utf-8")
+        report = tmp_path / "check.jsonl"
+        assert main(["selfcheck", "--config", str(cfg), "--report", str(report)]) == 1
+        summary = [r for r in read_report(report) if r["type"] == "selfcheck_summary"]
+        assert (summary[0]["checks"], summary[0]["failed"]) == (7, 1)
+
+    def test_missing_weights_from_config_exit_two(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"weights = {tmp_path / 'missing.vprw'}\n", encoding="utf-8")
+        assert main(["selfcheck", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "module, name, fault, check",
+        [
+            (backbone, "conv2d", lambda f: lambda x, p: f(x, p) * 1.001, "fused equals multibranch"),
+            (descriptor, "vlad_raw", _vlad_raw_zero_centers, "whole-map patch equals global"),
+            (matcher, "sinkhorn_assign", _one_sinkhorn_iteration, "sinkhorn marginals"),
+            (matcher, "attention_forward", _attention_off_by_one_percent, "attention columns sum to 1"),
+            (io_store, "unpack_tensors", _unpack_as_float64, "container round-trip"),
+        ],
+        ids=["conv2d-scaled", "vlad-zero-centers", "sinkhorn-one-iteration", "attention-scaled", "unpack-float64"],
+    )
+    def test_injected_fault_fails_its_check(self, monkeypatch, module, name, fault, check):
+        """Each kept check fails on a fault in the function it exercises, and only that check does."""
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        assert [r.name for r in run_all() if not r.ok] == [check]
+        assert main(["selfcheck"]) == 1
 
     def test_intact_weights_exit_zero(self, tmp_path, small_model):
         path = tmp_path / "ok.vprw"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from vprkit.errors import FormatError
-from vprkit.descriptor import PatchDescriptorSet, make_patch_grid
+from vprkit.descriptor import GlobalDescriptor, PatchDescriptorSet, make_patch_grid
 from vprkit.io_store import (
     INDEX_MAGIC,
     ManifestRecord,
@@ -170,8 +171,6 @@ def sample_index(rng, with_patches=True):
     for i in range(4):
         desc = rng.standard_normal(6).astype(np.float32)
         desc /= np.linalg.norm(desc)
-        from vprkit.descriptor import GlobalDescriptor
-
         geotag = GeoTag.utm(float(i), -2.0 * i) if i % 2 == 0 else GeoTag.wgs84(45.0 + i, 7.0 - i)
         entries.append(
             IndexEntry(
@@ -222,6 +221,25 @@ class TestIndexFile:
         store["stranger"] = PatchDescriptorSet(descriptors=d / np.sqrt(6), grid=grid)
         with pytest.raises(FormatError):
             save_index(tmp_path / "bad.vpri", index, store)
+
+    def test_load_peak_memory_bounded(self, tmp_path):
+        """The file bytes plus one copy of each tensor: the payload is not copied first."""
+        rng = np.random.default_rng(SEED + 5)
+        grid = make_patch_grid(30, 40, 2, 2)
+        entries, store = [], {}
+        for i in range(4):
+            d = rng.standard_normal((grid.count, 128)).astype(np.float32)
+            store[f"img{i}"] = PatchDescriptorSet(descriptors=d / np.linalg.norm(d, axis=1, keepdims=True), grid=grid)
+            entries.append(IndexEntry(f"img{i}", GlobalDescriptor(values=d[0]), GeoTag.utm(float(i), 0.0)))
+        path = tmp_path / "big.vpri"
+        save_index(path, DescriptorIndex(entries=tuple(entries)), store)
+        tracemalloc.start()
+        try:
+            load_index(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * path.stat().st_size
 
     def test_empty_index_round_trips(self, tmp_path):
         path = tmp_path / "empty.vpri"
