@@ -1,7 +1,7 @@
 """Operator surface: extract | eval | reparam | bench | selfcheck.
 
-Settings resolve in three layers: built-in defaults, then a key=value config
-file, then command-line flags.
+Settings resolve in three layers: built-in defaults, a key=value config file
+(any key), then flags, which a command has only for the settings it reads.
 Reports come out twice: a human table on stdout and, when requested,
 machine-readable JSON lines with a frozen, versioned schema. Every command is
 deterministic for fixed (seed, weights, inputs) apart from wall-clock fields.
@@ -122,22 +122,32 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**layers).validate()  # type: ignore[arg-type]
 
 
-def add_config_flags(parser: argparse.ArgumentParser) -> None:
+_KEY_HELP = {
+    "weights": "weights container; omitted means seeded random weights",
+    "clusters": "codebook size K",
+    "patch_size": "square patch side on the feature map",
+    "patch_stride": "patch grid stride",
+    "pca_dim": "final descriptor dimension",
+    "sinkhorn_reg": "transport regularization",
+    "sinkhorn_tol": "marginal tolerance",
+    "sinkhorn_iters": "max scaling iterations",
+    "candidates": "stage-one candidate depth",
+    "radius_m": "localization radius in meters",
+    "threads": "extraction worker threads",
+    "seed": "seed for random weights and probes",
+    "input_height": "working image height",
+    "input_width": "working image width",
+}
+
+# What _resolve_model and _settings read; every command that extracts takes them.
+_MODEL_KEYS = ("weights", "clusters", "pca_dim", "seed", "patch_size", "patch_stride", "input_height", "input_width")
+
+
+def add_config_flags(parser: argparse.ArgumentParser, keys: Sequence[str] = tuple(_KEY_TYPES)) -> None:
+    """--config plus one flag per setting in keys: --pca-dim sets pca_dim, parsed as its config key is."""
     parser.add_argument("--config", metavar="FILE", help="key = value settings file")
-    parser.add_argument("--weights", metavar="FILE", help="weights container; omitted means seeded random weights")
-    parser.add_argument("--clusters", type=int, help="codebook size K")
-    parser.add_argument("--patch-size", type=int, dest="patch_size", help="square patch side on the feature map")
-    parser.add_argument("--patch-stride", type=int, dest="patch_stride", help="patch grid stride")
-    parser.add_argument("--pca-dim", type=int, dest="pca_dim", help="final descriptor dimension")
-    parser.add_argument("--sinkhorn-reg", type=float, dest="sinkhorn_reg", help="transport regularization")
-    parser.add_argument("--sinkhorn-tol", type=float, dest="sinkhorn_tol", help="marginal tolerance")
-    parser.add_argument("--sinkhorn-iters", type=int, dest="sinkhorn_iters", help="max scaling iterations")
-    parser.add_argument("--candidates", type=int, help="stage-one candidate depth")
-    parser.add_argument("--radius-m", type=float, dest="radius_m", help="localization radius in meters")
-    parser.add_argument("--threads", type=int, help="extraction worker threads")
-    parser.add_argument("--seed", type=int, help="seed for random weights and probes")
-    parser.add_argument("--input-height", type=int, dest="input_height", help="working image height")
-    parser.add_argument("--input-width", type=int, dest="input_width", help="working image width")
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=_KEY_TYPES[key], help=_KEY_HELP[key])
 
 
 def _resolve_model(cfg: RunConfig) -> ModelParams:
@@ -455,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="index.vpri", help="index file to write")
     p.add_argument("--save-weights", dest="save_weights", metavar="FILE", help="persist the model used")
     p.add_argument("--report", metavar="FILE", help="write JSON-lines report here")
-    add_config_flags(p)
+    add_config_flags(p, (*_MODEL_KEYS, "threads"))
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("eval", help="retrieve+rerank the query split against an index")
@@ -469,14 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("weights_in", help="weights container to fuse")
     p.add_argument("--out", required=True, help="weights container to write (both forms)")
     p.add_argument("--report", metavar="FILE", help="write JSON-lines report here")
-    add_config_flags(p)
+    add_config_flags(p, ("seed",))  # the weights come from weights_in
     p.set_defaults(func=cmd_reparam)
 
     p = sub.add_parser("bench", help="time extraction and matching on synthetic fixtures")
     p.add_argument("--images", type=int, default=3, help="synthetic database size")
     p.add_argument("--queries", type=int, default=2, help="synthetic query count")
     p.add_argument("--report", metavar="FILE", help="write JSON-lines report here")
-    add_config_flags(p)
+    add_config_flags(p, (*_MODEL_KEYS, "sinkhorn_reg", "sinkhorn_tol", "sinkhorn_iters", "candidates"))
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
@@ -485,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         "set (oracle comparisons live in the test suite)",
     )
     p.add_argument("--report", metavar="FILE", help="write JSON-lines report here")
-    add_config_flags(p)
+    add_config_flags(p, ("weights", "seed"))
     p.set_defaults(func=cmd_selfcheck)
 
     return parser

@@ -65,7 +65,6 @@ class MatcherParams:
 def random_matcher_params(
     dim: int,
     rng: np.random.Generator,
-    key_dim: Optional[int] = None,
     rounds: int = 2,
     dustbin_score: float = 0.9,
 ) -> MatcherParams:
@@ -75,7 +74,6 @@ def random_matcher_params(
     inner-product scale and the default dustbin sits inside their range."""
     if rounds < 0:
         raise ShapeError(f"rounds must be >= 0, got {rounds}")
-    kd = key_dim or dim
     scale = 1.0 / np.sqrt(dim)
     message_scale = 0.1 * scale
     layers = []
@@ -83,8 +81,8 @@ def random_matcher_params(
         for mode in ("self", "cross"):
             layers.append(
                 AttentionLayer(
-                    w_f=(rng.standard_normal((kd, dim)) * scale).astype(np.float32),
-                    w_g=(rng.standard_normal((kd, dim)) * scale).astype(np.float32),
+                    w_f=(rng.standard_normal((dim, dim)) * scale).astype(np.float32),
+                    w_g=(rng.standard_normal((dim, dim)) * scale).astype(np.float32),
                     w_h=(rng.standard_normal((dim, dim)) * message_scale).astype(np.float32),
                     mode=mode,
                 )

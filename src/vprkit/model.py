@@ -51,7 +51,6 @@ def random_model(
     clusters: int = 64,
     pca_dim: int = 512,
     attention_rounds: int = 2,
-    attention_key_dim: Optional[int] = None,
     dustbin_score: float = 0.9,
 ) -> ModelParams:
     """Deterministic seeded model with a random orthonormal projection standing
@@ -61,7 +60,5 @@ def random_model(
     dim = spec.stages[-1].out_channels
     vlad = random_vlad_params(dim, clusters, rng)
     pca = random_projection(dim * clusters, pca_dim, rng)
-    matcher = random_matcher_params(
-        pca_dim, rng, key_dim=attention_key_dim, rounds=attention_rounds, dustbin_score=dustbin_score
-    )
+    matcher = random_matcher_params(pca_dim, rng, rounds=attention_rounds, dustbin_score=dustbin_score)
     return ModelParams(backbone=net, vlad=vlad, pca=pca, matcher=matcher)

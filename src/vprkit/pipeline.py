@@ -14,7 +14,7 @@ from .descriptor import (
     global_descriptor,
     make_patch_grid,
 )
-from .errors import FormatError, ShapeError
+from .errors import FormatError
 from .io_store import ManifestRecord, load_image
 from .model import ModelParams
 from .retrieval import DescriptorIndex, GeoTag, IndexEntry
@@ -38,11 +38,6 @@ def extract_from_tensor(
     """Backbone forward, then global and patch descriptors off the same feature map."""
     fmap = backbone_forward(image, model.backbone, fused=settings.fused, strict_dims=settings.strict_dims)
     h, w = fmap.shape[2], fmap.shape[3]
-    if settings.patch_size > min(h, w):
-        raise ShapeError(
-            f"patch size {settings.patch_size} does not fit the {h}x{w} feature map "
-            f"(input {image.shape[2]}x{image.shape[3]})"
-        )
     grid = make_patch_grid(h, w, settings.patch_size, settings.patch_size, settings.patch_stride)
     desc = global_descriptor(fmap, model.vlad, model.pca)
     patches = extract_patch_descriptors(fmap, grid, model.vlad, model.pca)

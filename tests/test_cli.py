@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from vprkit import backbone, descriptor, io_store, matcher
+from vprkit import backbone, cli, descriptor, io_store, matcher
 from vprkit.backbone import NetworkSpec, StageSpec
 from vprkit.cli import (
     REPORT_SCHEMA_VERSION,
@@ -18,6 +18,7 @@ from vprkit.cli import (
     _search,
     _settings,
     add_config_flags,
+    build_parser,
     main,
     parse_config_file,
     resolve_config,
@@ -53,8 +54,9 @@ EVAL_SPEC = NetworkSpec(
 
 # Sharp transport for the same reason: at the default regularization the
 # assignment spreads mass near-uniformly and match scores for random-weight
-# descriptors collapse into ties.
-EVAL_FLAGS = ["--input-height", "48", "--input-width", "64", "--sinkhorn-reg", "0.02"]
+# descriptors collapse into ties. extract takes only the input dims.
+INPUT_FLAGS = ["--input-height", "48", "--input-width", "64"]
+EVAL_FLAGS = [*INPUT_FLAGS, "--sinkhorn-reg", "0.02"]
 
 
 def read_report(path):
@@ -222,6 +224,76 @@ class TestConfigFile:
             parse_config_file(f)
 
 
+SETTINGS = frozenset(f.name for f in dataclasses.fields(RunConfig))
+
+
+def registered_settings():
+    """Each subcommand's name mapped to the RunConfig settings it has flags for."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {command: {a.dest for a in p._actions} & SETTINGS for command, p in sub.choices.items()}
+
+
+class _RecordingConfig:
+    """Stands in for a resolved RunConfig and records each setting read from it."""
+
+    def __init__(self, cfg, seen):
+        self._cfg, self._seen = cfg, seen
+
+    def __getattr__(self, name):
+        if name in SETTINGS:
+            self._seen.add(name)
+            return getattr(self._cfg, name)
+        return getattr(RunConfig, name).__get__(self)  # methods read settings through the proxy too
+
+
+class TestFlagsMatchReads:
+    def test_each_command_registers_exactly_the_settings_it_reads(self, tmp_path, monkeypatch, small_model):
+        manifest = write_corpus(tmp_path, twins=[0], query_positions=[0.0])
+        index = tmp_path / "idx.vpri"
+        weights = tmp_path / "multi.vprw"  # multibranch, so reparam fuses and probes
+        save_weights(weights, small_model)
+        runs = {  # in order: eval reads the index extract writes
+            "extract": ["extract", str(manifest), "--out", str(index), *MODEL_FLAGS],
+            "eval": ["eval", str(manifest), "--index", str(index), *MODEL_FLAGS],
+            "bench": TestBench.BENCH_FLAGS,
+            "reparam": ["reparam", str(weights), "--out", str(tmp_path / "fused.vprw")],
+            "selfcheck": ["selfcheck"],
+        }
+        registered = registered_settings()
+        assert set(runs) == set(registered)
+        resolve = cli.resolve_config
+        for command, argv in runs.items():
+            seen: set[str] = set()
+            monkeypatch.setattr(cli, "resolve_config", lambda args: _RecordingConfig(resolve(args), seen))
+            assert main(argv) == 0, command
+            assert seen == registered[command], command
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extract", "m.csv", "--sinkhorn-reg", "0.02"],
+            ["reparam", "w.vprw", "--out", "o.vprw", "--candidates", "7"],
+            ["reparam", "w.vprw", "--out", "o.vprw", "--weights", "x.vprw", "--clusters", "4"],
+            ["bench", "--threads", "2"],
+            ["bench", "--radius-m", "5"],
+            ["selfcheck", "--patch-size", "9"],
+        ],
+        ids=[
+            "extract-sinkhorn-reg",
+            "reparam-candidates",
+            "reparam-weights-clusters",
+            "bench-threads",
+            "bench-radius-m",
+            "selfcheck-patch-size",
+        ],
+    )
+    def test_unread_setting_flag_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestExtract:
     def test_reruns_byte_identical(self, tmp_path):
         manifest = write_corpus(tmp_path, twins=[0], query_positions=[0.0])
@@ -268,7 +340,7 @@ class TestEval:
         index = tmp_path / "idx.vpri"
         weights = tmp_path / "model.vprw"
         save_weights(weights, random_model(seed=13, spec=EVAL_SPEC, clusters=8, pca_dim=32))
-        main(["extract", str(manifest), "--out", str(index), "--weights", str(weights), *EVAL_FLAGS])
+        main(["extract", str(manifest), "--out", str(index), "--weights", str(weights), *INPUT_FLAGS])
         return manifest, index, weights
 
     def test_hand_computed_recalls(self, indexed, tmp_path):
