@@ -200,8 +200,6 @@ def reparameterize_block(block: RepVggBlock) -> ConvParams:
 def reparameterize_backbone(net: Backbone) -> Backbone:
     """Return the same network with its fused form populated."""
     if net.blocks is None:
-        if net.fused is None:
-            raise ShapeError("backbone has neither form")
         return net  # already fused-only; nothing to derive from
     fused = tuple(reparameterize_block(b) for b in net.blocks)
     return replace(net, fused=fused)
@@ -321,15 +319,18 @@ def random_backbone(
     return Backbone(spec=spec, blocks=tuple(blocks))
 
 
-def count_params_flops(net: Backbone, fused: bool = False) -> tuple[int, int]:
-    """Exact learned-parameter count and analytic multiply-add count at spec input dims.
+def count_params_flops(
+    net: Backbone, fused: bool = False, input_dims: Optional[tuple[int, int]] = None
+) -> tuple[int, int]:
+    """Exact learned-parameter count and analytic multiply-add count at input_dims
+    (height, width), by default the spec's.
 
     Parameters: conv weights and biases, plus gamma/beta for each batch norm
     (running statistics are not parameters). Multiply-adds: kernel products for
     convs, one per element for inference batch norm; plain sums and relu are
     free under this convention.
     """
-    h, w = net.spec.input_dims
+    h, w = input_dims or net.spec.input_dims
     params = 0
     macs = 0
     for cin, cout, stride, has_identity in net.spec.layer_plan():

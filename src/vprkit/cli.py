@@ -1,7 +1,8 @@
 """Operator surface: extract | eval | reparam | bench | selfcheck.
 
 Settings resolve in three layers: built-in defaults, a key=value config file
-(any key), then flags, which a command has only for the settings it reads.
+(any key, but a command applies only the settings it reads), then flags, which
+a command has only for the settings it reads.
 Reports come out twice: a human table on stdout and, when requested,
 machine-readable JSON lines with a frozen, versioned schema. Every command is
 deterministic for fixed (seed, weights, inputs) apart from wall-clock fields.
@@ -108,13 +109,15 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the config file, then flags. The whole file is parsed, but
+    only the settings the command has flags for are applied and checked."""
+    registered = [f.name for f in fields(RunConfig) if hasattr(args, f.name)]
     layers: dict[str, object] = {}
     if getattr(args, "config", None):
-        layers.update(parse_config_file(args.config))
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            layers[f.name] = value
+        layers.update((k, v) for k, v in parse_config_file(args.config).items() if k in registered)
+    for key in registered:
+        if getattr(args, key) is not None:
+            layers[key] = getattr(args, key)
     if layers.get("weights"):
         for key in ("clusters", "pca_dim"):  # they shape only the seeded random model
             if key in layers:
@@ -400,8 +403,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _, _, match_seconds, pairs, unconverged_pairs = _search(cfg, model, index, patch_store, queries)
     match_ms = match_seconds * 1000.0 / len(queries)
 
-    params_multi, flops_multi = count_params_flops(model.backbone, fused=False)
-    params_fused, flops_fused = count_params_flops(model.backbone, fused=True)
+    params_multi, flops_multi = count_params_flops(model.backbone, fused=False, input_dims=(h, w))
+    params_fused, flops_fused = count_params_flops(model.backbone, fused=True, input_dims=(h, w))
     model_size = len(pack_tensors(model_to_tensors(model), WEIGHTS_MAGIC))
 
     report = _Report(args.report)

@@ -4,8 +4,9 @@ A feature map is read as one local descriptor per spatial position. Residuals
 against a learned codebook are aggregated per cluster (weighted by a learned
 soft assignment), each cluster block is L2-normalized, the concatenation is
 L2-normalized again, and an orthonormal projection takes the result down to
-its final dimension. Patch descriptors run the identical pipeline over the
-positions inside each square window of a dense grid.
+its final dimension. One head does this for any set of windows of positions:
+patch descriptors are the windows of a dense grid, and the global descriptor is
+the single window that covers the whole map.
 """
 
 from __future__ import annotations
@@ -84,37 +85,18 @@ def soft_assign(x: np.ndarray, p: VladParams) -> np.ndarray:
 def vlad_raw(x: np.ndarray, assignments: np.ndarray, p: VladParams) -> np.ndarray:
     """Residual sums V[j, k] = sum_i a[i, k] * (x[i, j] - c[k, j]), shape (D, K)."""
     x = _as_descriptor_rows(x, p.dim)
-    a = np.asarray(assignments, dtype=np.float64)
-    if a.shape != (x.shape[0], p.cluster_count):
-        raise ShapeError(f"assignments shape {a.shape} must be (N, K) = ({x.shape[0]}, {p.cluster_count})")
+    a = _as_assignments(assignments, x.shape[0], p)
     xd = x.astype(np.float64)
     c = p.centers.astype(np.float64)
     return xd.T @ a - c.T * a.sum(axis=0)
 
 
-def normalize_vlad(v: np.ndarray) -> np.ndarray:
-    """L2-normalize each cluster column, then the flattened whole.
-
-    All-zero columns stay zero rather than dividing by zero; an entirely zero
-    matrix has no direction and is refused.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 2:
-        raise ShapeError(f"expected a (D, K) matrix, got rank {v.ndim}")
-    norms = np.sqrt((v**2).sum(axis=0))
-    safe = np.where(norms > 0.0, norms, 1.0)
-    v = v / safe
-    flat = v.T.reshape(-1)  # cluster blocks contiguous
-    total = float(np.sqrt(np.dot(flat, flat)))
-    if total == 0.0:
-        raise DegenerateInputError("aggregated descriptor is identically zero")
-    return flat / total
-
-
 def vlad_aggregate(x: np.ndarray, assignments: np.ndarray, p: VladParams) -> GlobalDescriptor:
-    """Aggregate descriptors into a normalized (D*K,) VLAD vector."""
-    flat = normalize_vlad(vlad_raw(x, assignments, p))
-    return GlobalDescriptor(values=flat.astype(np.float32), pca_applied=False)
+    """Aggregate descriptors into a normalized (D*K,) VLAD vector: the head on one window of every row."""
+    x = _as_descriptor_rows(x, p.dim)
+    a = _as_assignments(assignments, x.shape[0], p)
+    flat = _vlad_head(x, a, np.arange(x.shape[0])[None, :], p, None)
+    return GlobalDescriptor(values=flat[0], pca_applied=False)
 
 
 @dataclass(frozen=True)
@@ -286,12 +268,11 @@ def feature_map_descriptors(fmap: Tensor4) -> np.ndarray:
 
 
 def global_descriptor(fmap: Tensor4, vlad: VladParams, pca: Optional[PcaModel]) -> GlobalDescriptor:
-    """Soft-assigned VLAD over every position, optionally projected."""
-    x = feature_map_descriptors(fmap)
-    desc = vlad_aggregate(x, soft_assign(x, vlad), vlad)
-    if pca is None:
-        return desc
-    return GlobalDescriptor(values=pca_project(desc.values, pca).astype(np.float32), pca_applied=True)
+    """The VLAD head over the single window that covers the whole map, optionally projected."""
+    fmap = as_tensor4(fmap)
+    h, w = fmap.shape[2:]
+    patches = extract_patch_descriptors(fmap, make_patch_grid(h, w, w, h), vlad, pca)
+    return GlobalDescriptor(values=patches.descriptors[0], pca_applied=pca is not None)
 
 
 def extract_patch_descriptors(
@@ -304,40 +285,53 @@ def extract_patch_descriptors(
 
     Assignment weights are computed once per position and reused by every
     window containing that position, so a window's descriptor equals
-    vlad_aggregate run on exactly its own positions. All windows are
-    aggregated by one batched product into a (patches, K, D) float64 buffer,
-    which is then normalized, centered and projected in place.
+    vlad_aggregate run on exactly its own positions.
     """
     fmap = as_tensor4(fmap)
-    _, d, h, w = fmap.shape
+    _, _, h, w = fmap.shape
     if (grid.height, grid.width) != (h, w):
         raise ShapeError(f"grid was built for {grid.height}x{grid.width} but feature map is {h}x{w}")
     x = feature_map_descriptors(fmap)
-    a = soft_assign(x, vlad)
-    xd = x.astype(np.float64)
-    k = vlad.cluster_count
-
     # (patches, positions per window) row-major position indices of each window.
     idx = np.arange(h * w).reshape(h, w)
     win = np.lib.stride_tricks.sliding_window_view(idx, (grid.d_y, grid.d_x))[:: grid.stride, :: grid.stride]
-    win = win.reshape(grid.count, grid.d_y * grid.d_x)
-    aw = a[win]
-    raw = np.empty((grid.count, k, d), dtype=np.float64)  # cluster blocks contiguous per patch
-    np.matmul(aw.transpose(0, 2, 1), xd[win], out=raw)
+    flat = _vlad_head(x, soft_assign(x, vlad), win.reshape(grid.count, -1), vlad, pca)
+    return PatchDescriptorSet(descriptors=flat.astype(np.float32), grid=grid)
+
+
+def window_residuals(x: np.ndarray, assignments: np.ndarray, windows: np.ndarray, p: VladParams) -> np.ndarray:
+    """(windows, K, D) float64 residual sums, one batched product over every row of
+    indices into x in windows: block w is vlad_raw(x[windows[w]], assignments[windows[w]], p).T."""
+    aw = assignments[windows]
+    raw = np.matmul(aw.transpose(0, 2, 1), x.astype(np.float64)[windows])
     mass = aw.sum(axis=1)
-    centers = vlad.centers.astype(np.float64)
-    for p0 in range(0, grid.count, 32):  # in slices, so that no second (patches, K, D) array is built
+    centers = p.centers.astype(np.float64)
+    for p0 in range(0, len(raw), 32):  # in slices, so that no second (windows, K, D) array is built
         raw[p0 : p0 + 32] -= mass[p0 : p0 + 32, :, None] * centers
+    return raw
+
+
+def _vlad_head(
+    x: np.ndarray, assignments: np.ndarray, windows: np.ndarray, p: VladParams, pca: Optional[PcaModel]
+) -> np.ndarray:
+    """The VLAD head, one float64 row per window: residual sums, L2 per cluster (a zero
+    block stays zero), L2 of the whole (a zero whole is refused), then the projection."""
+    raw = window_residuals(x, assignments, windows, p)
     norms = np.sqrt(np.einsum("pkd,pkd->pk", raw, raw))
     raw /= np.where(norms > 0.0, norms, 1.0)[:, :, None]
-    flat = raw.reshape(grid.count, k * d)
+    flat = raw.reshape(len(raw), -1)
     totals = np.sqrt(np.einsum("pj,pj->p", flat, flat))
     if np.any(totals == 0.0):
-        raise DegenerateInputError("a patch produced an identically zero descriptor")
+        raise DegenerateInputError("a window produced an identically zero descriptor")
     flat /= totals[:, None]
-    if pca is not None:
-        flat = _project_rows(flat, pca)
-    return PatchDescriptorSet(descriptors=flat.astype(np.float32), grid=grid)
+    return flat if pca is None else _project_rows(flat, pca)
+
+
+def _as_assignments(assignments: np.ndarray, n: int, p: VladParams) -> np.ndarray:
+    a = np.asarray(assignments, dtype=np.float64)
+    if a.shape != (n, p.cluster_count):
+        raise ShapeError(f"assignments shape {a.shape} must be (N, K) = ({n}, {p.cluster_count})")
+    return a
 
 
 def _as_descriptor_rows(x: np.ndarray, dim: int) -> np.ndarray:

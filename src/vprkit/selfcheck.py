@@ -40,18 +40,17 @@ def check_backbone(rng: np.random.Generator) -> list[CheckResult]:
 
 
 def check_descriptor(rng: np.random.Generator) -> list[CheckResult]:
-    """One patch covering the whole map must reproduce the global descriptor:
-    the batched patch aggregation against the vlad_raw path."""
+    """The VLAD head's residual sums over one whole-map window against vlad_raw's per-vector formula."""
     worst = 0.0
     for _ in range(5):
         d, k = int(rng.integers(2, 9)), int(rng.integers(2, 6))
         h, w = int(rng.integers(1, 8)), int(rng.integers(1, 8))
-        fmap = rng.standard_normal((1, d, h, w)).astype(np.float32)
+        x = dsc.feature_map_descriptors(rng.standard_normal((1, d, h, w)).astype(np.float32))
         vlad = dsc.random_vlad_params(d, k, rng)
-        patch = dsc.extract_patch_descriptors(fmap, dsc.make_patch_grid(h, w, w, h), vlad, None)
-        whole = dsc.global_descriptor(fmap, vlad, None)
-        worst = max(worst, float(np.abs(patch.descriptors[0] - whole.values).max()))
-    return [CheckResult("descriptor", "whole-map patch equals global", worst <= 1e-5, f"max abs dev {worst:.2e}")]
+        a = dsc.soft_assign(x, vlad)
+        whole = dsc.window_residuals(x, a, np.arange(h * w)[None, :], vlad)[0]
+        worst = max(worst, float(np.abs(whole.T - dsc.vlad_raw(x, a, vlad)).max()))
+    return [CheckResult("descriptor", "whole-map window equals vlad_raw", worst <= 1e-9, f"max abs dev {worst:.2e}")]
 
 
 def check_matcher(rng: np.random.Generator) -> list[CheckResult]:

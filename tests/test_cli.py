@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from vprkit import backbone, cli, descriptor, io_store, matcher
-from vprkit.backbone import NetworkSpec, StageSpec
+from vprkit.backbone import NetworkSpec, StageSpec, count_params_flops
 from vprkit.cli import (
     REPORT_SCHEMA_VERSION,
     RunConfig,
@@ -294,6 +294,30 @@ class TestFlagsMatchReads:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestConfigFileScope:
+    """A command applies and checks only the file keys it has flags for."""
+
+    def test_keys_a_command_does_not_read_are_not_applied(self, tmp_path, capsys, small_model):
+        weights = tmp_path / "multi.vprw"
+        save_weights(weights, small_model)
+        shape = tmp_path / "shape.cfg"
+        shape.write_text(f"weights = {weights}\nclusters = 8\n", encoding="utf-8")
+        reg = tmp_path / "reg.cfg"
+        reg.write_text("sinkhorn_reg = -1\n", encoding="utf-8")
+        assert main(["reparam", str(weights), "--out", str(tmp_path / "o.vprw"), "--config", str(shape)]) == 0
+        assert main(["selfcheck", "--config", str(reg)]) == 0
+        capsys.readouterr()
+        for cfg, message in ((shape, "clusters cannot be set together with weights"), (reg, "sinkhorn_reg must be > 0")):
+            assert main(["eval", "m.csv", "--index", "i.vpri", "--config", str(cfg)]) == 2
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["bogus = 1", "sinkhorn_reg = sharp"])
+    def test_unknown_keys_and_unparsable_values_still_refused(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert main(["selfcheck", "--config", str(cfg)]) == 2
+
+
 class TestExtract:
     def test_reruns_byte_identical(self, tmp_path):
         manifest = write_corpus(tmp_path, twins=[0], query_positions=[0.0])
@@ -522,6 +546,19 @@ class TestBench:
         for key in ("params", "params_fused", "theo_flops", "theo_flops_fused", "model_size_bytes", "input_dims"):
             assert a[key] == b[key]
 
+    def test_flops_counted_at_the_run_dims(self, tmp_path):
+        net = random_model(seed=3, clusters=4, pca_dim=8).backbone
+        flops = []
+        for side in (32, 64):
+            report = tmp_path / f"bench{side}.jsonl"
+            dims = ["--input-height", str(side), "--input-width", str(side)]
+            assert main([*self.BENCH_FLAGS, *dims, "--report", str(report)]) == 0
+            record = read_report(report)[0]
+            _, want = count_params_flops(net, fused=True, input_dims=(side, side))
+            assert record["theo_flops"] == record["theo_flops_fused"] == want
+            flops.append(want)
+        assert flops[0] != flops[1]
+
     @pytest.mark.parametrize("iters", ["1", "500"])
     def test_unconverged_pairs_reported(self, tmp_path, capsys, iters):
         report = tmp_path / "bench.jsonl"
@@ -605,7 +642,7 @@ class TestSelfcheck:
         "module, name, fault, check",
         [
             (backbone, "conv2d", lambda f: lambda x, p: f(x, p) * 1.001, "fused equals multibranch"),
-            (descriptor, "vlad_raw", _vlad_raw_zero_centers, "whole-map patch equals global"),
+            (descriptor, "vlad_raw", _vlad_raw_zero_centers, "whole-map window equals vlad_raw"),
             (matcher, "sinkhorn_assign", _one_sinkhorn_iteration, "sinkhorn marginals"),
             (matcher, "attention_forward", _attention_off_by_one_percent, "attention columns sum to 1"),
             (io_store, "unpack_tensors", _unpack_as_float64, "container round-trip"),

@@ -110,8 +110,9 @@ class TestVlad:
         rng = np.random.default_rng(SEED + 5)
         p = random_vlad_params(dim=3, clusters=2, rng=rng)
         x = rng.standard_normal((4, 3)).astype(np.float32)
-        with pytest.raises(ShapeError):
-            vlad_raw(x, np.ones((4, 3)), p)
+        for aggregate in (vlad_raw, vlad_aggregate):
+            with pytest.raises(ShapeError):
+                aggregate(x, np.ones((4, 3)), p)
 
 
 class TestPca:
@@ -267,8 +268,16 @@ class TestPatchDescriptors:
         assert out.pca_applied and out.dim == 4
 
 
+def _centred_projection(rng: np.random.Generator) -> PcaModel:
+    """A 15 -> 6 orthonormal projection with a small nonzero mean."""
+    return PcaModel(
+        projection=random_projection(15, 6, rng).projection,
+        mean=(0.01 * rng.standard_normal(15)).astype(np.float32),
+    )
+
+
 class TestPatchDescriptorsAgainstLoop:
-    """The batched patch VLAD against the per-window loop it replaced."""
+    """The batched VLAD head, for patches and for the whole map, against the per-window loop it replaced."""
 
     @pytest.mark.parametrize("d_x, d_y", [(1, 1), (2, 2), (3, 3), (4, 4), (1, 3), (4, 2), (2, 3)])
     @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -277,12 +286,7 @@ class TestPatchDescriptorsAgainstLoop:
         rng = np.random.default_rng(SEED + 20)
         p = random_vlad_params(dim=5, clusters=3, rng=rng)
         fmap = rng.standard_normal((1, 5, 9, 11)).astype(np.float32)
-        pca = None
-        if projected:
-            pca = PcaModel(
-                projection=random_projection(15, 6, rng).projection,
-                mean=(0.01 * rng.standard_normal(15)).astype(np.float32),
-            )
+        pca = _centred_projection(rng) if projected else None
         grid = make_patch_grid(9, 11, d_x, d_y, stride=stride)
         got = extract_patch_descriptors(fmap, grid, p, pca)
         want = patch_descriptors_loop(
@@ -298,6 +302,28 @@ class TestPatchDescriptorsAgainstLoop:
         )
         assert got.descriptors.shape == want.shape == (grid.count, 6 if projected else 15)
         assert_allclose(got.descriptors, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_global_is_the_whole_map_window(self, projected):
+        rng = np.random.default_rng(SEED + 22)
+        p = random_vlad_params(dim=5, clusters=3, rng=rng)
+        fmap = rng.standard_normal((1, 5, 9, 11)).astype(np.float32)
+        pca = _centred_projection(rng) if projected else None
+        got = global_descriptor(fmap, p, pca)
+        want = patch_descriptors_loop(
+            fmap,
+            11,
+            9,
+            1,
+            p.centers,
+            p.assign_weight,
+            p.assign_bias,
+            None if pca is None else pca.projection,
+            None if pca is None else pca.mean,
+        )
+        assert want.shape == (1, got.dim) == (1, 6 if projected else 15)
+        assert got.pca_applied == projected
+        assert_allclose(got.values, want[0], rtol=0, atol=1e-6)
 
     def test_zero_patch_refused(self):
         # With every center at the origin a window of zero features has zero residuals.
