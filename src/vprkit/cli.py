@@ -40,7 +40,7 @@ from .retrieval import CandidateList, DescriptorIndex, GeoTag, IndexEntry, globa
 from .selfcheck import run_all
 from .tensor import conv_output_size
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 RECALL_KS = (1, 5, 10)
 
 
@@ -412,9 +412,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "bench",
         speed1_extract_ms=round(extract_ms, 3),
         speed2_match_ms=round(match_ms, 3),
-        params=params_fused,  # extraction always runs the fused form
+        params_multibranch=params_multi,
         params_fused=params_fused,
-        theo_flops=flops_fused,
+        theo_flops_multibranch=flops_multi,
         theo_flops_fused=flops_fused,
         model_size_bytes=model_size,
         images=args.images,

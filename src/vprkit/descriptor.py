@@ -101,12 +101,10 @@ def vlad_aggregate(x: np.ndarray, assignments: np.ndarray, p: VladParams) -> Glo
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Linear projection rows over mean-centered inputs; rows orthonormal unless whitened."""
+    """Linear projection rows over mean-centered inputs."""
 
     projection: np.ndarray
     mean: np.ndarray
-    whitened: bool = False
-    explained_variance: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if self.projection.ndim != 2:
@@ -115,10 +113,6 @@ class PcaModel:
             raise ShapeError(f"mean shape {self.mean.shape} must be ({self.projection.shape[1]},)")
         object.__setattr__(self, "projection", np.ascontiguousarray(self.projection, dtype=np.float32))
         object.__setattr__(self, "mean", np.ascontiguousarray(self.mean, dtype=np.float32))
-        if self.explained_variance is not None:
-            object.__setattr__(
-                self, "explained_variance", np.ascontiguousarray(self.explained_variance, dtype=np.float32)
-            )
 
     @property
     def in_dim(self) -> int:
@@ -129,41 +123,9 @@ class PcaModel:
         return self.projection.shape[0]
 
 
-def pca_fit(samples: np.ndarray, out_dim: int, whiten: bool = False) -> PcaModel:
-    """Principal axes of the sample covariance, ordered by descending eigenvalue.
-
-    Needs strictly more samples than out_dim. With whiten=True the rows are
-    scaled by 1/sqrt(eigenvalue) and are no longer orthonormal.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2:
-        raise ShapeError(f"samples must be (N, D), got rank {samples.ndim}")
-    n, d = samples.shape
-    if out_dim < 1 or out_dim > d:
-        raise ShapeError(f"out_dim must be in [1, {d}], got {out_dim}")
-    if n <= out_dim:
-        raise DegenerateInputError(f"need more than {out_dim} samples to fit {out_dim} components, got {n}")
-    mean = samples.mean(axis=0)
-    centered = samples - mean
-    cov = centered.T @ centered / (n - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
-    order = np.argsort(eigvals)[::-1][:out_dim]
-    values = eigvals[order]
-    rows = eigvecs[:, order].T
-    if whiten:
-        scale = 1.0 / np.sqrt(np.maximum(values, np.finfo(np.float64).tiny))
-        rows = rows * scale[:, None]
-    return PcaModel(
-        projection=rows.astype(np.float32),
-        mean=mean.astype(np.float32),
-        whitened=whiten,
-        explained_variance=values.astype(np.float32),
-    )
-
-
 def random_projection(in_dim: int, out_dim: int, rng: np.random.Generator) -> PcaModel:
-    """Orthonormal rows from the QR of a seeded Gaussian; a stand-in when no
-    fitted projection is available (zero mean, nothing whitened)."""
+    """Orthonormal rows from the QR of a seeded Gaussian, with zero mean; the
+    projection of every model not loaded from a weights file."""
     if out_dim > in_dim:
         raise ShapeError(f"out_dim {out_dim} cannot exceed in_dim {in_dim}")
     q, r = np.linalg.qr(rng.standard_normal((in_dim, out_dim)))
@@ -220,13 +182,6 @@ class PatchGrid:
     @property
     def count(self) -> int:
         return self.rows * self.cols
-
-    def centers(self) -> np.ndarray:
-        """(count, 2) array of (x, y) patch centers in feature-map coordinates, row-major."""
-        ys = np.arange(self.rows) * self.stride + (self.d_y - 1) / 2.0
-        xs = np.arange(self.cols) * self.stride + (self.d_x - 1) / 2.0
-        gx, gy = np.meshgrid(xs, ys)
-        return np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1).astype(np.float32)
 
 
 def make_patch_grid(height: int, width: int, d_x: int, d_y: int, stride: int = 1) -> PatchGrid:

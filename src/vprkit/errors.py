@@ -12,7 +12,7 @@ class ShapeError(VprError):
 
 
 class DegenerateInputError(VprError):
-    """Input is structurally valid but numerically degenerate (zero vector, too few samples)."""
+    """Input is structurally valid but numerically degenerate (zero vector, empty index)."""
 
 
 class FormatError(VprError):

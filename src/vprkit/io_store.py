@@ -16,7 +16,7 @@ import struct
 import tempfile
 from pathlib import Path
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import FormatError
 from .matcher import AttentionLayer, MatcherParams
 from .model import ModelParams
 from .retrieval import DescriptorIndex, GeoTag, IndexEntry
-from .tensor import BatchNormParams, ConvParams, Tensor4, as_tensor4, bilinear_resize
+from .tensor import BatchNormParams, ConvParams, Tensor4, bilinear_resize
 
 WEIGHTS_MAGIC = b"VPRW"
 INDEX_MAGIC = b"VPRI"
@@ -121,8 +121,12 @@ def unpack_tensors(data: bytes, expect_magic: bytes) -> dict[str, np.ndarray]:
         raise FormatError(f"unsupported container version {version} (this build reads version {FORMAT_VERSION})")
     entries: list[tuple[str, int, tuple[int, ...], int, int]] = []
     for _ in range(count):
+        at = cur.pos
         (name_len,) = cur.unpack("<I")
-        name = cur.take(name_len).decode("utf-8")
+        try:
+            name = cur.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"tensor name in the table entry at offset {at} is not UTF-8") from None
         code, rank = cur.unpack("<BB")
         if code not in _DTYPE_CODES:
             raise FormatError(f"tensor {name!r} uses unknown dtype code {code}")
@@ -144,6 +148,24 @@ def unpack_tensors(data: bytes, expect_magic: bytes) -> dict[str, np.ndarray]:
         arr = np.frombuffer(data, dtype=_DTYPE_CODES[code], count=math.prod(dims), offset=base + offset)
         out[name] = arr.reshape(dims).copy()
     return out
+
+
+def _field(t: Mapping[str, np.ndarray], name: str, shape: tuple[int, ...] = ()) -> Any:
+    """Tensor `name` of `t`, read so that a malformed file raises FormatError naming it.
+
+    With `shape` (-1 matches any size) the tensor must have that shape and is
+    returned as is; without, its bytes must be UTF-8 and come back decoded. A
+    missing tensor raises KeyError.
+    """
+    arr = t[name]
+    if not shape:
+        try:
+            return bytes(arr).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"tensor {name!r} is not UTF-8 text") from None
+    if arr.ndim != len(shape) or any(want not in (-1, got) for want, got in zip(shape, arr.shape)):
+        raise FormatError(f"tensor {name!r} has shape {arr.shape}, expected {shape}")
+    return arr
 
 
 def save_tensors(path: str | Path, tensors: Mapping[str, np.ndarray], magic: bytes) -> None:
@@ -173,7 +195,7 @@ def _bn_from(prefix: str, t: Mapping[str, np.ndarray]) -> BatchNormParams:
         beta=t[prefix + "beta"],
         running_mean=t[prefix + "mean"],
         running_var=t[prefix + "var"],
-        eps=float(t[prefix + "eps"][0]),
+        eps=float(_field(t, prefix + "eps", (1,))[0]),
     )
 
 
@@ -209,9 +231,6 @@ def model_to_tensors(model: ModelParams) -> dict[str, np.ndarray]:
     if model.pca is not None:
         t["pca.projection"] = model.pca.projection
         t["pca.mean"] = model.pca.mean
-        t["pca.whitened"] = np.array([int(model.pca.whitened)], dtype=np.int32)
-        if model.pca.explained_variance is not None:
-            t["pca.explained_variance"] = model.pca.explained_variance
     t["matcher.modes"] = np.array(
         [0 if layer.mode == "self" else 1 for layer in model.matcher.layers], dtype=np.int32
     )
@@ -225,15 +244,16 @@ def model_to_tensors(model: ModelParams) -> dict[str, np.ndarray]:
 
 def model_from_tensors(t: Mapping[str, np.ndarray]) -> ModelParams:
     try:
-        stages = tuple(StageSpec(int(r[0]), int(r[1]), int(r[2])) for r in t["spec.stages"])
+        stages = tuple(StageSpec(int(r[0]), int(r[1]), int(r[2])) for r in _field(t, "spec.stages", (-1, 3)))
+        input_dims = _field(t, "spec.input_dims", (2,))
         spec = NetworkSpec(
             stages=stages,
-            input_dims=(int(t["spec.input_dims"][0]), int(t["spec.input_dims"][1])),
-            in_channels=int(t["spec.in_channels"][0]),
+            input_dims=(int(input_dims[0]), int(input_dims[1])),
+            in_channels=int(_field(t, "spec.in_channels", (1,))[0]),
         )
         plan = spec.layer_plan()
         blocks = None
-        if int(t["form.multibranch"][0]):
+        if int(_field(t, "form.multibranch", (1,))[0]):
             built = []
             for i, (_, _, stride, _) in enumerate(plan):
                 pre = f"block{i:02d}."
@@ -251,7 +271,7 @@ def model_from_tensors(t: Mapping[str, np.ndarray]) -> ModelParams:
                 built.append(RepVggBlock(conv3x3=branch3, conv1x1=branch1, identity_bn=identity, stride=stride))
             blocks = tuple(built)
         fused = None
-        if int(t["form.fused"][0]):
+        if int(_field(t, "form.fused", (1,))[0]):
             fused = tuple(
                 ConvParams(weight=t[f"fused{i:02d}.weight"], bias=t[f"fused{i:02d}.bias"], stride=stride, padding=1)
                 for i, (_, _, stride, _) in enumerate(plan)
@@ -259,14 +279,10 @@ def model_from_tensors(t: Mapping[str, np.ndarray]) -> ModelParams:
         vlad = VladParams(
             centers=t["vlad.centers"], assign_weight=t["vlad.assign_weight"], assign_bias=t["vlad.assign_bias"]
         )
+        # Older files also carry the PCA fit's metadata as two more pca.* tensors; they are not read.
         pca = None
         if "pca.projection" in t:
-            pca = PcaModel(
-                projection=t["pca.projection"],
-                mean=t["pca.mean"],
-                whitened=bool(int(t["pca.whitened"][0])),
-                explained_variance=t.get("pca.explained_variance"),
-            )
+            pca = PcaModel(projection=t["pca.projection"], mean=t["pca.mean"])
         layers = tuple(
             AttentionLayer(
                 w_f=t[f"matcher.layer{i:02d}.w_f"],
@@ -276,7 +292,7 @@ def model_from_tensors(t: Mapping[str, np.ndarray]) -> ModelParams:
             )
             for i, mode in enumerate(t["matcher.modes"])
         )
-        matcher = MatcherParams(layers=layers, dustbin_score=float(t["matcher.dustbin"][0]))
+        matcher = MatcherParams(layers=layers, dustbin_score=float(_field(t, "matcher.dustbin", (1,))[0]))
     except KeyError as missing:
         raise FormatError(f"weights file is missing tensor {missing}") from None
     return ModelParams(backbone=Backbone(spec=spec, blocks=blocks, fused=fused), vlad=vlad, pca=pca, matcher=matcher)
@@ -323,21 +339,21 @@ def index_to_tensors(index: DescriptorIndex, patch_store: Mapping[str, PatchDesc
 
 def index_from_tensors(t: Mapping[str, np.ndarray]) -> tuple[DescriptorIndex, dict[str, PatchDescriptorSet]]:
     try:
-        count = int(t["meta.count"][0])
-        dim = int(t["meta.dimension"][0])
+        count = int(_field(t, "meta.count", (1,))[0])
+        dim = int(_field(t, "meta.dimension", (1,))[0])
         entries = []
         patch_store: dict[str, PatchDescriptorSet] = {}
         for i in range(count):
             pre = f"entry{i:05d}."
-            image_id = bytes(t[pre + "id"]).decode("utf-8")
+            image_id = _field(t, pre + "id")
             values = t[pre + "descriptor"]
             if values.shape != (dim,):
                 raise FormatError(
                     f"entry {image_id!r} has descriptor shape {values.shape} but the index declares dimension {dim}"
                 )
-            descriptor = GlobalDescriptor(values=values, pca_applied=bool(int(t[pre + "flags"][0])))
-            frame = bytes(t[pre + "geo.frame"]).decode("utf-8")
-            coords = t[pre + "geo.coords"]
+            descriptor = GlobalDescriptor(values=values, pca_applied=bool(int(_field(t, pre + "flags", (1,))[0])))
+            frame = _field(t, pre + "geo.frame")
+            coords = _field(t, pre + "geo.coords", (2,))
             entries.append(
                 IndexEntry(
                     image_id=image_id,
@@ -346,7 +362,7 @@ def index_from_tensors(t: Mapping[str, np.ndarray]) -> tuple[DescriptorIndex, di
                 )
             )
             if pre + "patches.descriptors" in t:
-                g = t[pre + "patches.grid"]
+                g = _field(t, pre + "patches.grid", (5,))
                 grid = make_patch_grid(
                     height=int(g[3]), width=int(g[4]), d_x=int(g[0]), d_y=int(g[1]), stride=int(g[2])
                 )
@@ -488,12 +504,6 @@ def write_ppm(path: str | Path, image: np.ndarray) -> None:
         raise FormatError(f"write_ppm wants (H, W, 3) uint8, got {image.shape} {image.dtype}")
     header = f"P6\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
     _atomic_write(path, header + np.ascontiguousarray(image).tobytes())
-
-
-def save_t4(path: str | Path, tensor: Tensor4) -> None:
-    """Raw float32 tensor sidecar: four little-endian u32 dims, then the payload."""
-    tensor = as_tensor4(tensor)
-    _atomic_write(path, struct.pack("<4I", *tensor.shape) + tensor.astype("<f4").tobytes())
 
 
 def load_t4(path: str | Path) -> Tensor4:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, Mapping, Optional, Sequence
+from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .descriptor import GlobalDescriptor, PatchDescriptorSet, PatchGrid
+from .descriptor import GlobalDescriptor, PatchDescriptorSet
 from .errors import DegenerateInputError, FrameMismatchError, ShapeError
-from .matcher import GroundTruthMatches, MatcherParams, match_pair
+from .matcher import MatcherParams, match_pair
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -209,32 +209,3 @@ def recall_at_k(
                 hits += 1
                 break
     return hits / len(results)
-
-
-def build_ground_truth_matches(
-    q_grid: PatchGrid,
-    d_grid: PatchGrid,
-    transform: Optional[np.ndarray] = None,
-) -> GroundTruthMatches:
-    """Pairs of patches whose centers land on each other under a known mapping.
-
-    Query patch centers are mapped through the 3x3 homography (identity when
-    None) in feature-map coordinates; (i, j) is a match when the mapped center
-    lies within half a destination-grid stride of candidate center j.
-    """
-    q_centers = q_grid.centers().astype(np.float64)
-    d_centers = d_grid.centers().astype(np.float64)
-    if transform is not None:
-        t = np.asarray(transform, dtype=np.float64)
-        if t.shape != (3, 3):
-            raise ShapeError(f"transform must be a 3x3 homography, got shape {t.shape}")
-        homog = np.concatenate([q_centers, np.ones((len(q_centers), 1))], axis=1) @ t.T
-        w = homog[:, 2]
-        if np.any(w == 0.0):
-            raise DegenerateInputError("homography sends a patch center to infinity")
-        q_centers = homog[:, :2] / w[:, None]
-    threshold = 0.5 * d_grid.stride
-    diff = q_centers[:, None, :] - d_centers[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    pairs = tuple((int(i), int(j)) for i, j in np.argwhere(dist <= threshold))
-    return GroundTruthMatches(pairs=pairs)

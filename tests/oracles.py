@@ -203,38 +203,6 @@ def sinkhorn_log(
     return z, iterations, converged
 
 
-def jacobi_eigh(s: np.ndarray, sweeps: int = 50) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi rotations for a symmetric matrix.
-
-    Returns eigenvalues in descending order and eigenvectors as columns in the
-    matching order.
-    """
-    a = s.astype(np.float64).copy()
-    n = a.shape[0]
-    vecs = np.eye(n)
-    for _ in range(sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += a[p, q] ** 2
-                if abs(a[p, q]) < 1e-15:
-                    continue
-                theta = 0.5 * np.arctan2(2.0 * a[p, q], a[q, q] - a[p, p])
-                cs, sn = np.cos(theta), np.sin(theta)
-                rot = np.eye(n)
-                rot[p, p] = cs
-                rot[q, q] = cs
-                rot[p, q] = sn
-                rot[q, p] = -sn
-                a = rot.T @ a @ rot
-                vecs = vecs @ rot
-        if off < 1e-30:
-            break
-    evals = np.diag(a).copy()
-    order = np.argsort(evals)[::-1]
-    return evals[order], vecs[:, order]
-
-
 def central_difference(f: Callable[[np.ndarray], float], x: np.ndarray, step: float) -> np.ndarray:
     """Elementwise symmetric difference quotient."""
     g = np.zeros_like(x, dtype=np.float64)

@@ -27,7 +27,8 @@ from vprkit.errors import ConfigError
 from vprkit.io_store import ManifestRecord, load_index, load_manifest, load_weights, save_manifest, save_weights, write_ppm
 from vprkit.model import random_model
 from vprkit.pipeline import extract_images
-from vprkit.retrieval import global_retrieve, rerank
+from vprkit.descriptor import GlobalDescriptor
+from vprkit.retrieval import DescriptorIndex, GeoTag, IndexEntry, global_retrieve, rerank
 from vprkit.selfcheck import run_all
 
 SEED = 11311
@@ -341,7 +342,7 @@ class TestExtract:
         main(["extract", str(manifest), "--out", str(tmp_path / "i.vpri"), "--report", str(report), *MODEL_FLAGS])
         records = read_report(report)
         assert records[0]["type"] == "extract"
-        assert records[0]["version"] == REPORT_SCHEMA_VERSION == 2
+        assert records[0]["version"] == REPORT_SCHEMA_VERSION == 3
         assert records[0]["images"] == 5
 
     def test_missing_manifest_is_usage_error(self, tmp_path):
@@ -498,6 +499,21 @@ class TestEval:
         manifest = write_corpus(tmp_path, twins=[0], query_positions=[0.0])
         assert main(["eval", str(manifest), "--index", str(tmp_path / "nope.vpri")]) == 2
 
+    @pytest.mark.parametrize(
+        "name, bad",
+        [("entry00000.id", np.array([0xFF], dtype=np.uint8)), ("meta.count", np.zeros(0, dtype=np.int32))],
+        ids=["non-utf8-id", "empty-count"],
+    )
+    def test_malformed_index_is_usage_error(self, tmp_path, capsys, name, bad):
+        manifest = write_corpus(tmp_path, twins=[0], query_positions=[0.0])
+        entry = IndexEntry("db0", GlobalDescriptor(values=np.eye(8, dtype=np.float32)[0]), GeoTag.utm(0.0, 0.0))
+        table = io_store.index_to_tensors(DescriptorIndex(entries=(entry,)), {})
+        table[name] = bad
+        index = tmp_path / "bad.vpri"
+        io_store.save_tensors(index, table, io_store.INDEX_MAGIC)
+        assert main(["eval", str(manifest), "--index", str(index), *MODEL_FLAGS]) == 2
+        assert name in capsys.readouterr().err
+
 
 class TestReparam:
     def test_writes_both_forms_with_tiny_deviation(self, tmp_path, small_model):
@@ -541,10 +557,15 @@ class TestBench:
         assert main([*self.BENCH_FLAGS, "--report", str(r1)]) == 0
         assert main([*self.BENCH_FLAGS, "--report", str(r2)]) == 0
         a, b = read_report(r1)[0], read_report(r2)[0]
-        for key in ("speed1_extract_ms", "speed2_match_ms", "params", "theo_flops", "model_size_bytes"):
+        static = (
+            "params_multibranch", "params_fused", "theo_flops_multibranch", "theo_flops_fused",
+            "model_size_bytes", "input_dims",
+        )
+        for key in ("speed1_extract_ms", "speed2_match_ms", *static):
             assert key in a
-        for key in ("params", "params_fused", "theo_flops", "theo_flops_fused", "model_size_bytes", "input_dims"):
+        for key in static:
             assert a[key] == b[key]
+        assert "params" not in a and "theo_flops" not in a
 
     def test_flops_counted_at_the_run_dims(self, tmp_path):
         net = random_model(seed=3, clusters=4, pca_dim=8).backbone
@@ -554,9 +575,12 @@ class TestBench:
             dims = ["--input-height", str(side), "--input-width", str(side)]
             assert main([*self.BENCH_FLAGS, *dims, "--report", str(report)]) == 0
             record = read_report(report)[0]
-            _, want = count_params_flops(net, fused=True, input_dims=(side, side))
-            assert record["theo_flops"] == record["theo_flops_fused"] == want
-            flops.append(want)
+            params_multi, flops_multi = count_params_flops(net, fused=False, input_dims=(side, side))
+            params_fused, flops_fused = count_params_flops(net, fused=True, input_dims=(side, side))
+            assert (record["params_multibranch"], record["theo_flops_multibranch"]) == (params_multi, flops_multi)
+            assert (record["params_fused"], record["theo_flops_fused"]) == (params_fused, flops_fused)
+            assert flops_fused < flops_multi
+            flops.append(flops_fused)
         assert flops[0] != flops[1]
 
     @pytest.mark.parametrize("iters", ["1", "500"])

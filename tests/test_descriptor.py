@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import (
-    jacobi_eigh,
     normalized_vlad_reference,
     patch_descriptors_loop,
     patch_placements,
@@ -22,7 +21,6 @@ from vprkit.descriptor import (
     feature_map_descriptors,
     global_descriptor,
     make_patch_grid,
-    pca_fit,
     pca_project,
     random_projection,
     random_vlad_params,
@@ -116,46 +114,6 @@ class TestVlad:
 
 
 class TestPca:
-    def test_rows_orthonormal(self):
-        rng = np.random.default_rng(SEED + 6)
-        samples = rng.standard_normal((40, 6))
-        m = pca_fit(samples, out_dim=3)
-        assert_allclose(m.projection @ m.projection.T, np.eye(3), atol=1e-6)
-        assert not m.whitened
-
-    def test_explained_variance_descending(self):
-        rng = np.random.default_rng(SEED + 7)
-        samples = rng.standard_normal((60, 5)) * np.array([5.0, 3.0, 2.0, 1.0, 0.5])
-        m = pca_fit(samples, out_dim=4)
-        ev = m.explained_variance
-        assert np.all(np.diff(ev) <= 1e-12)
-
-    def test_subspace_matches_rotation_oracle(self):
-        rng = np.random.default_rng(SEED + 8)
-        samples = rng.standard_normal((80, 5)) @ np.diag([4.0, 2.5, 1.5, 0.7, 0.2])
-        m = pca_fit(samples, out_dim=3)
-        centered = samples - samples.mean(axis=0)
-        cov = centered.T @ centered / (len(samples) - 1)
-        evals, evecs = jacobi_eigh(cov)
-        # Compare spans, not signs: principal angles between the two bases.
-        overlap = m.projection @ evecs[:, :3]
-        sv = np.linalg.svd(overlap, compute_uv=False)
-        assert_allclose(sv, np.ones(3), atol=1e-6)
-        assert_allclose(np.sort(m.explained_variance)[::-1], evals[:3], rtol=1e-5)
-
-    def test_whiten_scales_rows(self):
-        rng = np.random.default_rng(SEED + 9)
-        samples = rng.standard_normal((50, 4)) * np.array([3.0, 2.0, 1.0, 0.5])
-        plain = pca_fit(samples, out_dim=2, whiten=False)
-        white = pca_fit(samples, out_dim=2, whiten=True)
-        assert white.whitened
-        scale = np.sqrt(plain.explained_variance[:2])
-        assert_allclose(white.projection * scale[:, None], plain.projection, atol=1e-8)
-
-    def test_needs_more_samples_than_dims(self):
-        with pytest.raises(DegenerateInputError):
-            pca_fit(np.random.default_rng(0).standard_normal((3, 5)), out_dim=3)
-
     def test_project_renormalizes(self):
         rng = np.random.default_rng(SEED + 10)
         m = random_projection(in_dim=8, out_dim=4, rng=rng)
@@ -204,20 +162,6 @@ class TestPatchGrid:
     def test_table_case(self):
         grid = make_patch_grid(height=30, width=40, d_x=2, d_y=2, stride=1)
         assert (grid.rows, grid.cols, grid.count) == (29, 39, 1131)
-
-    def test_centers_row_major_half_pixel(self):
-        grid = make_patch_grid(height=3, width=4, d_x=2, d_y=2, stride=1)
-        centers = grid.centers()
-        assert centers.shape == (6, 2)
-        assert_allclose(centers[0], [0.5, 0.5])
-        assert_allclose(centers[1], [1.5, 0.5])  # x advances first
-        assert_allclose(centers[3], [0.5, 1.5])  # then y
-
-    def test_stride_moves_centers(self):
-        grid = make_patch_grid(height=7, width=7, d_x=3, d_y=3, stride=2)
-        centers = grid.centers()
-        assert_allclose(centers[0], [1.0, 1.0])
-        assert_allclose(centers[1], [3.0, 1.0])
 
 
 class TestPatchDescriptors:

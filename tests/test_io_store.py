@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import struct
 import tracemalloc
 
 import numpy as np
@@ -17,16 +18,20 @@ from vprkit.io_store import (
     INDEX_MAGIC,
     ManifestRecord,
     WEIGHTS_MAGIC,
+    index_from_tensors,
+    index_to_tensors,
     load_image,
     load_index,
     load_manifest,
     load_t4,
     load_weights,
+    model_from_tensors,
+    model_to_tensors,
     pack_tensors,
     parse_ppm,
     save_index,
     save_manifest,
-    save_t4,
+    save_tensors,
     save_weights,
     unpack_tensors,
     write_ppm,
@@ -34,6 +39,16 @@ from vprkit.io_store import (
 from vprkit.retrieval import DescriptorIndex, GeoTag, IndexEntry
 
 SEED = 77001
+
+
+def save_t4(path, tensor):
+    """Write a .t4 sidecar: four little-endian u32 dims, then the float32 payload."""
+    path.write_bytes(struct.pack("<4I", *tensor.shape) + tensor.astype("<f4").tobytes())
+
+
+def resized(arr, change):
+    """`arr` with its last axis one shorter (an empty meta.count, a one-element geo.coords) or one longer."""
+    return arr[..., :-1] if change == "one_short" else np.concatenate([arr, arr[..., :1]], axis=-1)
 
 
 class TestTensorContainer:
@@ -70,6 +85,12 @@ class TestTensorContainer:
     def test_garbage_refused(self):
         with pytest.raises(FormatError):
             unpack_tensors(b"not a container at all", WEIGHTS_MAGIC)
+
+    def test_non_utf8_name_refused_with_its_offset(self):
+        blob = pack_tensors({"x": np.zeros(1, np.float32), "ab": np.zeros(1, np.float32)}, WEIGHTS_MAGIC)
+        at = blob.index(b"ab") - 4  # the entry starts with the name length
+        with pytest.raises(FormatError, match=f"offset {at} is not UTF-8"):
+            unpack_tensors(blob.replace(b"ab", b"\xff\xfe"), WEIGHTS_MAGIC)
 
     @given(
         st.dictionaries(
@@ -116,7 +137,7 @@ class TestWeightsFile:
             assert a.conv3x3.bn.eps == b.conv3x3.bn.eps
         assert_array_equal(back.vlad.centers, small_model.vlad.centers)
         assert_array_equal(back.pca.projection, small_model.pca.projection)
-        assert back.pca.whitened == small_model.pca.whitened
+        assert_array_equal(back.pca.mean, small_model.pca.mean)
         assert len(back.matcher.layers) == len(small_model.matcher.layers)
         for a, b in zip(back.matcher.layers, small_model.matcher.layers):
             assert a.mode == b.mode
@@ -156,6 +177,37 @@ class TestWeightsFile:
         table = model_to_tensors(small_model)
         del table["vlad.centers"]
         with pytest.raises(FormatError):
+            model_from_tensors(table)
+
+    def test_old_pca_metadata_read_and_ignored(self, small_model, tmp_path):
+        """Files from before the PCA metadata was dropped carry pca.whitened and
+        pca.explained_variance; they load as if the two keys were absent."""
+        old = {}
+        for name, arr in model_to_tensors(small_model).items():
+            old[name] = arr
+            if name == "pca.mean":
+                old["pca.whitened"] = np.array([1], dtype=np.int32)
+                old["pca.explained_variance"] = np.arange(small_model.pca.out_dim, 0, -1, dtype=np.float32)
+        old_path, new_path, resaved = tmp_path / "old.vprw", tmp_path / "new.vprw", tmp_path / "resaved.vprw"
+        save_tensors(old_path, old, WEIGHTS_MAGIC)
+        save_weights(new_path, small_model)
+        from_old, from_new = load_weights(old_path).pca, load_weights(new_path).pca
+        for field in ("projection", "mean"):
+            a, b = getattr(from_old, field), getattr(from_new, field)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        save_weights(resaved, load_weights(old_path))
+        assert resaved.read_bytes() == new_path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "name",
+        ["spec.stages", "spec.input_dims", "spec.in_channels", "form.multibranch", "form.fused",
+         "block00.conv3x3.bn.eps", "matcher.dustbin"],
+    )
+    @pytest.mark.parametrize("change", ["one_short", "one_extra"])
+    def test_wrong_length_field_names_the_tensor(self, small_model, name, change):
+        table = model_to_tensors(small_model)
+        table[name] = resized(table[name], change)
+        with pytest.raises(FormatError, match=name):
             model_from_tensors(table)
 
     def test_wrong_file_kind_refused(self, small_model, tmp_path):
@@ -240,6 +292,24 @@ class TestIndexFile:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * path.stat().st_size
+
+    @pytest.mark.parametrize("field", ["id", "geo.frame"])
+    def test_non_utf8_string_names_the_tensor(self, field):
+        table = index_to_tensors(*sample_index(np.random.default_rng(SEED + 9)))
+        table[f"entry00001.{field}"] = np.array([0xFF, 0xFE], dtype=np.uint8)
+        with pytest.raises(FormatError, match=f"'entry00001.{field}' is not UTF-8"):
+            index_from_tensors(table)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["meta.count", "meta.dimension", "entry00000.flags", "entry00000.geo.coords", "entry00000.patches.grid"],
+    )
+    @pytest.mark.parametrize("change", ["one_short", "one_extra"])
+    def test_wrong_length_field_names_the_tensor(self, name, change):
+        table = index_to_tensors(*sample_index(np.random.default_rng(SEED + 10)))
+        table[name] = resized(table[name], change)
+        with pytest.raises(FormatError, match=name):
+            index_from_tensors(table)
 
     def test_empty_index_round_trips(self, tmp_path):
         path = tmp_path / "empty.vpri"

@@ -20,7 +20,6 @@ from vprkit.retrieval import (
     DescriptorIndex,
     GeoTag,
     IndexEntry,
-    build_ground_truth_matches,
     geo_distance,
     global_retrieve,
     recall_at_k,
@@ -276,45 +275,3 @@ class TestRecall:
     def test_no_queries_refused(self):
         with pytest.raises(DegenerateInputError):
             recall_at_k([], {}, {}, k=1, radius_m=10.0)
-
-
-class TestGroundTruthFromGeometry:
-    def test_identity_pairs_diagonal(self):
-        grid = make_patch_grid(5, 6, 2, 2)
-        gt = build_ground_truth_matches(grid, grid)
-        assert gt.pairs == tuple((i, i) for i in range(grid.count))
-
-    def test_translation_shifts_pairs(self):
-        grid = make_patch_grid(4, 6, 2, 2)
-        shift = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        gt = build_ground_truth_matches(grid, grid, transform=shift)
-        cols = grid.cols
-        expected = []
-        for r in range(grid.rows):
-            for c in range(cols - 1):
-                expected.append((r * cols + c, r * cols + c + 1))
-        assert gt.pairs == tuple(expected)
-
-    def test_large_offset_gives_no_pairs(self):
-        grid = make_patch_grid(4, 4, 2, 2)
-        shift = np.array([[1.0, 0.0, 100.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        gt = build_ground_truth_matches(grid, grid, transform=shift)
-        assert gt.pairs == ()
-
-    def test_degenerate_homography_refused(self):
-        grid = make_patch_grid(4, 4, 2, 2)
-        bad = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.5]])
-        with pytest.raises(DegenerateInputError):
-            build_ground_truth_matches(grid, grid, transform=bad)
-
-    def test_non_3x3_transform_refused(self):
-        grid = make_patch_grid(4, 4, 2, 2)
-        with pytest.raises(ShapeError):
-            build_ground_truth_matches(grid, grid, transform=np.eye(2))
-
-    def test_half_stride_boundary_included(self):
-        # Distance exactly 0.5 * stride counts as a match.
-        a = make_patch_grid(3, 3, 2, 2)
-        shift = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        gt = build_ground_truth_matches(a, a, transform=shift)
-        assert (0, 0) in gt.pairs and (0, 1) in gt.pairs
