@@ -283,14 +283,18 @@ def model_from_tensors(t: Mapping[str, np.ndarray]) -> ModelParams:
         pca = None
         if "pca.projection" in t:
             pca = PcaModel(projection=t["pca.projection"], mean=t["pca.mean"])
+        modes = _field(t, "matcher.modes", (-1,))
+        for mode in modes:
+            if mode not in (0, 1):
+                raise FormatError(f"tensor 'matcher.modes' holds {mode}, expected 0 (self) or 1 (cross)")
         layers = tuple(
             AttentionLayer(
                 w_f=t[f"matcher.layer{i:02d}.w_f"],
                 w_g=t[f"matcher.layer{i:02d}.w_g"],
                 w_h=t[f"matcher.layer{i:02d}.w_h"],
-                mode="self" if int(mode) == 0 else "cross",
+                mode="self" if mode == 0 else "cross",
             )
-            for i, mode in enumerate(t["matcher.modes"])
+            for i, mode in enumerate(modes)
         )
         matcher = MatcherParams(layers=layers, dustbin_score=float(_field(t, "matcher.dustbin", (1,))[0]))
     except KeyError as missing:

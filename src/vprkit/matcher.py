@@ -4,7 +4,7 @@ Query and candidate patch descriptors pass through alternating self- and
 cross-attention rounds, inner products of the enhanced descriptors form the
 score matrix (deliberately left un-normalized), and entropy-regularized
 optimal transport with a dustbin row/column turns scores into a soft
-assignment. Everything here runs in float64.
+assignment. Attention keeps float32 pairs in float32; the rest runs in float64.
 """
 
 from __future__ import annotations
@@ -96,27 +96,31 @@ def attention_forward(x_src: np.ndarray, x_dst: np.ndarray, layer: AttentionLaye
     Logits are f(src_i) . g(dst_j). The weights into each destination form a
     softmax over sources, so every column of the returned (N_src, N_dst) map
     sums to 1. The enhanced output is x_dst[j] + sum_i rho[i, j] * w_h @ x_src[i].
+    Both are computed in float32 if both inputs are float32, in float64 otherwise.
     """
-    xs = _as_rows(x_src, layer.dim, "source")
-    xd = _as_rows(x_dst, layer.dim, "destination")
-    f = xs @ layer.w_f.astype(np.float64).T
-    g = xd @ layer.w_g.astype(np.float64).T
+    dtype = _pair_dtype(x_src, x_dst)
+    xs = _as_rows(x_src, layer.dim, "source", dtype)
+    xd = _as_rows(x_dst, layer.dim, "destination", dtype)
+    # Cast, not promote, the weights: float64 @ float32 skips BLAS and rounds differently.
+    f = xs @ layer.w_f.astype(dtype, copy=False).T
+    g = xd @ layer.w_g.astype(dtype, copy=False).T
     logits = f @ g.T  # (N_src, N_dst)
     e = np.exp(logits - logits.max(axis=0, keepdims=True))
     rho = e / e.sum(axis=0, keepdims=True)
-    values = xs @ layer.w_h.astype(np.float64).T
+    values = xs @ layer.w_h.astype(dtype, copy=False).T
     out = xd + rho.T @ values
     return out, rho
 
 
 def enhance_descriptors(q: np.ndarray, d: np.ndarray, params: MatcherParams) -> tuple[np.ndarray, np.ndarray]:
-    """Run the attention stack over both descriptor sets.
+    """Run the attention stack over both descriptor sets, in one dtype per pair.
 
     Self layers update each set from itself; cross layers update both sets
     symmetrically from the other, using the same weights for both directions.
     """
-    yq = np.asarray(q, dtype=np.float64)
-    yd = np.asarray(d, dtype=np.float64)
+    dtype = _pair_dtype(q, d)
+    yq = np.asarray(q, dtype=dtype)
+    yd = np.asarray(d, dtype=dtype)
     for layer in params.layers:
         if layer.mode == "self":
             yq, _ = attention_forward(yq, yq, layer)
@@ -423,8 +427,12 @@ def match_pair(
     return PairScore(match_score(assignment), assignment.iterations, assignment.converged)
 
 
-def _as_rows(x: np.ndarray, dim: int, what: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+def _pair_dtype(a: np.ndarray, b: np.ndarray) -> type:
+    return np.float32 if np.asarray(a).dtype == np.asarray(b).dtype == np.float32 else np.float64
+
+
+def _as_rows(x: np.ndarray, dim: int, what: str, dtype: type) -> np.ndarray:
+    x = np.asarray(x, dtype=dtype)
     if x.ndim != 2 or x.shape[1] != dim:
         raise ShapeError(f"{what} descriptors must be (N, {dim}), got shape {x.shape}")
     if x.shape[0] < 1:

@@ -83,8 +83,8 @@ def check_matcher(rng: np.random.Generator) -> list[CheckResult]:
         w_h=rng.standard_normal((3, 3)).astype(np.float32),
         mode="cross",
     )
-    src = rng.standard_normal((6, 3))
-    dst = rng.standard_normal((4, 3))
+    src = rng.standard_normal((6, 3), dtype=np.float32)  # float32 like stored patch sets, as rerank runs it
+    dst = rng.standard_normal((4, 3), dtype=np.float32)
     _, rho = mt.attention_forward(src, dst, layer)
     dev = float(np.abs(rho.sum(axis=0) - 1.0).max())
     results.append(CheckResult("matcher", "attention columns sum to 1", dev <= 1e-6, f"max dev {dev:.2e}"))

@@ -1,9 +1,12 @@
 """Dense tensor kernels the rest of the package computes with.
 
 Activations are float32 arrays, laid out (batch, channels, height, width) and
-row-major. Reductions (convolution dot products, norms, softmax sums)
-accumulate in float64 before results are cast back, so that comparisons
-against slow reference implementations are stable.
+row-major. Precision policy: the backbone and the VLAD projection reduce
+(convolution dot products, norms, softmax sums) in float64 for now before
+results are cast back, so comparisons against slow references are stable.
+Attention may run in float32, the dtype of stored patch sets. The score
+matrix, Sinkhorn, the loss and its gradient, and anything an oracle checks at
+1e-6 run in float64.
 
 A convolution is one float64 GEMM per image: the taps are copied, cast to
 float64 on the way, into a (channels, kh, kw, out_h, out_w) column buffer

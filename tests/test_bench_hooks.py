@@ -11,6 +11,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from vprkit.descriptor import PatchDescriptorSet, make_patch_grid
+from vprkit.matcher import random_matcher_params
+from vprkit.retrieval import CandidateList
+
 TRACING = Path(__file__).resolve().parent.parent / "vprbench" / "tracing.py"
 
 
@@ -39,3 +45,39 @@ def test_every_hook_resolves_and_installs():
     finally:
         tracer.uninstall()
     assert [getattr(modules[name], attr) for name, attr, *_ in tracing.HOOKS] == originals
+
+
+def test_traced_rerank_counts_one_enhance_and_its_attention_calls_per_candidate():
+    """A traced rerank records, per candidate, one ``matcher.enhance`` span
+    holding one ``matcher.attention_forward`` span per direction and layer, so
+    ``matcher.enhance_s`` and ``matcher.attention_forward_calls`` time the
+    matcher's production path."""
+    tracing = _tracing()
+    names = ("pipeline", "backbone", "io_store", "retrieval", "matcher")
+    modules = {name: importlib.import_module(f"vprkit.{name}") for name in names}
+    rng = np.random.default_rng(5)
+    params = random_matcher_params(dim=8, rng=rng, rounds=2)
+
+    def patches(count):
+        return PatchDescriptorSet(rng.standard_normal((count, 8)), make_patch_grid(2, count + 1, 2, 2))
+
+    store = {"a": patches(5), "b": patches(6), "c": patches(4)}
+    initial = CandidateList(query_id="q", ranked=(("a", 0.9), ("b", 0.8), ("c", 0.7)), stage="initial")
+    tracer = tracing.Tracer()
+    tracer.install(modules)
+    try:
+        modules["retrieval"].rerank(patches(3), initial, store, params)
+    finally:
+        tracer.uninstall()
+
+    spans = tracer.spans
+    pairs = [i for i, s in enumerate(spans) if s[0] == "matcher.match_pair"]
+    enhances = [i for i, s in enumerate(spans) if s[0] == "matcher.enhance"]
+    assert len(pairs) == 3
+    assert sorted(spans[i][3] for i in enhances) == pairs  # one per candidate pair
+    for i in enhances:
+        assert sum(s[0] == "matcher.attention_forward" and s[3] == i for s in spans) == 2 * len(params.layers)
+    assert sum(s[0] == "matcher.attention_forward" for s in spans) == 3 * 2 * len(params.layers)
+    metrics = tracer.per_layer(1.0)
+    assert metrics["matcher.attention_forward_calls"][0] == 2 * len(params.layers)
+    assert metrics["matcher.enhance_s"][0] > 0.0

@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from vprkit import backbone, cli, descriptor, io_store, matcher
 from vprkit.backbone import NetworkSpec, StageSpec, count_params_flops
@@ -494,6 +495,45 @@ class TestEval:
         assert (pairs, unconverged_pairs) == (want_pairs, want_unconverged)
         assert pairs == 30 and seconds > 0.0
         assert (unconverged_pairs == 30) if iters == 1 else (0 < unconverged_pairs < 30)  # all, then a mix
+
+    def test_float32_attention_keeps_the_float64_order(self, indexed, monkeypatch):
+        """Stored float32 patch sets run attention in float32. Fed float64
+        copies, the matcher does the float64 arithmetic every caller ran
+        before. Both give the same orders and transport outcomes.
+
+        Scores agree to 1e-6 relative, not to the 1e-8 that test_matcher holds
+        default-size pairs to: a score here sums the transport of 35 patches,
+        not 1131, so less of the float32 rounding (unit roundoff 6e-8) averages
+        out, while reg 0.02 scales score errors by 50. Across all pairs of
+        this fixture the largest deviation measured was 1.1e-7 relative, about
+        two roundoffs; 1e-6 is sixteen.
+        """
+        manifest, index_path, weights = indexed
+        cfg = RunConfig(weights=str(weights), input_height=48, input_width=64, sinkhorn_reg=0.02)
+        model = _resolve_model(cfg)
+        index, patch_store = load_index(index_path)
+        records = [r for r in load_manifest(manifest) if r.split == "query"]
+        extracted = extract_images([r.path for r in records], model, _settings(cfg, model))
+        queries = [(r.image_id, *e) for r, e in zip(records, extracted)]
+        got = _search(cfg, model, index, patch_store, queries)
+        enhance = matcher.enhance_descriptors
+        monkeypatch.setattr(
+            matcher, "enhance_descriptors", lambda q, d, p: enhance(q.astype(np.float64), d.astype(np.float64), p)
+        )
+        want = _search(cfg, model, index, patch_store, queries)
+        for new, old in zip(got[1], want[1]):
+            assert (new.ids(), new.unconverged, new.missing_patches) == (old.ids(), old.unconverged, old.missing_patches)
+            assert_allclose([s for _, s in new.ranked], [s for _, s in old.ranked], rtol=1e-6, atol=0)
+        assert (got[3], got[4]) == (want[3], want[4]) and got[3] == 30
+
+    def test_unknown_attention_mode_is_usage_error(self, indexed, tmp_path, capsys):
+        manifest, index, weights = indexed
+        table = io_store.model_to_tensors(load_weights(weights))
+        table["matcher.modes"] = np.array([7, 9, 0, 1], dtype=np.int32)
+        bad = tmp_path / "bad.vprw"
+        io_store.save_tensors(bad, table, io_store.WEIGHTS_MAGIC)
+        assert main(["eval", str(manifest), "--index", str(index), "--weights", str(bad), *EVAL_FLAGS]) == 2
+        assert "'matcher.modes' holds 7" in capsys.readouterr().err
 
     def test_missing_index_is_usage_error(self, tmp_path):
         manifest = write_corpus(tmp_path, twins=[0], query_positions=[0.0])

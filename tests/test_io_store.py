@@ -210,6 +210,14 @@ class TestWeightsFile:
         with pytest.raises(FormatError, match=name):
             model_from_tensors(table)
 
+    @pytest.mark.parametrize("modes", [[7, 9], [0, 2], [1, -1]])
+    def test_unknown_attention_mode_names_tensor_and_value(self, small_model, modes):
+        table = model_to_tensors(small_model)
+        table["matcher.modes"] = np.array(modes, dtype=np.int32)
+        bad = next(m for m in modes if m not in (0, 1))
+        with pytest.raises(FormatError, match=f"'matcher.modes' holds {bad},"):
+            model_from_tensors(table)
+
     def test_wrong_file_kind_refused(self, small_model, tmp_path):
         path = tmp_path / "index.vpri"
         save_index(path, DescriptorIndex(entries=()), {})

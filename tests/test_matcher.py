@@ -11,6 +11,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from oracles import central_difference, sinkhorn_linear, sinkhorn_log
 from vprkit.errors import EmptyGroundTruthWarning, ShapeError
 from vprkit import matcher
+from vprkit.model import random_model
+from vprkit.pipeline import ExtractionSettings, extract_from_tensor
 from vprkit.matcher import (
     AssignmentMatrix,
     AttentionLayer,
@@ -115,6 +117,58 @@ class TestAttention:
         layer = random_layer(rng, 4)
         with pytest.raises(ShapeError):
             attention_forward(rng.standard_normal((3, 5)), rng.standard_normal((2, 4)), layer)
+
+
+def float64_attention(xs, xd, layer):
+    """The attention formula written out in float64, weights cast up explicitly."""
+    f = xs @ layer.w_f.astype(np.float64).T
+    g = xd @ layer.w_g.astype(np.float64).T
+    logits = f @ g.T
+    e = np.exp(logits - logits.max(axis=0, keepdims=True))
+    rho = e / e.sum(axis=0, keepdims=True)
+    return xd + rho.T @ (xs @ layer.w_h.astype(np.float64).T), rho
+
+
+class TestAttentionDtype:
+    """A float32 pair runs in float32; any other pair runs in float64."""
+
+    def test_float32_pair_stays_float32(self):
+        rng = np.random.default_rng(SEED + 30)
+        params = random_matcher_params(dim=6, rng=rng, rounds=2)
+        q = rng.standard_normal((5, 6), dtype=np.float32)
+        d = rng.standard_normal((4, 6), dtype=np.float32)
+        out, rho = attention_forward(q, d, params.layers[1])
+        assert (out.dtype, rho.dtype) == (np.float32, np.float32)
+        assert [y.dtype for y in enhance_descriptors(q, d, params)] == [np.float32, np.float32]
+
+    @pytest.mark.parametrize(
+        "q_dtype, d_dtype",
+        [(np.float32, np.float64), (np.float64, np.float32), (np.float64, np.float64), (np.float16, np.float32)],
+    )
+    def test_other_pairs_run_in_float64(self, q_dtype, d_dtype):
+        rng = np.random.default_rng(SEED + 31)
+        params = random_matcher_params(dim=6, rng=rng, rounds=2)
+        q = rng.standard_normal((5, 6)).astype(q_dtype)
+        d = rng.standard_normal((4, 6)).astype(d_dtype)
+        out, rho = attention_forward(q, d, params.layers[1])
+        assert (out.dtype, rho.dtype) == (np.float64, np.float64)
+        assert [y.dtype for y in enhance_descriptors(q, d, params)] == [np.float64, np.float64]
+        # Mixed pairs get exactly the arithmetic of their float64 copies.
+        want = enhance_descriptors(q.astype(np.float64), d.astype(np.float64), params)
+        for got, ref in zip(enhance_descriptors(q, d, params), want):
+            assert_array_equal(got, ref)
+
+    def test_float64_equals_the_written_out_formula(self):
+        # Single rows included: a float64 @ float32 product does not go
+        # through the float64 BLAS kernel and can round differently there.
+        rng = np.random.default_rng(SEED + 32)
+        for n_src, n_dst, dim in ((1, 1, 8), (1, 5, 17), (3, 1, 33), (7, 9, 64), (40, 30, 5)):
+            layer = random_layer(rng, dim)
+            xs = rng.standard_normal((n_src, dim))
+            xd = rng.standard_normal((n_dst, dim))
+            for got, want in zip(attention_forward(xs, xd, layer), float64_attention(xs, xd, layer)):
+                assert got.dtype == np.float64
+                assert_allclose(got, want, rtol=0, atol=0)
 
 
 class TestEnhance:
@@ -403,3 +457,36 @@ class TestMatchPair:
             params,
         )
         assert 0.0 <= value <= 1.0 + 1e-9
+
+
+class TestFloat32AgainstFloat64Path:
+    """Re-ranking feeds stored float32 patch sets to the matcher, so attention
+    runs in float32. The float64 path is the same functions fed float64
+    copies, which is the arithmetic every caller ran before.
+
+    The bound on the match score is 1e-8. Over pairs of noise images under
+    the default model, at reg 1.0 and 0.02, the largest deviation measured
+    was 1.6e-9 (2.6e-10 on this pair), so 1e-8 leaves about 6x for other BLAS
+    builds and thread counts. It is still four orders of magnitude below the
+    2e-4 between a self pair's score and another pair's at reg 1.0, so a
+    ranking cannot change within it.
+    """
+
+    def test_default_size_pair_scores_within_bound(self):
+        model = random_model(seed=0).with_fused()
+        rng = np.random.default_rng(SEED + 40)
+        q, d = (
+            extract_from_tensor(rng.random((1, 3, 480, 640), dtype=np.float32), model, ExtractionSettings(fused=True))[1]
+            .descriptors
+            for _ in range(2)
+        )
+        params = model.matcher
+        assert q.shape == d.shape == (1131, 512) and q.dtype == d.dtype == np.float32
+        new = enhance_descriptors(q, d, params)
+        old = enhance_descriptors(q.astype(np.float64), d.astype(np.float64), params)
+        assert [y.dtype for y in new] == [np.float32, np.float32]
+        for reg in (1.0, 0.02):
+            got = sinkhorn_assign(score_matrix(*new), params.dustbin_score, reg=reg)
+            want = sinkhorn_assign(score_matrix(*old), params.dustbin_score, reg=reg)
+            assert abs(match_score(got) - match_score(want)) <= 1e-8
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
