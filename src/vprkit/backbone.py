@@ -244,14 +244,11 @@ def backbone_forward(
     """
     x = as_tensor4(x)
     _check_input_dims(x.shape[2], x.shape[3], strict_dims)
-    if fused:
-        layers: tuple = net.fused if net.fused is not None else tuple(reparameterize_block(b) for b in net.blocks)
-        step = block_forward_fused
-    else:
-        if net.blocks is None:
-            raise ShapeError("multibranch forward requested but this backbone only carries fused weights")
-        layers = net.blocks
-        step = block_forward_multibranch
+    layers = net.fused if fused else net.blocks
+    if layers is None:
+        form = "fused" if fused else "multibranch"
+        raise ShapeError(f"{form} forward requested but this backbone does not carry its {form} form")
+    step = block_forward_fused if fused else block_forward_multibranch
     stages: list[Tensor4] = []
     ends = set(net.spec.stage_ends())
     for i, layer in enumerate(layers):
@@ -264,7 +261,7 @@ def backbone_forward(
 def form_deviation(net: Backbone, probe: Tensor4) -> tuple[float, float]:
     """Largest elementwise gap between the multibranch and fused outputs on a
     probe batch, absolute and relative to max(1, largest multibranch output).
-    The fused form is derived on the fly when the backbone does not carry it.
+    The backbone must carry both forms (see reparameterize_backbone).
 
     Deep stacks reach activation magnitudes where float32 spacing alone exceeds
     any fixed absolute budget, so verdicts on them read the relative figure.

@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .backbone import count_params_flops, form_deviation
-from .descriptor import GlobalDescriptor, PatchDescriptorSet
+from .descriptor import GlobalDescriptor, PatchDescriptorSet, PatchGrid
 from .errors import ConfigError, FormatError, VprError
 from .io_store import (
     load_index,
@@ -35,8 +35,8 @@ from .io_store import (
     WEIGHTS_MAGIC,
 )
 from .model import ModelParams, random_model
-from .pipeline import ExtractionSettings, extract_from_tensor, extract_images, extract_index
-from .retrieval import CandidateList, DescriptorIndex, GeoTag, IndexEntry, global_retrieve, recall_at_k, rerank
+from .pipeline import ExtractionSettings, assemble_index, extract_from_tensor, extract_images, extract_index
+from .retrieval import CandidateList, DescriptorIndex, GeoTag, global_retrieve, recall_at_k, rerank
 from .selfcheck import run_all
 from .tensor import conv_output_size
 
@@ -142,7 +142,7 @@ _KEY_HELP = {
     "input_width": "working image width",
 }
 
-# What _resolve_model and _settings read; every command that extracts takes them.
+# What _resolve_model and _settings read; extract and bench take them all, eval all but the patch keys.
 _MODEL_KEYS = ("weights", "clusters", "pca_dim", "seed", "patch_size", "patch_stride", "input_height", "input_width")
 
 
@@ -163,20 +163,24 @@ def _resolve_model(cfg: RunConfig) -> ModelParams:
     return model.with_fused()
 
 
-def _settings(cfg: RunConfig, model: ModelParams) -> ExtractionSettings:
+def _settings(cfg: RunConfig, model: ModelParams, grid: Optional[PatchGrid] = None) -> ExtractionSettings:
     """Extraction settings for the model from _resolve_model; refuses a patch
-    that does not fit the feature map the model's own stage layout produces."""
+    that does not fit the feature map the model's own stage layout produces.
+    A grid to match against sets the patch and must come from that same map."""
     fh, fw = cfg.input_dims()
     for _, _, stride, _ in model.backbone.spec.layer_plan():
         fh, fw = conv_output_size(fh, 3, stride, 1), conv_output_size(fw, 3, stride, 1)
-    if cfg.patch_size > min(fh, fw):
+    if grid is not None and (grid.height, grid.width) != (fh, fw):
+        raise ConfigError(f"the working dims give a {fh}x{fw} feature map; the index's is {grid.height}x{grid.width}")
+    patch_size, patch_stride = (grid.d_x, grid.stride) if grid is not None else (cfg.patch_size, cfg.patch_stride)
+    if patch_size > min(fh, fw):
         raise ConfigError(
-            f"patch_size {cfg.patch_size} does not fit the {fh}x{fw} feature map of a "
+            f"patch_size {patch_size} does not fit the {fh}x{fw} feature map of a "
             f"{cfg.input_height}x{cfg.input_width} input"
         )
     return ExtractionSettings(
-        patch_size=cfg.patch_size,
-        patch_stride=cfg.patch_stride,
+        patch_size=patch_size,
+        patch_stride=patch_stride,
         input_dims=cfg.input_dims(),
         fused=True,
         strict_dims=False,
@@ -288,10 +292,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     records = load_manifest(args.manifest)
     model = _resolve_model(cfg)
-    settings = _settings(cfg, model)
     index, patch_store = load_index(args.index)
     if len(index) == 0:
         raise FormatError(f"{args.index}: index is empty")
+    grids = {p.grid for p in patch_store.values()}
+    if len(grids) > 1 or any(g.d_x != g.d_y for g in grids):
+        shown = ", ".join(sorted(f"{g.d_x}x{g.d_y} stride {g.stride} on {g.height}x{g.width}" for g in grids))
+        raise FormatError(f"{args.index}: patch sets must share one grid of square patches, got {shown}")
+    settings = _settings(cfg, model, next(iter(grids), None))  # an index without patch sets keeps the defaults
     queries = [r for r in records if r.split == "query"]
     if not queries:
         raise FormatError("manifest contains no query records")
@@ -393,12 +401,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     extracted = [extract_from_tensor(img, model, settings) for img in images]
     extract_ms = (time.perf_counter() - start) * 1000.0 / len(images)
 
-    entries = tuple(
-        IndexEntry(image_id=f"bench{i:03d}", descriptor=desc, geotag=GeoTag.utm(float(i), 0.0))
-        for i, (desc, _) in enumerate(extracted)
-    )
-    index = DescriptorIndex(entries=entries)
-    patch_store = {f"bench{i:03d}": patches for i, (_, patches) in enumerate(extracted)}
+    places = [(f"bench{i:03d}", GeoTag.utm(float(i), 0.0)) for i in range(len(images))]
+    index, patch_store = assemble_index(places, extracted)
     queries = [("q", desc, patches) for desc, patches in extracted[: args.queries]]
     _, _, match_seconds, pairs, unconverged_pairs = _search(cfg, model, index, patch_store, queries)
     match_ms = match_seconds * 1000.0 / len(queries)
@@ -475,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="dataset manifest CSV")
     p.add_argument("--index", required=True, help="index file from extract")
     p.add_argument("--report", metavar="FILE", help="write JSON-lines report here")
-    add_config_flags(p)
+    add_config_flags(p, [k for k in _KEY_TYPES if k not in ("patch_size", "patch_stride")])
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("reparam", help="fuse branches and verify on a probe batch")

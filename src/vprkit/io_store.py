@@ -521,12 +521,7 @@ def load_t4(path: str | Path) -> Tensor4:
     return np.frombuffer(data, dtype="<f4", offset=16).reshape(dims).copy()
 
 
-def load_image(
-    path: str | Path,
-    input_dims: Optional[tuple[int, int]] = None,
-    mean: Sequence[float] = IMAGE_MEAN,
-    std: Sequence[float] = IMAGE_STD,
-) -> Tensor4:
+def load_image(path: str | Path, input_dims: Optional[tuple[int, int]] = None) -> Tensor4:
     """Load one image as a (1, 3, H, W) tensor ready for the backbone.
 
     PPM files are scaled to [0, 1], normalized per channel with (x - mean)/std,
@@ -539,7 +534,7 @@ def load_image(
     if data.startswith(b"P6"):
         rgb = parse_ppm(data, path)
         arr = rgb.astype(np.float64) / 255.0
-        arr = (arr - np.asarray(mean, dtype=np.float64)) / np.asarray(std, dtype=np.float64)
+        arr = (arr - np.asarray(IMAGE_MEAN, dtype=np.float64)) / np.asarray(IMAGE_STD, dtype=np.float64)
         tensor = arr.transpose(2, 0, 1)[None, :, :, :].astype(np.float32)
     elif p.suffix == ".t4":
         tensor = load_t4(path)

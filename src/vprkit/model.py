@@ -33,9 +33,9 @@ class ModelParams:
                 f"projection input dim {self.pca.in_dim} does not match aggregated dim "
                 f"{self.vlad.dim * self.vlad.cluster_count}"
             )
-        expected = self.pca.out_dim if self.pca is not None else self.vlad.dim * self.vlad.cluster_count
-        if self.matcher.dim is not None and self.matcher.dim != expected:
-            raise ShapeError(f"matcher operates on {self.matcher.dim}-dim descriptors, pipeline emits {expected}")
+        dim = self.descriptor_dim
+        if self.matcher.dim is not None and self.matcher.dim != dim:
+            raise ShapeError(f"matcher operates on {self.matcher.dim}-dim descriptors, pipeline emits {dim}")
 
     @property
     def descriptor_dim(self) -> int:

@@ -77,16 +77,14 @@ def extract_index(
     if not rows:
         raise FormatError("manifest contains no database records")
     results = extract_images([r.path for r in rows], model, settings, threads=threads)
+    return assemble_index([(r.image_id, GeoTag.utm(r.easting, r.northing)) for r in rows], results)
 
-    entries = []
-    patch_store: dict[str, PatchDescriptorSet] = {}
-    for record, (desc, patches) in zip(rows, results):
-        entries.append(
-            IndexEntry(
-                image_id=record.image_id,
-                descriptor=desc,
-                geotag=GeoTag.utm(record.easting, record.northing),
-            )
-        )
-        patch_store[record.image_id] = patches
-    return DescriptorIndex(entries=tuple(entries)), patch_store
+
+def assemble_index(
+    places: Sequence[tuple[str, GeoTag]], extracted: Sequence[tuple[GlobalDescriptor, PatchDescriptorSet]]
+) -> tuple[DescriptorIndex, dict[str, PatchDescriptorSet]]:
+    """The index and patch store over extracted (descriptor, patches) pairs,
+    one entry per (image_id, geotag) in places, in their order."""
+    pairs = list(zip(places, extracted, strict=True))
+    entries = tuple(IndexEntry(image_id=i, descriptor=desc, geotag=g) for (i, g), (desc, _) in pairs)
+    return DescriptorIndex(entries=entries), {i: patches for (i, _), (_, patches) in pairs}

@@ -142,15 +142,14 @@ class TestNetworkFusion:
         rel = np.abs(a - b).max() / max(1.0, np.abs(a).max())
         assert rel < 1e-5
 
-    def test_fused_form_survives_on_demand(self):
-        # A backbone without precomputed fused weights fuses on the fly.
+    def test_multibranch_only_backbone_refuses_fused(self):
+        # No fusing on the fly: a fused forward runs only a fused form the backbone carries.
         rng = np.random.default_rng(SEED + 10)
         net = random_backbone(SMALL, rng, bn="random")
         assert net.fused is None
         x = rng.standard_normal((1, 3, 16, 16)).astype(np.float32)
-        a = backbone_forward(x, net, fused=True, strict_dims=False)
-        b = backbone_forward(x, reparameterize_backbone(net), fused=True, strict_dims=False)
-        assert_allclose(a, b, atol=0)
+        with pytest.raises(ShapeError, match="does not carry its fused form"):
+            backbone_forward(x, net, fused=True, strict_dims=False)
 
     def test_fused_only_backbone_refuses_multibranch(self):
         rng = np.random.default_rng(SEED + 11)

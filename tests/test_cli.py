@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,13 +25,24 @@ from vprkit.cli import (
     parse_config_file,
     resolve_config,
 )
-from vprkit.errors import ConfigError
-from vprkit.io_store import ManifestRecord, load_index, load_manifest, load_weights, save_manifest, save_weights, write_ppm
+from vprkit.errors import ConfigError, FormatError
+from vprkit.io_store import (
+    ManifestRecord,
+    load_index,
+    load_manifest,
+    load_weights,
+    save_index,
+    save_manifest,
+    save_weights,
+    write_ppm,
+)
 from vprkit.model import random_model
 from vprkit.pipeline import extract_images
-from vprkit.descriptor import GlobalDescriptor
+from vprkit.descriptor import GlobalDescriptor, PatchDescriptorSet, PatchGrid
 from vprkit.retrieval import DescriptorIndex, GeoTag, IndexEntry, global_retrieve, rerank
 from vprkit.selfcheck import run_all
+
+from make_golden import GOLDEN, eval_results
 
 SEED = 11311
 
@@ -270,6 +282,19 @@ class TestFlagsMatchReads:
             assert main(argv) == 0, command
             assert seen == registered[command], command
 
+    def test_readme_table_lists_the_flags_each_command_registers(self):
+        lines = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8").splitlines()
+        table = {}
+        for line in lines[lines.index("| command | setting flags | count |") + 2 :]:
+            if not line.startswith("|"):
+                break
+            command, names, count = (cell.strip() for cell in line.strip("|").split("|"))
+            listed = names.split(", ")
+            assert len(set(listed)) == len(listed), command
+            table[command.strip("`")] = set(listed)
+            assert count.startswith(f"{len(listed)} of {len(SETTINGS)}"), command
+        assert table == registered_settings()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -279,6 +304,8 @@ class TestFlagsMatchReads:
             ["bench", "--threads", "2"],
             ["bench", "--radius-m", "5"],
             ["selfcheck", "--patch-size", "9"],
+            ["eval", "m.csv", "--index", "i.vpri", "--patch-size", "3"],
+            ["eval", "m.csv", "--index", "i.vpri", "--patch-stride", "2"],
         ],
         ids=[
             "extract-sinkhorn-reg",
@@ -287,6 +314,8 @@ class TestFlagsMatchReads:
             "bench-threads",
             "bench-radius-m",
             "selfcheck-patch-size",
+            "eval-patch-size",
+            "eval-patch-stride",
         ],
     )
     def test_unread_setting_flag_refused(self, capsys, argv):
@@ -350,24 +379,33 @@ class TestExtract:
         assert main(["extract", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "i.vpri")]) == 2
 
 
+def index_eval_corpus(root, *extract_flags):
+    """Six queries against five database images, indexed with the EVAL_SPEC
+    model; returns (manifest, index, weights).
+
+    Two queries sit on their twins, two sit 500 m from everything, and two are
+    twinned with a far image while standing next to a different one. Stage-one
+    top-1 is always the pixel-identical twin, so R@1 counts only the first two;
+    with five database images the top-5 list is the whole database, so R@5 and
+    R@10 also count the last two.
+    """
+    manifest = write_corpus(
+        root,
+        twins=[0, 1, 2, 3, 4, 0],
+        query_positions=[10.0, 1010.0, 2500.0, 3500.0, 15.0, 3010.0],
+    )
+    index = root / "idx.vpri"
+    weights = root / "model.vprw"
+    save_weights(weights, random_model(seed=13, spec=EVAL_SPEC, clusters=8, pca_dim=32))
+    argv = ["extract", str(manifest), "--out", str(index), "--weights", str(weights), *INPUT_FLAGS, *extract_flags]
+    assert main(argv) == 0
+    return manifest, index, weights
+
+
 class TestEval:
     @pytest.fixture
     def indexed(self, tmp_path):
-        # Two queries sit on their twins, two sit 500 m from everything, and
-        # two are twinned with a far image while standing next to a different
-        # one. Stage-one top-1 is always the pixel-identical twin, so R@1
-        # counts only the first two; with five database images the top-5 list
-        # is the whole database, so R@5 and R@10 also count the last two.
-        manifest = write_corpus(
-            tmp_path,
-            twins=[0, 1, 2, 3, 4, 0],
-            query_positions=[10.0, 1010.0, 2500.0, 3500.0, 15.0, 3010.0],
-        )
-        index = tmp_path / "idx.vpri"
-        weights = tmp_path / "model.vprw"
-        save_weights(weights, random_model(seed=13, spec=EVAL_SPEC, clusters=8, pca_dim=32))
-        main(["extract", str(manifest), "--out", str(index), "--weights", str(weights), *INPUT_FLAGS])
-        return manifest, index, weights
+        return index_eval_corpus(tmp_path)
 
     def test_hand_computed_recalls(self, indexed, tmp_path):
         manifest, index, weights = indexed
@@ -525,6 +563,63 @@ class TestEval:
             assert (new.ids(), new.unconverged, new.missing_patches) == (old.ids(), old.unconverged, old.missing_patches)
             assert_allclose([s for _, s in new.ranked], [s for _, s in old.ranked], rtol=1e-6, atol=0)
         assert (got[3], got[4]) == (want[3], want[4]) and got[3] == 30
+
+    def test_golden_results(self, indexed, monkeypatch):
+        """Orders and unconverged ids as recorded in tests/golden/eval.json,
+        scores within 1e-12; make_golden.py says when the file may be rewritten."""
+        manifest, index, weights = indexed
+        argv = ["eval", str(manifest), "--index", str(index), "--weights", str(weights), *EVAL_FLAGS]
+        got = eval_results(argv, monkeypatch)
+        want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        assert [q["query_id"] for q in got] == [q["query_id"] for q in want]
+        for new, old in zip(got, want):
+            for stage in ("initial", "reranked"):
+                assert [i for i, _ in new[stage]] == [i for i, _ in old[stage]], (new["query_id"], stage)
+                assert_allclose([s for _, s in new[stage]], [s for _, s in old[stage]], rtol=0, atol=1e-12)
+            assert new["unconverged"] == old["unconverged"], new["query_id"]
+
+    def test_patch_grid_comes_from_the_index(self, tmp_path, monkeypatch):
+        manifest, index, weights = index_eval_corpus(tmp_path, "--patch-size", "3", "--patch-stride", "2")
+        stored = {p.grid for p in load_index(index)[1].values()}
+        assert stored == {PatchGrid(d_x=3, d_y=3, stride=2, height=6, width=8)}
+        searched = []
+        search = cli._search
+
+        def recording(cfg, model, idx, store, queries):
+            searched.extend(queries)
+            return search(cfg, model, idx, store, queries)
+
+        monkeypatch.setattr(cli, "_search", recording)
+        assert main(["eval", str(manifest), "--index", str(index), "--weights", str(weights), *EVAL_FLAGS]) == 0
+        assert len(searched) == 6 and {patches.grid for _, _, patches in searched} == stored
+
+    def test_working_dims_that_miss_the_index_map_fail_before_extraction(self, indexed, monkeypatch, capsys):
+        manifest, index, weights = indexed
+        extracted = []
+        monkeypatch.setattr(cli, "extract_images", lambda paths, *args, **kwargs: extracted.extend(paths))
+        dims = ["--input-height", "32", "--input-width", "64"]
+        assert main(["eval", str(manifest), "--index", str(index), "--weights", str(weights), *dims]) == 2
+        err = capsys.readouterr().err
+        assert "4x8 feature map" in err and "6x8" in err  # EVAL_SPEC maps 32x64 to 4x8 and the index's 48x64 to 6x8
+        assert extracted == []
+
+    @pytest.mark.parametrize(
+        "grid",
+        [PatchGrid(d_x=2, d_y=2, stride=2, height=6, width=8), PatchGrid(d_x=2, d_y=3, stride=1, height=6, width=8)],
+        ids=["two-grids", "non-square"],
+    )
+    def test_index_without_one_square_grid_is_refused(self, indexed, tmp_path, capsys, grid):
+        manifest, index_path, weights = indexed
+        index, patch_store = load_index(index_path)
+        rng = np.random.default_rng(SEED)
+        patch_store["db1"] = PatchDescriptorSet(rng.standard_normal((grid.count, 32)).astype(np.float32), grid)
+        bad = tmp_path / "mixed.vpri"
+        save_index(bad, index, patch_store)
+        argv = ["eval", str(manifest), "--index", str(bad), "--weights", str(weights), *EVAL_FLAGS]
+        with pytest.raises(FormatError, match="one grid of square patches"):
+            cli.cmd_eval(build_parser().parse_args(argv))
+        assert main(argv) == 2
+        assert f"{grid.d_x}x{grid.d_y} stride {grid.stride} on 6x8" in capsys.readouterr().err
 
     def test_unknown_attention_mode_is_usage_error(self, indexed, tmp_path, capsys):
         manifest, index, weights = indexed
