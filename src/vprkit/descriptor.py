@@ -7,6 +7,11 @@ L2-normalized again, and an orthonormal projection takes the result down to
 its final dimension. One head does this for any set of windows of positions:
 patch descriptors are the windows of a dense grid, and the global descriptor is
 the single window that covers the whole map.
+
+The head works in float64 over bands of windows, about HEAD_BAND_BYTES of
+residuals at a time, and rounds each band's normalized rows into one float32
+(windows, K*D) matrix. The projection centres and projects those float32 rows
+in float32 and renormalizes each projected row in float64.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
 from .tensor import Tensor4, as_tensor4, softmax_rows
+
+# Bytes of float64 residual sums the VLAD head holds per band; a band is at least one window.
+HEAD_BAND_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -134,11 +142,12 @@ def random_projection(in_dim: int, out_dim: int, rng: np.random.Generator) -> Pc
 
 
 def _project_rows(rows: np.ndarray, m: PcaModel) -> np.ndarray:
-    """Center float64 rows in place, project them, and L2-renormalize each."""
+    """Center float32 rows in place and project them in float32, then L2-renormalize
+    each projected row in float64; returns float64 rows."""
     if rows.shape[1] != m.in_dim:
         raise ShapeError(f"vectors of dim {rows.shape[1]} do not match projection input dim {m.in_dim}")
-    rows -= m.mean.astype(np.float64)
-    projected = rows @ m.projection.astype(np.float64).T
+    rows -= m.mean
+    projected = (rows @ m.projection.T).astype(np.float64)
     norms = np.sqrt((projected**2).sum(axis=1))
     if np.any(norms == 0.0):
         raise DegenerateInputError("projection collapsed an input to zero (input equals the mean?)")
@@ -146,11 +155,12 @@ def _project_rows(rows: np.ndarray, m: PcaModel) -> np.ndarray:
 
 
 def pca_project(v: np.ndarray, m: PcaModel) -> np.ndarray:
-    """Center, project, and L2-renormalize a single vector."""
+    """Center and project a single vector in float32, and L2-renormalize it in
+    float64; v itself is left alone."""
     v = np.asarray(v)
     if v.ndim != 1:
         raise ShapeError(f"pca_project expects a rank-1 vector, got rank {v.ndim}")
-    return _project_rows(v[None, :].astype(np.float64), m)[0]
+    return _project_rows(v[None, :].astype(np.float32), m)[0]
 
 
 @dataclass(frozen=True)
@@ -251,35 +261,38 @@ def extract_patch_descriptors(
     idx = np.arange(h * w).reshape(h, w)
     win = np.lib.stride_tricks.sliding_window_view(idx, (grid.d_y, grid.d_x))[:: grid.stride, :: grid.stride]
     flat = _vlad_head(x, soft_assign(x, vlad), win.reshape(grid.count, -1), vlad, pca)
-    return PatchDescriptorSet(descriptors=flat.astype(np.float32), grid=grid)
+    return PatchDescriptorSet(descriptors=flat.astype(np.float32, copy=False), grid=grid)
 
 
 def window_residuals(x: np.ndarray, assignments: np.ndarray, windows: np.ndarray, p: VladParams) -> np.ndarray:
     """(windows, K, D) float64 residual sums, one batched product over every row of
     indices into x in windows: block w is vlad_raw(x[windows[w]], assignments[windows[w]], p).T."""
     aw = assignments[windows]
-    raw = np.matmul(aw.transpose(0, 2, 1), x.astype(np.float64)[windows])
-    mass = aw.sum(axis=1)
-    centers = p.centers.astype(np.float64)
-    for p0 in range(0, len(raw), 32):  # in slices, so that no second (windows, K, D) array is built
-        raw[p0 : p0 + 32] -= mass[p0 : p0 + 32, :, None] * centers
+    raw = np.matmul(aw.transpose(0, 2, 1), x[windows].astype(np.float64))
+    raw -= aw.sum(axis=1)[:, :, None] * p.centers.astype(np.float64)
     return raw
 
 
 def _vlad_head(
     x: np.ndarray, assignments: np.ndarray, windows: np.ndarray, p: VladParams, pca: Optional[PcaModel]
 ) -> np.ndarray:
-    """The VLAD head, one float64 row per window: residual sums, L2 per cluster (a zero
-    block stays zero), L2 of the whole (a zero whole is refused), then the projection."""
-    raw = window_residuals(x, assignments, windows, p)
-    norms = np.sqrt(np.einsum("pkd,pkd->pk", raw, raw))
-    raw /= np.where(norms > 0.0, norms, 1.0)[:, :, None]
-    flat = raw.reshape(len(raw), -1)
-    totals = np.sqrt(np.einsum("pj,pj->p", flat, flat))
-    if np.any(totals == 0.0):
-        raise DegenerateInputError("a window produced an identically zero descriptor")
-    flat /= totals[:, None]
-    return flat if pca is None else _project_rows(flat, pca)
+    """The VLAD head, one row per window: residual sums, L2 per cluster (a zero block
+    stays zero) and L2 of the whole (a zero whole is refused) in float64, a band of
+    windows at a time, rounded into float32 rows; then the projection, if any."""
+    k, d = p.centers.shape
+    out = np.empty((len(windows), k * d), dtype=np.float32)
+    band = max(1, HEAD_BAND_BYTES // (k * d * 8))
+    for w0 in range(0, len(windows), band):
+        raw = window_residuals(x, assignments, windows[w0 : w0 + band], p)
+        norms = np.sqrt(np.einsum("pkd,pkd->pk", raw, raw))
+        raw /= np.where(norms > 0.0, norms, 1.0)[:, :, None]
+        flat = raw.reshape(len(raw), -1)
+        totals = np.sqrt(np.einsum("pj,pj->p", flat, flat))
+        if np.any(totals == 0.0):
+            raise DegenerateInputError("a window produced an identically zero descriptor")
+        flat /= totals[:, None]
+        out[w0 : w0 + band] = flat
+    return out if pca is None else _project_rows(out, pca)
 
 
 def _as_assignments(assignments: np.ndarray, n: int, p: VladParams) -> np.ndarray:

@@ -1,17 +1,23 @@
 """Dense tensor kernels the rest of the package computes with.
 
 Activations are float32 arrays, laid out (batch, channels, height, width) and
-row-major. Precision policy: the backbone and the VLAD projection reduce
-(convolution dot products, norms, softmax sums) in float64 for now before
-results are cast back, so comparisons against slow references are stable.
-Attention may run in float32, the dtype of stored patch sets. The score
-matrix, Sinkhorn, the loss and its gradient, and anything an oracle checks at
-1e-6 run in float64.
+row-major. Precision policy:
+- the backbone's convolution GEMMs, batch norm and resizing compute in float64
+  before results are cast back to float32;
+- the VLAD head (residual sums, per-cluster and whole-vector L2) is float64;
+- the VLAD projection is a float32 GEMM whose rows are renormalized in float64;
+- attention runs in the dtype of its inputs, float32 for stored patch sets;
+- the score matrix, Sinkhorn, the loss and its gradient, and anything an
+  oracle checks at 1e-6 run in float64.
+float32 convolution GEMMs and a float32 VLAD head were both measured and miss
+the oracle tolerances, so those stages stay float64.
 
-A convolution is one float64 GEMM per image: the taps are copied, cast to
-float64 on the way, into a (channels, kh, kw, out_h, out_w) column buffer
-straight from the unpadded input, and the product with the flattened weight
-comes out in (out_channels, out_h, out_w) order, so no transpose follows.
+A convolution is one float64 GEMM per band of output rows: the taps are
+copied, cast to float64 on the way, into a (channels, kh, kw, rows, out_w)
+column buffer straight from the unpadded input, and the product with the
+flattened weight comes out in (out_channels, rows, out_w) order, so no
+transpose follows. A band holds about CONV_BAND_BYTES of columns; the result
+does not depend on the band size.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ from .errors import ShapeError
 
 # A Tensor4 is a plain ndarray; the alias marks the (B, C, H, W) float32 contract.
 Tensor4 = np.ndarray
+
+# Bytes of float64 columns conv2d fills per GEMM; a band is at least one output row.
+CONV_BAND_BYTES = 8 << 20
 
 
 def as_tensor4(x: np.ndarray) -> Tensor4:
@@ -120,11 +129,12 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     """Cross-correlate x with p.weight and add p.bias.
 
     Output spatial size along each axis is floor((in + 2*padding - kernel)/stride) + 1.
-    Each image fills one float64 column buffer of shape (in_channels, kh, kw,
-    out_h, out_w), one strided slice of the unpadded input per tap, with zeros
-    where a tap reads padding; then weight.reshape(out, in*kh*kw) @ columns is
-    one GEMM whose result is already in (out, out_h, out_w) order. Products
-    accumulate in float64; the output is a fresh contiguous float32 array.
+    Each band of output rows (about CONV_BAND_BYTES of columns) fills a float64
+    column buffer of shape (in_channels, kh, kw, rows, out_w), one strided slice
+    of the unpadded input per tap, with zeros where a tap reads padding; then
+    weight.reshape(out, in*kh*kw) @ columns is one GEMM whose result is already
+    in (out, rows, out_w) order. Products accumulate in float64; the output is a
+    fresh contiguous float32 array.
     """
     x = as_tensor4(x)
     b, c, h, w = x.shape
@@ -137,37 +147,40 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     ow = conv_output_size(w, kw, p.stride, p.padding)
     stride, pad = p.stride, p.padding
 
-    def span(tap: int, size: int, out: int) -> tuple[slice, slice]:
-        """The outputs o whose input index o*stride + tap - pad lies in [0, size), and that input slice."""
-        lo = max(0, -((tap - pad) // stride))
-        hi = max(lo, min(out, (size - 1 + pad - tap) // stride + 1))
+    def span(tap: int, size: int, start: int, stop: int) -> tuple[slice, slice]:
+        """The outputs o in [start, stop) whose input index o*stride + tap - pad lies in
+        [0, size), counted from start, and that input slice."""
+        lo = max(start, -((tap - pad) // stride))
+        hi = max(lo, min(stop, (size - 1 + pad - tap) // stride + 1))
         first = lo * stride + tap - pad
-        return slice(lo, hi), slice(first, first + (hi - lo - 1) * stride + 1, stride)
+        return slice(lo - start, hi - start), slice(first, first + (hi - lo - 1) * stride + 1, stride)
 
-    cols = np.empty((c, kh, kw, oh, ow), dtype=np.float64)
-    copies = []  # (column view, input row slice, input column slice) per tap that reads any input
-    for u in range(kh):
-        out_rows, in_rows = span(u, h, oh)
-        for v in range(kw):
-            out_cols, in_cols = span(v, w, ow)
-            tap = cols[:, u, v]
-            tap[:, : out_rows.start] = 0.0
-            tap[:, out_rows.stop :] = 0.0
-            tap[:, :, : out_cols.start] = 0.0
-            tap[:, :, out_cols.stop :] = 0.0
-            if out_rows.stop > out_rows.start and out_cols.stop > out_cols.start:
-                copies.append((tap[:, out_rows, out_cols], in_rows, in_cols))
-
-    flat_w = p.weight.reshape(p.out_channels, c * kh * kw).astype(np.float64)
+    depth = c * kh * kw
+    band = max(1, min(oh, CONV_BAND_BYTES // (depth * ow * 8)))  # output rows per band
+    col_buf = np.empty(depth * band * ow, dtype=np.float64)
+    prod_buf = np.empty(p.out_channels * band * ow, dtype=np.float64)
+    col_spans = [span(v, w, 0, ow) for v in range(kw)]
+    flat_w = p.weight.reshape(p.out_channels, depth).astype(np.float64)
     bias = p.bias.astype(np.float64)[:, None]
-    prod = np.empty((p.out_channels, oh * ow), dtype=np.float64)
     out = np.empty((b, p.out_channels, oh, ow), dtype=np.float32)
     for n in range(b):
-        for dst, in_rows, in_cols in copies:
-            dst[...] = x[n, :, in_rows, in_cols]
-        np.matmul(flat_w, cols.reshape(c * kh * kw, oh * ow), out=prod)
-        prod += bias
-        out[n] = prod.reshape(p.out_channels, oh, ow)
+        for r0 in range(0, oh, band):
+            rows = min(band, oh - r0)
+            cols = col_buf[: depth * rows * ow].reshape(c, kh, kw, rows, ow)
+            for u in range(kh):
+                out_rows, in_rows = span(u, h, r0, r0 + rows)
+                for v, (out_cols, in_cols) in enumerate(col_spans):
+                    tap = cols[:, u, v]
+                    tap[:, : out_rows.start] = 0.0
+                    tap[:, out_rows.stop :] = 0.0
+                    tap[:, :, : out_cols.start] = 0.0
+                    tap[:, :, out_cols.stop :] = 0.0
+                    if out_rows.stop > out_rows.start and out_cols.stop > out_cols.start:
+                        tap[:, out_rows, out_cols] = x[n, :, in_rows, in_cols]
+            prod = prod_buf[: p.out_channels * rows * ow].reshape(p.out_channels, rows * ow)
+            np.matmul(flat_w, cols.reshape(depth, rows * ow), out=prod)
+            prod += bias
+            out[n, :, r0 : r0 + rows] = prod.reshape(p.out_channels, rows, ow)
     return out
 
 

@@ -108,6 +108,18 @@ def patch_descriptors_loop(
     return raw.astype(np.float32)
 
 
+def float64_projection(rows: np.ndarray, m) -> np.ndarray:
+    """Center rows by m.mean, project them by m.projection and L2-renormalize
+    each, all in float64.
+
+    The projection the package ran before it projected float32 rows in
+    float32, kept as a reference with descriptor._project_rows's signature.
+    Returns float64 rows.
+    """
+    projected = (rows.astype(np.float64) - m.mean.astype(np.float64)) @ m.projection.astype(np.float64).T
+    return projected / np.sqrt((projected**2).sum(axis=1))[:, None]
+
+
 def vlad_double_loop(x: np.ndarray, a: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Residual aggregation elementwise: V[j, k] = sum_i a[i, k] (x[i, j] - c[k, j])."""
     n, d = x.shape

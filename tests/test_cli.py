@@ -43,6 +43,7 @@ from vprkit.retrieval import DescriptorIndex, GeoTag, IndexEntry, global_retriev
 from vprkit.selfcheck import run_all
 
 from make_golden import GOLDEN, eval_results
+from oracles import float64_projection
 
 SEED = 11311
 
@@ -576,6 +577,29 @@ class TestEval:
             for stage in ("initial", "reranked"):
                 assert [i for i, _ in new[stage]] == [i for i, _ in old[stage]], (new["query_id"], stage)
                 assert_allclose([s for _, s in new[stage]], [s for _, s in old[stage]], rtol=0, atol=1e-12)
+            assert new["unconverged"] == old["unconverged"], new["query_id"]
+
+    def test_float64_projection_gives_the_same_results(self, tmp_path, monkeypatch):
+        """Projecting in float64, as the package did before it projected in float32,
+        for the index and the queries alike: the same orders and unconverged ids,
+        scores within 1e-7."""
+
+        def run(root, patched):
+            root.mkdir()
+            manifest, index, weights = index_eval_corpus(root)
+            argv = ["eval", str(manifest), "--index", str(index), "--weights", str(weights), *EVAL_FLAGS]
+            return eval_results(argv, patched)
+
+        with monkeypatch.context() as patched:
+            got = run(tmp_path / "float32", patched)
+        with monkeypatch.context() as patched:
+            patched.setattr(descriptor, "_project_rows", float64_projection)
+            want = run(tmp_path / "float64", patched)
+        assert [q["query_id"] for q in got] == [q["query_id"] for q in want]
+        for new, old in zip(got, want):
+            for stage in ("initial", "reranked"):
+                assert [i for i, _ in new[stage]] == [i for i, _ in old[stage]], (new["query_id"], stage)
+                assert_allclose([s for _, s in new[stage]], [s for _, s in old[stage]], rtol=0, atol=1e-7)
             assert new["unconverged"] == old["unconverged"], new["query_id"]
 
     def test_patch_grid_comes_from_the_index(self, tmp_path, monkeypatch):

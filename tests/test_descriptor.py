@@ -14,6 +14,7 @@ from oracles import (
     patch_placements,
     vlad_double_loop,
 )
+from vprkit import descriptor
 from vprkit.descriptor import (
     PcaModel,
     VladParams,
@@ -281,6 +282,46 @@ class TestPatchDescriptorsAgainstLoop:
         fmap[:, :, 2:4, 4:6] = 0.0
         with pytest.raises(DegenerateInputError, match="identically zero"):
             extract_patch_descriptors(fmap, make_patch_grid(4, 6, 2, 2, stride=2), p, None)
+
+
+class TestHeadBands:
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_band_size_does_not_change_the_rows(self, projected, monkeypatch):
+        """One window per band, three (with a shorter last band), and one band over
+        everything give the same bits, for the grid's windows and for one whole-map window."""
+        rng = np.random.default_rng(SEED + 23)
+        p = random_vlad_params(dim=5, clusters=3, rng=rng)
+        fmap = rng.standard_normal((1, 5, 9, 11)).astype(np.float32)
+        pca = _centred_projection(rng) if projected else None
+        x = feature_map_descriptors(fmap)
+        a = soft_assign(x, p)
+        idx = np.arange(99).reshape(9, 11)
+        windows = np.lib.stride_tricks.sliding_window_view(idx, (2, 2)).reshape(-1, 4)
+        whole_map = idx.reshape(1, -1)
+        got = {}
+        for band_bytes in (1 << 40, 1, 3 * 3 * 5 * 8):
+            monkeypatch.setattr(descriptor, "HEAD_BAND_BYTES", band_bytes)
+            got[band_bytes] = [descriptor._vlad_head(x, a, w, p, pca) for w in (windows, whole_map)]
+        for rows, whole in got.values():
+            assert rows.shape == (80, 6 if projected else 15) and whole.shape[0] == 1
+            assert rows.dtype == whole.dtype == (np.float64 if projected else np.float32)
+            assert_array_equal(rows, got[1 << 40][0])
+            assert_array_equal(whole, got[1 << 40][1])
+
+    def test_unprojected_rows_are_not_copied(self, monkeypatch):
+        rng = np.random.default_rng(SEED + 24)
+        p = random_vlad_params(dim=5, clusters=3, rng=rng)
+        fmap = rng.standard_normal((1, 5, 4, 4)).astype(np.float32)
+        rows = []
+        head = descriptor._vlad_head
+
+        def recording(*args):
+            rows.append(head(*args))
+            return rows[-1]
+
+        monkeypatch.setattr(descriptor, "_vlad_head", recording)
+        got = extract_patch_descriptors(fmap, make_patch_grid(4, 4, 2, 2), p, None)
+        assert got.descriptors is rows[0]
 
 
 class TestFeatureMapLayout:

@@ -7,8 +7,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import build_corpus
-from oracles import conv2d_im2col, patch_descriptors_loop
-from vprkit import backbone, pipeline
+from oracles import conv2d_im2col, float64_projection, patch_descriptors_loop
+from vprkit import backbone, descriptor, pipeline
 from vprkit.backbone import NetworkSpec, StageSpec, backbone_forward
 from vprkit.descriptor import PatchDescriptorSet, extract_patch_descriptors, global_descriptor, make_patch_grid
 from vprkit.errors import FormatError, ShapeError
@@ -139,6 +139,28 @@ class TestExtractImage:
             assert_array_equal(patches.descriptors, want_patches.descriptors)
 
 
+# The acceptance gate's self-retrieval network and images (criterion 08).
+C08_SPEC = NetworkSpec(
+    stages=(
+        StageSpec(layer_count=1, out_channels=16),
+        StageSpec(layer_count=2, out_channels=24),
+        StageSpec(layer_count=2, out_channels=32),
+    ),
+    input_dims=(120, 160),
+)
+
+
+def c08_corpus(root) -> list[ManifestRecord]:
+    """Criterion 08's twenty 120x160 noise images, written under root as database records."""
+    rng = np.random.default_rng(20260821 + 8)
+    records = []
+    for i in range(20):
+        path = root / f"place{i:02d}.ppm"
+        write_ppm(path, rng.integers(0, 256, size=(120, 160, 3), dtype=np.uint8))
+        records.append(ManifestRecord(f"db{i:02d}", str(path), 100.0 * i, 0.0, "database"))
+    return records
+
+
 class TestExtractionAgainstOldKernels:
     """On the acceptance gate's self-retrieval fixtures (criterion 08), the
     tap-by-tap convolution and the batched patch VLAD give the descriptors
@@ -147,24 +169,11 @@ class TestExtractionAgainstOldKernels:
 
     @pytest.mark.parametrize("fused", [False, True])
     def test_same_index_and_rankings(self, tmp_path, monkeypatch, fused):
-        spec = NetworkSpec(
-            stages=(
-                StageSpec(layer_count=1, out_channels=16),
-                StageSpec(layer_count=2, out_channels=24),
-                StageSpec(layer_count=2, out_channels=32),
-            ),
-            input_dims=(120, 160),
-        )
-        model = random_model(seed=0, spec=spec, clusters=8, pca_dim=32).with_fused()
+        model = random_model(seed=0, spec=C08_SPEC, clusters=8, pca_dim=32).with_fused()
         settings = ExtractionSettings(
             patch_size=2, patch_stride=1, input_dims=(120, 160), strict_dims=False, fused=fused
         )
-        rng = np.random.default_rng(20260821 + 8)
-        records = []
-        for i in range(20):
-            path = tmp_path / f"place{i:02d}.ppm"
-            write_ppm(path, rng.integers(0, 256, size=(120, 160, 3), dtype=np.uint8))
-            records.append(ManifestRecord(f"db{i:02d}", str(path), 100.0 * i, 0.0, "database"))
+        records = c08_corpus(tmp_path)
 
         def old_conv2d(x, p):
             return conv2d_im2col(x, p.weight, p.bias, p.stride, p.padding)
@@ -208,3 +217,32 @@ class TestExtractionAgainstOldKernels:
             assert reranked.ids() == old_reranked.ids()
             assert reranked.ids()[0] == initial.query_id
             assert_allclose([s for _, s in initial.ranked], [s for _, s in old_initial.ranked], rtol=0, atol=1e-6)
+
+
+class TestFloat32Projection:
+    def test_same_rankings_as_float64(self, tmp_path, monkeypatch):
+        """On criterion 08's corpus and model, every image queried against all twenty
+        (its own indexed descriptors standing in for the pixel-identical query):
+        projecting in float32 gives the float64 projection's stage-one and re-ranked
+        orders and unconverged ids, with scores within 1e-7."""
+        model = random_model(seed=0, spec=C08_SPEC, clusters=8, pca_dim=32)
+        settings = ExtractionSettings(patch_size=2, patch_stride=1, input_dims=(120, 160), strict_dims=False)
+        records = c08_corpus(tmp_path)
+
+        def search():
+            index, patch_store = extract_index(records, model, settings)
+            rankings = []
+            for entry in index.entries:
+                initial = global_retrieve(entry.descriptor, index, entry.image_id, k=20)
+                patches = patch_store[entry.image_id]
+                rankings.append((initial, rerank(patches, initial, patch_store, model.matcher, reg=0.02)))
+            return rankings
+
+        got = search()
+        monkeypatch.setattr(descriptor, "_project_rows", float64_projection)
+        want = search()
+        for (initial, reranked), (old_initial, old_reranked) in zip(got, want):
+            assert initial.ids() == old_initial.ids()
+            assert (reranked.ids(), reranked.unconverged) == (old_reranked.ids(), old_reranked.unconverged)
+            for new, old in ((initial, old_initial), (reranked, old_reranked)):
+                assert_allclose([s for _, s in new.ranked], [s for _, s in old.ranked], rtol=0, atol=1e-7)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import conv2d_im2col, conv2d_loops
+from vprkit import tensor
 from vprkit.errors import ShapeError
 from vprkit.tensor import (
     BatchNormParams,
@@ -72,6 +73,23 @@ class TestConv2d:
         want = conv2d_im2col(x, p.weight, p.bias, stride, padding)
         assert got.shape == want.shape and got.dtype == np.float32 and got.flags.c_contiguous
         assert_allclose(got, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_band_size_does_not_change_the_result(self, k, stride, padding, batch, monkeypatch):
+        """One output row per band, two and three rows (with a shorter last band), and
+        one band over everything give the same bits."""
+        rng = np.random.default_rng(SEED + 9)
+        x = rng.standard_normal((batch, 3, 9, 7)).astype(np.float32)
+        p = random_conv(rng, 3, 5, k, stride, padding)
+        monkeypatch.setattr(tensor, "CONV_BAND_BYTES", 1 << 40)
+        whole = conv2d(x, p)
+        row_bytes = 3 * k * k * conv_output_size(7, k, stride, padding) * 8
+        for band_bytes in (1, 2 * row_bytes, 3 * row_bytes):
+            monkeypatch.setattr(tensor, "CONV_BAND_BYTES", band_bytes)
+            assert_array_equal(conv2d(x, p), whole)
 
     def test_tap_entirely_in_padding(self):
         # A 1-pixel-high input padded by 2 under a 3x3 kernel at stride 3: the

@@ -1,0 +1,178 @@
+"""Run alternated parent/change pairs of the benchmark and write a BENCH_<n>.json.
+
+    python3 tools/bench_pairs.py PARENT_REV --workload index-build --pairs 10 --seeds 3 4 5 6 --out BENCH_14.json
+
+The parent side is PARENT_REV, exported with `git archive` into a temporary
+directory; the change side is the working tree. Each pair runs the unmodified
+benchmark command of BENCHMARK.json (vprbench/run.py) once on each side,
+untraced, at the same seed and for BENCHMARK.json's run length: the parent
+first on even pairs and the change first on odd ones, so that drift in the
+machine's speed falls on both sides alike. The seeds are used in turn.
+
+For every workload and end-to-end metric the file holds each side's quartiles
+and median, computed as vprbench/spread.py computes them
+(statistics.quantiles(values, n=4)); how many pairs the change won; the
+change's median gain in the metric's better direction; and whether that gain
+exceeds the distance between the parent's quartiles. It also records every
+run's values, the machine (cores, BLAS, the thread pin), both revisions with a
+digest of their src/vprkit sources, and the seeds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The same pin vprbench/run.py sets for itself, set here too so that it is recorded.
+THREAD_PIN = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    """First quartile, median and third quartile, as statistics.quantiles(n=4) gives them."""
+    if len(values) < 2:
+        return {"q1": values[0], "median": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(parent: list[dict[str, float]], change: list[dict[str, float]], better: dict[str, str]) -> dict:
+    """Per metric of better (name -> "lower" or "higher"): both sides' quartiles over
+    the paired runs (parent[i] pairs with change[i]), the change's wins, its median
+    gain in the better direction, and whether that gain exceeds the parent's
+    quartile distance."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError(f"need equal, nonzero numbers of runs; got {len(parent)} and {len(change)}")
+    out = {}
+    for name, direction in better.items():
+        sign = 1.0 if direction == "lower" else -1.0
+        p = [run[name] for run in parent]
+        c = [run[name] for run in change]
+        pq, cq = quartiles(p), quartiles(c)
+        gain = sign * (pq["median"] - cq["median"])
+        spread = pq["q3"] - pq["q1"]
+        out[name] = {
+            "better": direction,
+            "parent": pq,
+            "change": cq,
+            "wins": sum(sign * (a - b) > 0 for a, b in zip(p, c)),
+            "pairs": len(p),
+            "median_gain": gain,
+            "parent_quartile_distance": spread,
+            "gain_exceeds_parent_spread": gain > spread,
+        }
+    return out
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
+
+
+def src_digest(tree: Path) -> str:
+    """sha256 over the names and bytes of tree/src/vprkit/*.py, in name order."""
+    h = hashlib.sha256()
+    for path in sorted((tree / "src" / "vprkit").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def export(rev: str, dest: Path) -> None:
+    """The committed files of rev, written under dest."""
+    data = subprocess.run(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def machine() -> dict:
+    import numpy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "cpu_count": os.cpu_count(),
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "thread_pin": THREAD_PIN,
+        "numpy": numpy.__version__,
+        "python": platform.python_version(),
+    }
+
+
+def run_bench(tree: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
+    """One untraced run in tree; its failed/attempted counts and end-to-end metric values."""
+    cmd = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    env = dict(os.environ, **THREAD_PIN)
+    out = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    return {"failed": result["failed"], "attempted": result["attempted"], "metrics": metrics}
+
+
+def main(argv: list[str] | None = None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent_rev", metavar="PARENT_REV")
+    parser.add_argument("--workload", nargs="+", required=True, choices=[w["name"] for w in spec["workloads"]])
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    seconds = spec["run_seconds"]
+    record = {
+        "parent": {"rev": git("rev-parse", f"{args.parent_rev}^{{commit}}")},
+        "change": {"rev": git("rev-parse", "HEAD"), "uncommitted": bool(git("status", "--porcelain", "--", "src"))},
+        "seeds": args.seeds,
+        "pairs": args.pairs,
+        "run_seconds": seconds,
+        "machine": machine(),
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_tree = Path(tmp)
+        export(record["parent"]["rev"], parent_tree)
+        record["parent"]["src_sha256"] = src_digest(parent_tree)
+        record["change"]["src_sha256"] = src_digest(ROOT)
+        trees = {"parent": parent_tree, "change": ROOT}
+        for workload in args.workload:
+            runs = []
+            for i in range(args.pairs):
+                seed = args.seeds[i % len(args.seeds)]
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {"pair": i, "seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run_bench(trees[side], spec["command"], workload, seed, seconds)
+                    shown = {k: round(v, 4) for k, v in pair[side]["metrics"].items()}
+                    print(f"{workload} pair {i} seed {seed} {side}: {shown}", file=sys.stderr, flush=True)
+                runs.append(pair)
+            parent_metrics = [r["parent"]["metrics"] for r in runs]
+            record["workloads"][workload] = {
+                "summary": summarize(parent_metrics, [r["change"]["metrics"] for r in runs], better),
+                "failed": {side: sum(r[side]["failed"] for r in runs) for side in trees},
+                "attempted": {side: sum(r[side]["attempted"] for r in runs) for side in trees},
+                "runs": runs,
+            }
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    for workload, w in record["workloads"].items():
+        for name, s in w["summary"].items():
+            print(
+                f"{workload} {name}: parent {s['parent']['median']:.6g} change {s['change']['median']:.6g} "
+                f"wins {s['wins']}/{s['pairs']} gain {s['median_gain']:.4g} "
+                f"parent spread {s['parent_quartile_distance']:.4g}"
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
