@@ -78,6 +78,7 @@ class RunConfig:
         need(self.candidates >= 1, f"candidates must be >= 1, got {self.candidates}")
         need(self.radius_m >= 0, f"radius_m must be >= 0, got {self.radius_m}")
         need(self.threads >= 1, f"threads must be >= 1, got {self.threads}")
+        need(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         need(self.input_height >= 16 and self.input_width >= 16, "input dims must be at least 16 per axis")
         return self
 

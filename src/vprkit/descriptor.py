@@ -154,15 +154,6 @@ def _project_rows(rows: np.ndarray, m: PcaModel) -> np.ndarray:
     return projected / norms[:, None]
 
 
-def pca_project(v: np.ndarray, m: PcaModel) -> np.ndarray:
-    """Center and project a single vector in float32, and L2-renormalize it in
-    float64; v itself is left alone."""
-    v = np.asarray(v)
-    if v.ndim != 1:
-        raise ShapeError(f"pca_project expects a rank-1 vector, got rank {v.ndim}")
-    return _project_rows(v[None, :].astype(np.float32), m)[0]
-
-
 @dataclass(frozen=True)
 class PatchGrid:
     """Dense grid of d_x by d_y windows over an (height, width) feature map at a fixed stride."""
@@ -217,10 +208,6 @@ class PatchDescriptorSet:
     @property
     def count(self) -> int:
         return self.descriptors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.descriptors.shape[1]
 
 
 def feature_map_descriptors(fmap: Tensor4) -> np.ndarray:

@@ -244,7 +244,15 @@ def model_to_tensors(model: ModelParams) -> dict[str, np.ndarray]:
 
 def model_from_tensors(t: Mapping[str, np.ndarray]) -> ModelParams:
     try:
-        stages = tuple(StageSpec(int(r[0]), int(r[1]), int(r[2])) for r in _field(t, "spec.stages", (-1, 3)))
+        table = _field(t, "spec.stages", (-1, 3))
+        # Every layer stores at least one tensor, so a layout is checked before its plan is built.
+        layers = table[:, 0].astype(np.int64)
+        if (layers < 0).any() or layers.sum() > len(t):
+            raise FormatError(
+                f"tensor 'spec.stages' declares layer counts summing to {layers.sum()}; each must be >= 0 and the "
+                f"sum at most the {len(t)} tensors in the file"
+            )
+        stages = tuple(StageSpec(int(r[0]), int(r[1]), int(r[2])) for r in table)
         input_dims = _field(t, "spec.input_dims", (2,))
         spec = NetworkSpec(
             stages=stages,

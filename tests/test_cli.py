@@ -42,7 +42,7 @@ from vprkit.descriptor import GlobalDescriptor, PatchDescriptorSet, PatchGrid
 from vprkit.retrieval import DescriptorIndex, GeoTag, IndexEntry, global_retrieve, rerank
 from vprkit.selfcheck import run_all
 
-from make_golden import GOLDEN, eval_results
+from make_golden import GOLDEN, GOLDEN_TRANSPORT, eval_results
 from oracles import float64_projection
 
 SEED = 11311
@@ -188,9 +188,20 @@ class TestConfigResolution:
             ("candidates", 0),
             ("radius_m", -1.0),
             ("input_height", 8),
+            ("seed", -1),
         ]:
             with pytest.raises(ConfigError):
                 resolve_config(self.args(**{field: bad}))
+
+    @pytest.mark.parametrize("command", [["selfcheck"], ["extract", "manifest.csv"]], ids=["selfcheck", "extract"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command, source):
+        """Exit 2 with the setting named, not numpy's traceback and not selfcheck's exit 1."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n", encoding="utf-8")
+        extra = ["--seed", "-3"] if source == "flag" else ["--config", str(cfg)]
+        assert main([*command, *extra]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -570,7 +581,7 @@ class TestEval:
         scores within 1e-12; make_golden.py says when the file may be rewritten."""
         manifest, index, weights = indexed
         argv = ["eval", str(manifest), "--index", str(index), "--weights", str(weights), *EVAL_FLAGS]
-        got = eval_results(argv, monkeypatch)
+        got, _ = eval_results(argv, monkeypatch)
         want = json.loads(GOLDEN.read_text(encoding="utf-8"))
         assert [q["query_id"] for q in got] == [q["query_id"] for q in want]
         for new, old in zip(got, want):
@@ -578,6 +589,14 @@ class TestEval:
                 assert [i for i, _ in new[stage]] == [i for i, _ in old[stage]], (new["query_id"], stage)
                 assert_allclose([s for _, s in new[stage]], [s for _, s in old[stage]], rtol=0, atol=1e-12)
             assert new["unconverged"] == old["unconverged"], new["query_id"]
+
+    def test_golden_transport(self, indexed, monkeypatch):
+        """Each matched pair's Sinkhorn iteration count and convergence flag, in match
+        order, exactly as recorded in tests/golden/transport.json."""
+        manifest, index, weights = indexed
+        argv = ["eval", str(manifest), "--index", str(index), "--weights", str(weights), *EVAL_FLAGS]
+        _, got = eval_results(argv, monkeypatch)
+        assert got == json.loads(GOLDEN_TRANSPORT.read_text(encoding="utf-8"))
 
     def test_float64_projection_gives_the_same_results(self, tmp_path, monkeypatch):
         """Projecting in float64, as the package did before it projected in float32,
@@ -588,7 +607,7 @@ class TestEval:
             root.mkdir()
             manifest, index, weights = index_eval_corpus(root)
             argv = ["eval", str(manifest), "--index", str(index), "--weights", str(weights), *EVAL_FLAGS]
-            return eval_results(argv, patched)
+            return eval_results(argv, patched)[0]
 
         with monkeypatch.context() as patched:
             got = run(tmp_path / "float32", patched)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import (
+    float64_projection,
     normalized_vlad_reference,
     patch_descriptors_loop,
     patch_placements,
@@ -22,7 +23,6 @@ from vprkit.descriptor import (
     feature_map_descriptors,
     global_descriptor,
     make_patch_grid,
-    pca_project,
     random_projection,
     random_vlad_params,
     soft_assign,
@@ -118,23 +118,15 @@ class TestPca:
     def test_project_renormalizes(self):
         rng = np.random.default_rng(SEED + 10)
         m = random_projection(in_dim=8, out_dim=4, rng=rng)
-        v = rng.standard_normal(8).astype(np.float32) * 7.0
-        out = pca_project(v, m)
-        assert out.shape == (4,)
-        assert_allclose(np.linalg.norm(out), 1.0, atol=1e-6)
+        rows = rng.standard_normal((2, 8)).astype(np.float32) * 7.0
+        out = descriptor._project_rows(rows, m)
+        assert out.shape == (2, 4)
+        assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-6)
 
     def test_project_zero_refused(self):
         m = random_projection(in_dim=4, out_dim=2, rng=np.random.default_rng(3))
         with pytest.raises(DegenerateInputError):
-            pca_project(np.zeros(4, dtype=np.float32), m)
-
-    def test_project_leaves_input_alone(self):
-        rng = np.random.default_rng(SEED + 15)
-        m = PcaModel(projection=random_projection(6, 3, rng).projection, mean=rng.standard_normal(6).astype(np.float32))
-        v = rng.standard_normal(6)
-        before = v.copy()
-        pca_project(v, m)
-        assert_array_equal(v, before)
+            descriptor._project_rows(np.zeros((1, 4), dtype=np.float32), m)
 
     def test_random_projection_deterministic(self):
         a = random_projection(6, 3, np.random.default_rng(12))
@@ -193,8 +185,7 @@ class TestPatchDescriptors:
         got = extract_patch_descriptors(fmap, grid, p, proj)
         bare = extract_patch_descriptors(fmap, grid, p, None)
         assert got.descriptors.shape == (9, 4)
-        for row, raw in zip(got.descriptors, bare.descriptors):
-            assert_allclose(row, pca_project(raw, proj), atol=1e-6)
+        assert_allclose(got.descriptors, float64_projection(bare.descriptors, proj), atol=1e-6)
 
     def test_grid_mismatch_refused(self):
         rng = np.random.default_rng(SEED + 13)

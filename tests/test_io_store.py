@@ -218,6 +218,30 @@ class TestWeightsFile:
         with pytest.raises(FormatError, match=f"'matcher.modes' holds {bad},"):
             model_from_tensors(table)
 
+    def test_negative_layer_count_refused(self, small_model):
+        table = model_to_tensors(small_model)
+        table["spec.stages"] = table["spec.stages"].copy()
+        table["spec.stages"][1, 0] = -1
+        with pytest.raises(FormatError, match="'spec.stages'"):
+            model_from_tensors(table)
+
+    def test_huge_layer_count_refused_in_bounded_memory(self, small_model, tmp_path):
+        """A stage claiming a million layers fails before the layer plan is built."""
+        table = model_to_tensors(small_model)
+        table["spec.stages"] = table["spec.stages"].copy()
+        table["spec.stages"][1, 0] = 10**6
+        path = tmp_path / "huge.vprw"
+        save_tensors(path, table, WEIGHTS_MAGIC)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as refused:
+                load_weights(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert "'spec.stages'" in str(refused.value)
+
     def test_wrong_file_kind_refused(self, small_model, tmp_path):
         path = tmp_path / "index.vpri"
         save_index(path, DescriptorIndex(entries=()), {})

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import build_corpus
+from make_golden import GOLDEN_C08, c08_results
 from oracles import conv2d_im2col, float64_projection, patch_descriptors_loop
 from vprkit import backbone, descriptor, pipeline
 from vprkit.backbone import NetworkSpec, StageSpec, backbone_forward
@@ -246,3 +249,17 @@ class TestFloat32Projection:
             assert (reranked.ids(), reranked.unconverged) == (old_reranked.ids(), old_reranked.unconverged)
             for new, old in ((initial, old_initial), (reranked, old_reranked)):
                 assert_allclose([s for _, s in new.ranked], [s for _, s in old.ranked], rtol=0, atol=1e-7)
+
+
+class TestGolden:
+    def test_c08_results(self, tmp_path):
+        """Orders and unconverged ids as recorded in tests/golden/c08.json, scores
+        within 1e-12; make_golden.py says when the file may be rewritten."""
+        got = c08_results(tmp_path)
+        want = json.loads(GOLDEN_C08.read_text(encoding="utf-8"))
+        assert [q["query_id"] for q in got] == [q["query_id"] for q in want]
+        for new, old in zip(got, want):
+            for stage in ("initial", "reranked"):
+                assert [i for i, _ in new[stage]] == [i for i, _ in old[stage]], (new["query_id"], stage)
+                assert_allclose([s for _, s in new[stage]], [s for _, s in old[stage]], rtol=0, atol=1e-12)
+            assert new["unconverged"] == old["unconverged"], new["query_id"]
