@@ -40,7 +40,7 @@ from .retrieval import CandidateList, DescriptorIndex, GeoTag, global_retrieve, 
 from .selfcheck import run_all
 from .tensor import conv_output_size
 
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 RECALL_KS = (1, 5, 10)
 
 
@@ -164,6 +164,13 @@ def _resolve_model(cfg: RunConfig) -> ModelParams:
     return model.with_fused()
 
 
+def _timed_model(cfg: RunConfig) -> tuple[ModelParams, float]:
+    """_resolve_model's model and its wall time in seconds, reported as model_seconds."""
+    start = time.perf_counter()
+    model = _resolve_model(cfg)
+    return model, time.perf_counter() - start
+
+
 def _settings(cfg: RunConfig, model: ModelParams, grid: Optional[PatchGrid] = None) -> ExtractionSettings:
     """Extraction settings for the model from _resolve_model; refuses a patch
     that does not fit the feature map the model's own stage layout produces.
@@ -217,7 +224,7 @@ def _table(rows: list[Sequence[str]], out=None) -> None:
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     records = load_manifest(args.manifest)
-    model = _resolve_model(cfg)
+    model, model_seconds = _timed_model(cfg)
     settings = _settings(cfg, model)
     start = time.perf_counter()
     index, patch_store = extract_index(records, model, settings, threads=cfg.threads)
@@ -231,6 +238,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         "extract",
         images=len(index),
         seconds=round(elapsed, 6),
+        model_seconds=round(model_seconds, 6),
         images_per_sec=round(per_sec, 3),
         index=str(args.out),
         descriptor_dim=index.dimension,
@@ -292,7 +300,7 @@ def _search(
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     records = load_manifest(args.manifest)
-    model = _resolve_model(cfg)
+    model, model_seconds = _timed_model(cfg)
     index, patch_store = load_index(args.index)
     if len(index) == 0:
         raise FormatError(f"{args.index}: index is empty")
@@ -335,6 +343,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         database=len(index),
         radius_m=cfg.radius_m,
         candidates=cfg.candidates,
+        model_seconds=round(model_seconds, 6),
         match_seconds=round(match_seconds, 6),
         matched_pairs=pairs,
         unconverged_pairs=unconverged_pairs,
@@ -392,7 +401,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError(f"--images must be >= 1, got {args.images}")
     if not 1 <= args.queries <= args.images:
         raise ConfigError(f"--queries must be in [1, --images], got {args.queries}")
-    model = _resolve_model(cfg)
+    model, model_seconds = _timed_model(cfg)
     settings = _settings(cfg, model)
     rng = np.random.default_rng(cfg.seed)
     h, w = cfg.input_dims()
@@ -415,6 +424,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     report = _Report(args.report)
     report.add(
         "bench",
+        model_seconds=round(model_seconds, 6),
         speed1_extract_ms=round(extract_ms, 3),
         speed2_match_ms=round(match_ms, 3),
         params_multibranch=params_multi,
@@ -433,6 +443,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _table(
         [
             ("metric", "value"),
+            ("model build ms", f"{model_seconds * 1000.0:.1f}"),
             ("extraction ms/image", f"{extract_ms:.1f}"),
             ("matching ms/query", f"{match_ms:.1f}"),
             ("backbone params", str(params_multi)),

@@ -519,6 +519,7 @@ def write_ppm(path: str | Path, image: np.ndarray) -> None:
 
 
 def load_t4(path: str | Path) -> Tensor4:
+    """A .t4 image tensor, refused unless it is one (1, C, H, W) item of finite values."""
     data = Path(path).read_bytes()
     if len(data) < 16:
         raise FormatError(f"{path}: truncated tensor header")
@@ -526,7 +527,14 @@ def load_t4(path: str | Path) -> Tensor4:
     need = math.prod(dims) * 4
     if len(data) - 16 != need:
         raise FormatError(f"{path}: payload is {len(data) - 16} bytes but dims {dims} require {need}")
-    return np.frombuffer(data, dtype="<f4", offset=16).reshape(dims).copy()
+    if dims[0] != 1:
+        raise FormatError(f"{path}: dims {dims} hold a batch of {dims[0]} images; an image tensor holds one")
+    tensor = np.frombuffer(data, dtype="<f4", offset=16).reshape(dims).copy()
+    bad = ~np.isfinite(tensor)
+    if bad.any():
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise FormatError(f"{path}: {int(bad.sum())} non-finite values, the first at (b, c, y, x) = {first}")
+    return tensor
 
 
 def load_image(path: str | Path, input_dims: Optional[tuple[int, int]] = None) -> Tensor4:

@@ -120,6 +120,18 @@ def float64_projection(rows: np.ndarray, m) -> np.ndarray:
     return projected / np.sqrt((projected**2).sum(axis=1))[:, None]
 
 
+def householder_rows(g: np.ndarray) -> np.ndarray:
+    """Float32 orthonormal rows from LAPACK's Householder QR of a tall (in, out)
+    draw g, with each column's sign fixed so that diag(r) is positive.
+
+    The orthonormalization descriptor.random_projection ran before it used
+    shifted Cholesky QR, kept as a reference. Returns the (out, in) rows.
+    """
+    q, r = np.linalg.qr(g)
+    q = q * np.sign(np.diag(r))
+    return q.T.astype(np.float32)
+
+
 def vlad_double_loop(x: np.ndarray, a: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Residual aggregation elementwise: V[j, k] = sum_i a[i, k] (x[i, j] - c[k, j])."""
     n, d = x.shape

@@ -44,6 +44,7 @@ from vprkit.selfcheck import run_all
 
 from make_golden import GOLDEN, GOLDEN_TRANSPORT, eval_results
 from oracles import float64_projection
+from test_io_store import save_t4
 
 SEED = 11311
 
@@ -384,8 +385,21 @@ class TestExtract:
         main(["extract", str(manifest), "--out", str(tmp_path / "i.vpri"), "--report", str(report), *MODEL_FLAGS])
         records = read_report(report)
         assert records[0]["type"] == "extract"
-        assert records[0]["version"] == REPORT_SCHEMA_VERSION == 3
+        assert records[0]["version"] == REPORT_SCHEMA_VERSION == 4
         assert records[0]["images"] == 5
+        assert records[0]["model_seconds"] > 0.0
+
+    def test_non_finite_t4_refused_before_an_index_is_written(self, tmp_path, capsys):
+        manifest = write_corpus(tmp_path, twins=[0], query_positions=[0.0])
+        x = np.zeros((1, 3, 48, 64), dtype=np.float32)
+        x[0, 1, 7, 9] = np.nan
+        bad = tmp_path / "db5.t4"
+        save_t4(bad, x)
+        save_manifest(manifest, [*load_manifest(manifest), ManifestRecord("db5", str(bad), 5000.0, 0.0, "database")])
+        out = tmp_path / "i.vpri"
+        assert main(["extract", str(manifest), "--out", str(out), *MODEL_FLAGS]) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_manifest_is_usage_error(self, tmp_path):
         assert main(["extract", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "i.vpri")]) == 2
@@ -437,6 +451,8 @@ class TestEval:
             assert recalls[(stage, 1)] == pytest.approx(2 / 6)
             assert recalls[(stage, 5)] == pytest.approx(4 / 6)
             assert recalls[(stage, 10)] == pytest.approx(4 / 6)
+        (summary,) = [r for r in read_report(report) if r["type"] == "eval_summary"]
+        assert summary["model_seconds"] > 0.0
 
     def test_manifest_order_irrelevant(self, indexed, tmp_path):
         manifest, index, weights = indexed
@@ -730,7 +746,7 @@ class TestBench:
         "--seed", "3",
     ]
 
-    def test_report_schema_and_static_fields(self, tmp_path):
+    def test_report_schema_and_static_fields(self, tmp_path, capsys):
         r1, r2 = tmp_path / "b1.jsonl", tmp_path / "b2.jsonl"
         assert main([*self.BENCH_FLAGS, "--report", str(r1)]) == 0
         assert main([*self.BENCH_FLAGS, "--report", str(r2)]) == 0
@@ -741,6 +757,8 @@ class TestBench:
         )
         for key in ("speed1_extract_ms", "speed2_match_ms", *static):
             assert key in a
+        assert a["model_seconds"] > 0.0 and b["model_seconds"] > 0.0
+        assert "model build ms" in capsys.readouterr().out
         for key in static:
             assert a[key] == b[key]
         assert "params" not in a and "theo_flops" not in a

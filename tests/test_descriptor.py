@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +13,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import (
     float64_projection,
+    householder_rows,
     normalized_vlad_reference,
     patch_descriptors_loop,
     patch_placements,
     vlad_double_loop,
 )
-from vprkit import descriptor
+from vprkit import descriptor, model
 from vprkit.descriptor import (
     PcaModel,
     VladParams,
@@ -30,6 +34,7 @@ from vprkit.descriptor import (
     vlad_raw,
 )
 from vprkit.errors import DegenerateInputError, ShapeError
+from vprkit.io_store import WEIGHTS_MAGIC, model_to_tensors, pack_tensors
 
 SEED = 90210
 
@@ -133,6 +138,78 @@ class TestPca:
         b = random_projection(6, 3, np.random.default_rng(12))
         assert_array_equal(a.projection, b.projection)
         assert_allclose(a.projection @ a.projection.T, np.eye(3), atol=1e-7)
+
+
+def _float32_ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise distance in float32 units in the last place between a and b."""
+
+    def line(v: np.ndarray) -> np.ndarray:  # float32 bit patterns, made monotonic in the value
+        i = np.asarray(v, dtype=np.float32).view(np.int32).astype(np.int64)
+        return np.where(i < 0, -(i & 0x7FFFFFFF), i)
+
+    return np.abs(line(a) - line(b))
+
+
+def _with_singular_values(n: int, kappa: float, seed: int) -> np.ndarray:
+    """A square (n, n) matrix whose singular values are log-spaced from 1 down to 1/kappa."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (u * np.logspace(0, -np.log10(kappa), n)) @ v.T
+
+
+class TestOrthonormalRows:
+    """Shifted CholeskyQR3 against the Householder QR it replaced (oracles.householder_rows)."""
+
+    # sha256 of the packed tensors of random_model(0), as the Householder QR built it.
+    DEFAULT_MODEL_SHA256 = "41cba8f856ca6e26190818ca28181772337d0be7c0a740dc25613ab297913652"
+
+    def test_default_model_unchanged(self, monkeypatch):
+        draws = []
+
+        def recording(in_dim, out_dim, rng):
+            draws.append((in_dim, out_dim, rng.bit_generator.state))
+            return random_projection(in_dim, out_dim, rng)
+
+        monkeypatch.setattr(model, "random_projection", recording)
+        built = model.random_model(0)
+        (in_dim, out_dim, state), = draws
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
+        assert_array_equal(built.pca.projection, householder_rows(rng.standard_normal((in_dim, out_dim))))
+        packed = pack_tensors(model_to_tensors(built), WEIGHTS_MAGIC)
+        assert hashlib.sha256(packed).hexdigest() == self.DEFAULT_MODEL_SHA256
+
+    @pytest.mark.parametrize(
+        "in_dim, out_dim", [(8, 4), (6, 3), (15, 6), (32, 16), (64, 16), (256, 16), (128, 32), (16, 16), (64, 64)]
+    )
+    def test_within_one_ulp_of_householder(self, in_dim, out_dim):
+        for seed in range(30):
+            got = random_projection(in_dim, out_dim, np.random.default_rng(seed)).projection
+            want = householder_rows(np.random.default_rng(seed).standard_normal((in_dim, out_dim)))
+            assert _float32_ulps(got, want).max() <= 1, seed
+
+    @pytest.mark.parametrize("kappa", [1e4, 1e8, 1e12])
+    def test_orthonormal_when_ill_conditioned(self, kappa):
+        q = descriptor._orthonormal_rows(_with_singular_values(64, kappa, SEED + 60))
+        assert np.abs(q @ q.T - np.eye(64)).max() <= 1e-14
+
+    def test_zero_row_refused(self):
+        x = np.random.default_rng(SEED + 61).standard_normal((16, 40))
+        x[5] = 0.0
+        with pytest.raises(DegenerateInputError, match="16x40"):
+            descriptor._orthonormal_rows(x)
+
+    def test_default_shape_peak_memory(self):
+        """The 12288x512 default projection peaks at about 107 MB traced; the
+        Householder QR peaked at 154 MB."""
+        tracemalloc.start()
+        try:
+            random_projection(12288, 512, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 115e6
 
 
 class TestPatchGrid:

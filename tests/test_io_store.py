@@ -437,7 +437,7 @@ class TestPpm:
 class TestT4:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(SEED + 6)
-        x = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
+        x = rng.standard_normal((1, 3, 4, 5)).astype(np.float32)
         path = tmp_path / "x.t4"
         save_t4(path, x)
         assert_array_equal(load_t4(path), x)
@@ -449,6 +449,25 @@ class TestT4:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError):
             load_t4(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, tmp_path, bad):
+        x = np.zeros((1, 3, 4, 5), dtype=np.float32)
+        x[0, 2, 1, 3] = bad
+        x[0, 2, 3, 0] = bad
+        path = tmp_path / "x.t4"
+        save_t4(path, x)
+        with pytest.raises(FormatError) as refused:
+            load_t4(path)
+        message = str(refused.value)
+        assert str(path) in message and "2 non-finite" in message and "(0, 2, 1, 3)" in message
+
+    def test_batch_other_than_one_refused(self, tmp_path):
+        path = tmp_path / "x.t4"
+        save_t4(path, np.zeros((2, 3, 4, 5), dtype=np.float32))
+        with pytest.raises(FormatError) as refused:
+            load_t4(path)
+        assert str(path) in str(refused.value) and "(2, 3, 4, 5)" in str(refused.value)
 
 
 class TestLoadImage:
