@@ -12,10 +12,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage or format error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -40,7 +41,7 @@ from .retrieval import CandidateList, DescriptorIndex, GeoTag, global_retrieve, 
 from .selfcheck import run_all
 from .tensor import conv_output_size
 
-REPORT_SCHEMA_VERSION = 4
+REPORT_SCHEMA_VERSION = 5
 RECALL_KS = (1, 5, 10)
 
 
@@ -143,7 +144,7 @@ _KEY_HELP = {
     "input_width": "working image width",
 }
 
-# What _resolve_model and _settings read; extract and bench take them all, eval all but the patch keys.
+# What _resolve_model and _settings read; extract and bench take them all, eval weights (its index records the rest).
 _MODEL_KEYS = ("weights", "clusters", "pca_dim", "seed", "patch_size", "patch_stride", "input_height", "input_width")
 
 
@@ -164,22 +165,26 @@ def _resolve_model(cfg: RunConfig) -> ModelParams:
     return model.with_fused()
 
 
-def _timed_model(cfg: RunConfig) -> tuple[ModelParams, float]:
-    """_resolve_model's model and its wall time in seconds, reported as model_seconds."""
+def _timed_model(cfg: RunConfig) -> tuple[ModelParams, float, str, int]:
+    """_resolve_model's model; its wall time in seconds, reported as model_seconds; and the sha256 hex digest
+    (model_sha256) and size (bench's model_size_bytes) of its bytes as --save-weights writes them."""
     start = time.perf_counter()
     model = _resolve_model(cfg)
-    return model, time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    packed = pack_tensors(model_to_tensors(model), WEIGHTS_MAGIC)
+    return model, seconds, hashlib.sha256(packed).hexdigest(), len(packed)
 
 
-def _settings(cfg: RunConfig, model: ModelParams, grid: Optional[PatchGrid] = None) -> ExtractionSettings:
+def _settings(cfg: RunConfig, model: ModelParams, grid: PatchGrid | None = None, index: str = "") -> ExtractionSettings:
     """Extraction settings for the model from _resolve_model; refuses a patch
     that does not fit the feature map the model's own stage layout produces.
-    A grid to match against sets the patch and must come from that same map."""
+    A grid to match against, from index file `index`, sets the patch and must come from that same map."""
     fh, fw = cfg.input_dims()
     for _, _, stride, _ in model.backbone.spec.layer_plan():
         fh, fw = conv_output_size(fh, 3, stride, 1), conv_output_size(fw, 3, stride, 1)
     if grid is not None and (grid.height, grid.width) != (fh, fw):
-        raise ConfigError(f"the working dims give a {fh}x{fw} feature map; the index's is {grid.height}x{grid.width}")
+        recorded = f"its recorded working size gives a {fh}x{fw} feature map"
+        raise FormatError(f"{index}: {recorded}, but its patch grid is on {grid.height}x{grid.width}")
     patch_size, patch_stride = (grid.d_x, grid.stride) if grid is not None else (cfg.patch_size, cfg.patch_stride)
     if patch_size > min(fh, fw):
         raise ConfigError(
@@ -224,12 +229,15 @@ def _table(rows: list[Sequence[str]], out=None) -> None:
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     records = load_manifest(args.manifest)
-    model, model_seconds = _timed_model(cfg)
+    model, model_seconds, model_sha256, _ = _timed_model(cfg)
     settings = _settings(cfg, model)
     start = time.perf_counter()
     index, patch_store = extract_index(records, model, settings, threads=cfg.threads)
     elapsed = time.perf_counter() - start
-    save_index(args.out, index, patch_store)
+    built = {"model_sha256": model_sha256, "input_height": cfg.input_height, "input_width": cfg.input_width}
+    if not cfg.weights:
+        built.update(seed=cfg.seed, clusters=cfg.clusters, pca_dim=cfg.pca_dim)
+    save_index(args.out, replace(index, record=json.dumps(built)), patch_store)
     if args.save_weights:
         save_weights(args.save_weights, model)
     per_sec = len(index) / elapsed if elapsed > 0 else float("inf")
@@ -244,6 +252,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         descriptor_dim=index.dimension,
         seed=cfg.seed,
         weights=cfg.weights or "random",
+        model_sha256=model_sha256,
     )
     report.flush()
     print(f"indexed {len(index)} images in {elapsed:.2f}s ({per_sec:.2f} images/sec) -> {args.out}")
@@ -297,10 +306,29 @@ def _search(
     return initial_lists, reranked_lists, match_seconds, pairs, unconverged_pairs
 
 
+def _recorded_build(path: str, index: DescriptorIndex, weights: Optional[str]) -> tuple[RunConfig, str]:
+    """The settings that rebuild the index's model at its working size, as its record gives them, with `weights`
+    in place of the recorded seed when set; and the recorded model sha256."""
+    try:
+        record = json.loads(index.record)
+    except ValueError:  # also an index with no record, which holds ""
+        record = None
+    sha256 = record.pop("model_sha256", None) if isinstance(record, dict) else None
+    sizes = {"input_height", "input_width"}
+    if (
+        not isinstance(sha256, str)
+        or set(record) not in (sizes, sizes | {"seed", "clusters", "pca_dim"})
+        or any(type(v) is not int for v in record.values())
+    ):
+        raise FormatError(f"{path}: no record of the model and working size that built it; re-run extract")
+    if not weights and "seed" not in record:
+        raise ConfigError(f"{path} was built from a weights file with sha256 {sha256}; pass that file with --weights")
+    return RunConfig(weights=weights, **record).validate(), sha256
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     records = load_manifest(args.manifest)
-    model, model_seconds = _timed_model(cfg)
     index, patch_store = load_index(args.index)
     if len(index) == 0:
         raise FormatError(f"{args.index}: index is empty")
@@ -308,7 +336,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if len(grids) > 1 or any(g.d_x != g.d_y for g in grids):
         shown = ", ".join(sorted(f"{g.d_x}x{g.d_y} stride {g.stride} on {g.height}x{g.width}" for g in grids))
         raise FormatError(f"{args.index}: patch sets must share one grid of square patches, got {shown}")
-    settings = _settings(cfg, model, next(iter(grids), None))  # an index without patch sets keeps the defaults
+    built, recorded_sha256 = _recorded_build(args.index, index, cfg.weights)
+    model, model_seconds, model_sha256, _ = _timed_model(built)
+    if model_sha256 != recorded_sha256:
+        source = cfg.weights or "its recorded seed"
+        raise ConfigError(f"{args.index} was built with model sha256 {recorded_sha256}; {source} gives {model_sha256}")
+    settings = _settings(built, model, next(iter(grids), None), args.index)  # no patch sets: the default patch
     queries = [r for r in records if r.split == "query"]
     if not queries:
         raise FormatError("manifest contains no query records")
@@ -344,6 +377,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         radius_m=cfg.radius_m,
         candidates=cfg.candidates,
         model_seconds=round(model_seconds, 6),
+        model_sha256=model_sha256,
         match_seconds=round(match_seconds, 6),
         matched_pairs=pairs,
         unconverged_pairs=unconverged_pairs,
@@ -401,7 +435,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError(f"--images must be >= 1, got {args.images}")
     if not 1 <= args.queries <= args.images:
         raise ConfigError(f"--queries must be in [1, --images], got {args.queries}")
-    model, model_seconds = _timed_model(cfg)
+    model, model_seconds, model_sha256, model_size = _timed_model(cfg)
     settings = _settings(cfg, model)
     rng = np.random.default_rng(cfg.seed)
     h, w = cfg.input_dims()
@@ -419,7 +453,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     params_multi, flops_multi = count_params_flops(model.backbone, fused=False, input_dims=(h, w))
     params_fused, flops_fused = count_params_flops(model.backbone, fused=True, input_dims=(h, w))
-    model_size = len(pack_tensors(model_to_tensors(model), WEIGHTS_MAGIC))
 
     report = _Report(args.report)
     report.add(
@@ -432,6 +465,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         theo_flops_multibranch=flops_multi,
         theo_flops_fused=flops_fused,
         model_size_bytes=model_size,
+        model_sha256=model_sha256,
         images=args.images,
         queries=args.queries,
         input_dims=[h, w],
@@ -491,7 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="dataset manifest CSV")
     p.add_argument("--index", required=True, help="index file from extract")
     p.add_argument("--report", metavar="FILE", help="write JSON-lines report here")
-    add_config_flags(p, [k for k in _KEY_TYPES if k not in ("patch_size", "patch_stride")])
+    add_config_flags(
+        p, ("weights", "sinkhorn_reg", "sinkhorn_tol", "sinkhorn_iters", "candidates", "radius_m", "threads")
+    )
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("reparam", help="fuse branches and verify on a probe batch")

@@ -168,6 +168,13 @@ def _field(t: Mapping[str, np.ndarray], name: str, shape: tuple[int, ...] = ()) 
     return arr
 
 
+def _refuse_non_finite(arr: np.ndarray, what: str) -> None:
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise FormatError(f"{what}: {int(bad.sum())} non-finite values, the first at {first}")
+
+
 def save_tensors(path: str | Path, tensors: Mapping[str, np.ndarray], magic: bytes) -> None:
     _atomic_write(path, pack_tensors(tensors, magic))
 
@@ -243,6 +250,8 @@ def model_to_tensors(model: ModelParams) -> dict[str, np.ndarray]:
 
 
 def model_from_tensors(t: Mapping[str, np.ndarray]) -> ModelParams:
+    for name, arr in t.items():
+        _refuse_non_finite(arr, f"tensor {name!r}")
     try:
         table = _field(t, "spec.stages", (-1, 3))
         # Every layer stores at least one tensor, so a layout is checked before its plan is built.
@@ -329,6 +338,8 @@ def index_to_tensors(index: DescriptorIndex, patch_store: Mapping[str, PatchDesc
         "meta.count": np.array([len(index)], dtype=np.int32),
         "meta.dimension": np.array([index.dimension if len(index) else 0], dtype=np.int32),
     }
+    if index.record:
+        t["meta.record"] = np.frombuffer(index.record.encode("utf-8"), dtype=np.uint8).copy()
     unknown = sorted(set(patch_store) - {e.image_id for e in index.entries})
     if unknown:
         raise FormatError(f"patch store carries ids missing from the index: {unknown}")
@@ -381,7 +392,8 @@ def index_from_tensors(t: Mapping[str, np.ndarray]) -> tuple[DescriptorIndex, di
                 patch_store[image_id] = PatchDescriptorSet(descriptors=t[pre + "patches.descriptors"], grid=grid)
     except KeyError as missing:
         raise FormatError(f"index file is missing tensor {missing}") from None
-    return DescriptorIndex(entries=tuple(entries)), patch_store
+    record = _field(t, "meta.record") if "meta.record" in t else ""
+    return DescriptorIndex(entries=tuple(entries), record=record), patch_store
 
 
 def save_index(path: str | Path, index: DescriptorIndex, patch_store: Mapping[str, PatchDescriptorSet]) -> None:
@@ -530,10 +542,7 @@ def load_t4(path: str | Path) -> Tensor4:
     if dims[0] != 1:
         raise FormatError(f"{path}: dims {dims} hold a batch of {dims[0]} images; an image tensor holds one")
     tensor = np.frombuffer(data, dtype="<f4", offset=16).reshape(dims).copy()
-    bad = ~np.isfinite(tensor)
-    if bad.any():
-        first = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise FormatError(f"{path}: {int(bad.sum())} non-finite values, the first at (b, c, y, x) = {first}")
+    _refuse_non_finite(tensor, str(path))
     return tensor
 
 

@@ -70,6 +70,7 @@ class DescriptorIndex:
     """Searchable set of database entries sharing one descriptor dimension."""
 
     entries: tuple[IndexEntry, ...]
+    record: str = ""  # JSON text of what built the entries, as `vprkit extract` writes it; empty when unknown
 
     def __post_init__(self) -> None:
         ids = [e.image_id for e in self.entries]

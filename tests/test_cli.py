@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -42,6 +43,7 @@ from vprkit.descriptor import GlobalDescriptor, PatchDescriptorSet, PatchGrid
 from vprkit.retrieval import DescriptorIndex, GeoTag, IndexEntry, global_retrieve, rerank
 from vprkit.selfcheck import run_all
 
+from conftest import build_corpus
 from make_golden import GOLDEN, GOLDEN_TRANSPORT, eval_results
 from oracles import float64_projection
 from test_io_store import save_t4
@@ -70,13 +72,20 @@ EVAL_SPEC = NetworkSpec(
 
 # Sharp transport for the same reason: at the default regularization the
 # assignment spreads mass near-uniformly and match scores for random-weight
-# descriptors collapse into ties. extract takes only the input dims.
+# descriptors collapse into ties. eval takes the input dims from the index.
 INPUT_FLAGS = ["--input-height", "48", "--input-width", "64"]
-EVAL_FLAGS = [*INPUT_FLAGS, "--sinkhorn-reg", "0.02"]
+EVAL_FLAGS = ["--sinkhorn-reg", "0.02"]
 
 
 def read_report(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def fused_sha256(weights):
+    """The sha256 of the weights file's model with its fused form, as --save-weights would write it."""
+    tensors = io_store.model_to_tensors(load_weights(weights).with_fused())
+    packed = io_store.pack_tensors(tensors, io_store.WEIGHTS_MAGIC)
+    return hashlib.sha256(packed).hexdigest()
 
 
 def write_corpus(root, twins, query_positions):
@@ -281,7 +290,7 @@ class TestFlagsMatchReads:
         save_weights(weights, small_model)
         runs = {  # in order: eval reads the index extract writes
             "extract": ["extract", str(manifest), "--out", str(index), *MODEL_FLAGS],
-            "eval": ["eval", str(manifest), "--index", str(index), *MODEL_FLAGS],
+            "eval": ["eval", str(manifest), "--index", str(index)],
             "bench": TestBench.BENCH_FLAGS,
             "reparam": ["reparam", str(weights), "--out", str(tmp_path / "fused.vprw")],
             "selfcheck": ["selfcheck"],
@@ -319,6 +328,11 @@ class TestFlagsMatchReads:
             ["selfcheck", "--patch-size", "9"],
             ["eval", "m.csv", "--index", "i.vpri", "--patch-size", "3"],
             ["eval", "m.csv", "--index", "i.vpri", "--patch-stride", "2"],
+            ["eval", "m.csv", "--index", "i.vpri", "--seed", "1"],
+            ["eval", "m.csv", "--index", "i.vpri", "--clusters", "4"],
+            ["eval", "m.csv", "--index", "i.vpri", "--pca-dim", "8"],
+            ["eval", "m.csv", "--index", "i.vpri", "--input-height", "48"],
+            ["eval", "m.csv", "--index", "i.vpri", "--input-width", "79"],
         ],
         ids=[
             "extract-sinkhorn-reg",
@@ -329,6 +343,11 @@ class TestFlagsMatchReads:
             "selfcheck-patch-size",
             "eval-patch-size",
             "eval-patch-stride",
+            "eval-seed",
+            "eval-clusters",
+            "eval-pca-dim",
+            "eval-input-height",
+            "eval-input-width",
         ],
     )
     def test_unread_setting_flag_refused(self, capsys, argv):
@@ -351,8 +370,11 @@ class TestConfigFileScope:
         assert main(["reparam", str(weights), "--out", str(tmp_path / "o.vprw"), "--config", str(shape)]) == 0
         assert main(["selfcheck", "--config", str(reg)]) == 0
         capsys.readouterr()
-        for cfg, message in ((shape, "clusters cannot be set together with weights"), (reg, "sinkhorn_reg must be > 0")):
-            assert main(["eval", "m.csv", "--index", "i.vpri", "--config", str(cfg)]) == 2
+        for argv, message in (
+            (["extract", "m.csv"], "clusters cannot be set together with weights"),
+            (["eval", "m.csv", "--index", "i.vpri"], "sinkhorn_reg must be > 0"),
+        ):
+            assert main([*argv, "--config", str(shape if argv[0] == "extract" else reg)]) == 2
             assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["bogus = 1", "sinkhorn_reg = sharp"])
@@ -385,9 +407,37 @@ class TestExtract:
         main(["extract", str(manifest), "--out", str(tmp_path / "i.vpri"), "--report", str(report), *MODEL_FLAGS])
         records = read_report(report)
         assert records[0]["type"] == "extract"
-        assert records[0]["version"] == REPORT_SCHEMA_VERSION == 4
+        assert records[0]["version"] == REPORT_SCHEMA_VERSION == 5
         assert records[0]["images"] == 5
         assert records[0]["model_seconds"] > 0.0
+        assert json.loads(load_index(tmp_path / "i.vpri")[0].record) == {
+            "model_sha256": records[0]["model_sha256"],
+            "input_height": 48,
+            "input_width": 64,
+            "seed": 13,
+            "clusters": 4,
+            "pca_dim": 8,
+        }
+
+    def test_record_of_a_weights_file_carries_its_hash_and_no_seed(self, tmp_path, small_model):
+        manifest = write_corpus(tmp_path, twins=[0], query_positions=[0.0])
+        weights, index = tmp_path / "model.vprw", tmp_path / "i.vpri"
+        save_weights(weights, small_model)
+        assert main(["extract", str(manifest), "--out", str(index), "--weights", str(weights), *INPUT_FLAGS]) == 0
+        want = {"model_sha256": fused_sha256(weights), "input_height": 48, "input_width": 64}
+        assert json.loads(load_index(index)[0].record) == want
+
+    def test_non_finite_weights_refused_before_an_index_is_written(self, tmp_path, capsys):
+        manifest = write_corpus(tmp_path, twins=[0], query_positions=[0.0])
+        model = random_model(seed=1, clusters=4, pca_dim=8)
+        centers = model.vlad.centers.copy()
+        centers[0, 0] = np.nan
+        weights = tmp_path / "nan.vprw"
+        save_weights(weights, dataclasses.replace(model, vlad=dataclasses.replace(model.vlad, centers=centers)))
+        out = tmp_path / "i.vpri"
+        assert main(["extract", str(manifest), "--out", str(out), "--weights", str(weights), *INPUT_FLAGS]) == 2
+        assert "'vlad.centers': 1 non-finite values" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_t4_refused_before_an_index_is_written(self, tmp_path, capsys):
         manifest = write_corpus(tmp_path, twins=[0], query_positions=[0.0])
@@ -652,15 +702,64 @@ class TestEval:
         assert main(["eval", str(manifest), "--index", str(index), "--weights", str(weights), *EVAL_FLAGS]) == 0
         assert len(searched) == 6 and {patches.grid for _, _, patches in searched} == stored
 
-    def test_working_dims_that_miss_the_index_map_fail_before_extraction(self, indexed, monkeypatch, capsys):
-        manifest, index, weights = indexed
+    def test_working_dims_that_miss_the_index_map_fail_before_extraction(
+        self, indexed, tmp_path, monkeypatch, capsys
+    ):
+        manifest, index_path, weights = indexed
+        index, patch_store = load_index(index_path)
+        record = {**json.loads(index.record), "input_height": 32}
+        bad = tmp_path / "inconsistent.vpri"
+        save_index(bad, dataclasses.replace(index, record=json.dumps(record)), patch_store)
         extracted = []
         monkeypatch.setattr(cli, "extract_images", lambda paths, *args, **kwargs: extracted.extend(paths))
-        dims = ["--input-height", "32", "--input-width", "64"]
-        assert main(["eval", str(manifest), "--index", str(index), "--weights", str(weights), *dims]) == 2
+        argv = ["eval", str(manifest), "--index", str(bad), "--weights", str(weights)]
+        with pytest.raises(FormatError, match="inconsistent.vpri"):
+            cli.cmd_eval(build_parser().parse_args(argv))
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "4x8 feature map" in err and "6x8" in err  # EVAL_SPEC maps 32x64 to 4x8 and the index's 48x64 to 6x8
+        assert "4x8 feature map" in err and "6x8" in err  # EVAL_SPEC maps 32x64 to 4x8; the grids are on 6x8
         assert extracted == []
+
+    def test_other_weights_refused_before_extraction(self, indexed, tmp_path, monkeypatch, capsys):
+        manifest, index, weights = indexed
+        other = tmp_path / "other.vprw"
+        save_weights(other, random_model(seed=14, spec=EVAL_SPEC, clusters=8, pca_dim=32))
+        extracted = []
+        monkeypatch.setattr(cli, "extract_images", lambda paths, *args, **kwargs: extracted.extend(paths))
+        assert main(["eval", str(manifest), "--index", str(index), "--weights", str(other), *EVAL_FLAGS]) == 2
+        err = capsys.readouterr().err
+        for path in (weights, other):
+            assert fused_sha256(path) in err
+        assert extracted == []
+
+    def test_weights_built_index_needs_weights(self, indexed, capsys):
+        manifest, index, weights = indexed
+        assert main(["eval", str(manifest), "--index", str(index), *EVAL_FLAGS]) == 2
+        err = capsys.readouterr().err
+        assert "pass that file with --weights" in err and fused_sha256(weights) in err
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "",
+            "[1]",
+            '{"input_height": 48, "input_width": 64}',
+            '{"model_sha256": "0", "input_height": 48}',
+            '{"model_sha256": "0", "input_height": 48.0, "input_width": 64}',
+            '{"model_sha256": "0", "input_height": 48, "input_width": 64, "seed": 1}',
+        ],
+        ids=["none", "not-an-object", "no-hash", "no-width", "float-height", "part-of-a-recipe"],
+    )
+    def test_index_without_a_record_is_refused(self, indexed, tmp_path, capsys, record):
+        manifest, index_path, weights = indexed
+        index, patch_store = load_index(index_path)
+        bare = tmp_path / "bare.vpri"
+        save_index(bare, dataclasses.replace(index, record=record), patch_store)
+        argv = ["eval", str(manifest), "--index", str(bare), "--weights", str(weights)]
+        with pytest.raises(FormatError, match="no record of the model and working size"):
+            cli.cmd_eval(build_parser().parse_args(argv))
+        assert main(argv) == 2
+        assert "bare.vpri" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "grid",
@@ -705,8 +804,48 @@ class TestEval:
         table[name] = bad
         index = tmp_path / "bad.vpri"
         io_store.save_tensors(index, table, io_store.INDEX_MAGIC)
-        assert main(["eval", str(manifest), "--index", str(index), *MODEL_FLAGS]) == 2
+        assert main(["eval", str(manifest), "--index", str(index)]) == 2
         assert name in capsys.readouterr().err
+
+
+class TestIndexRecord:
+    """A 4-image 64x80 self-query corpus indexed with the seed-0 default layout:
+    before the index recorded its model and working size, eval with --seed 1
+    printed initial R@1 0.25 and with --input-width 79 printed 0.75, exit 0."""
+
+    @pytest.fixture
+    def seeded(self, tmp_path):
+        manifest = build_corpus(tmp_path, count=4, dims=(64, 80), seed=3)
+        index, weights = tmp_path / "idx.vpri", tmp_path / "model.vprw"
+        flags = ["--seed", "0", "--clusters", "4", "--pca-dim", "16", "--input-height", "64", "--input-width", "80"]
+        assert main(["extract", str(manifest), "--out", str(index), "--save-weights", str(weights), *flags]) == 0
+        return manifest, index, weights
+
+    def test_seeded_index_evaluates_as_its_saved_weights(self, seeded, tmp_path):
+        manifest, index, weights = seeded
+        reports = []
+        for extra in ([], ["--weights", str(weights)]):
+            report = tmp_path / f"eval{len(reports)}.jsonl"
+            argv = ["eval", str(manifest), "--index", str(index), "--radius-m", "0", "--report", str(report)]
+            assert main([*argv, *EVAL_FLAGS, *extra]) == 0
+            timings = ("model_seconds", "match_seconds")
+            reports.append([{k: v for k, v in r.items() if k not in timings} for r in read_report(report)])
+        assert reports[0] == reports[1]
+        summary = reports[0][-1]
+        assert summary["model_sha256"] == hashlib.sha256(weights.read_bytes()).hexdigest()
+        assert next(r["value"] for r in reports[0] if r["type"] == "recall") == 1.0  # initial R@1
+
+    def test_mismatched_model_or_size_fails_loudly(self, seeded, tmp_path, capsys):
+        manifest, index, _ = seeded
+        for flags in (["--seed", "1"], ["--input-width", "79"]):
+            with pytest.raises(SystemExit) as exited:
+                main(["eval", str(manifest), "--index", str(index), *flags])
+            assert exited.value.code == 2
+        other = tmp_path / "seed1.vprw"
+        save_weights(other, random_model(seed=1, clusters=4, pca_dim=16))
+        capsys.readouterr()
+        assert main(["eval", str(manifest), "--index", str(index), "--weights", str(other)]) == 2
+        assert "sha256" in capsys.readouterr().err
 
 
 class TestReparam:
@@ -753,11 +892,17 @@ class TestBench:
         a, b = read_report(r1)[0], read_report(r2)[0]
         static = (
             "params_multibranch", "params_fused", "theo_flops_multibranch", "theo_flops_fused",
-            "model_size_bytes", "input_dims",
+            "model_size_bytes", "model_sha256", "input_dims",
         )
         for key in ("speed1_extract_ms", "speed2_match_ms", *static):
             assert key in a
         assert a["model_seconds"] > 0.0 and b["model_seconds"] > 0.0
+        saved = tmp_path / "model.vprw"
+        save_weights(saved, random_model(seed=3, clusters=4, pca_dim=8).with_fused())
+        assert (a["model_sha256"], a["model_size_bytes"]) == (
+            hashlib.sha256(saved.read_bytes()).hexdigest(),
+            saved.stat().st_size,
+        )
         assert "model build ms" in capsys.readouterr().out
         for key in static:
             assert a[key] == b[key]

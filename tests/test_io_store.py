@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import struct
 import tracemalloc
 
@@ -218,6 +219,20 @@ class TestWeightsFile:
         with pytest.raises(FormatError, match=f"'matcher.modes' holds {bad},"):
             model_from_tensors(table)
 
+    @pytest.mark.parametrize(
+        "name, at, bad",
+        [("vlad.centers", (0, 0), np.nan), ("fused01.weight", (2, 1, 0, 2), np.inf)],
+        ids=["nan-center", "inf-fused-weight"],
+    )
+    def test_non_finite_weights_refused(self, small_model, tmp_path, name, at, bad):
+        table = model_to_tensors(small_model.with_fused())
+        table[name] = table[name].copy()
+        table[name][at] = bad
+        path = tmp_path / "bad.vprw"
+        save_tensors(path, table, WEIGHTS_MAGIC)
+        with pytest.raises(FormatError, match=re.escape(f"'{name}': 1 non-finite values, the first at {at}")):
+            load_weights(path)
+
     def test_negative_layer_count_refused(self, small_model):
         table = model_to_tensors(small_model)
         table["spec.stages"] = table["spec.stages"].copy()
@@ -296,6 +311,18 @@ class TestIndexFile:
         save_index(p1, index, store)
         save_index(p2, *load_index(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_record_round_trips_bit_exactly(self, tmp_path):
+        index, store = sample_index(np.random.default_rng(SEED + 11))
+        record = '{"model_sha256": "5a27", "input_height": 480, "input_width": 640, "seed": 3000000000, "note": "é"}'
+        p1, p2 = tmp_path / "a.vpri", tmp_path / "b.vpri"
+        save_index(p1, dataclasses.replace(index, record=record), store)
+        back, back_store = load_index(p1)
+        assert back.record == record
+        save_index(p2, back, back_store)
+        assert p1.read_bytes() == p2.read_bytes()
+        save_index(p2, index, store)
+        assert load_index(p2)[0].record == "" and "meta.record" not in index_to_tensors(index, store)
 
     def test_unknown_patch_id_refused(self, tmp_path):
         rng = np.random.default_rng(SEED + 4)

@@ -51,7 +51,6 @@ SRC = Path(vprkit.__file__).resolve().parent
 DIMS = (64, 80)
 MODEL_SETTINGS = {"clusters": 4, "pca_dim": 16, "input_height": DIMS[0], "input_width": DIMS[1]}
 MODEL_FLAGS = [f"--{k.replace('_', '-')}={v}" for k, v in MODEL_SETTINGS.items()]
-INPUT_FLAGS = [f"--input-height={DIMS[0]}", f"--input-width={DIMS[1]}"]
 
 
 def defined_functions() -> dict[tuple[str, int], str]:
@@ -97,7 +96,7 @@ def sweep(root: Path) -> set[tuple[str, int]]:
          "--report", str(root / "extract.jsonl"), *MODEL_FLAGS],
         ["extract", str(mixed), "--out", str(root / "mixed.vpri"), "--config", str(config)],
         ["eval", str(manifest), "--index", str(index), "--weights", str(weights), "--report",
-         str(root / "eval.jsonl"), "--sinkhorn-iters=1", *INPUT_FLAGS],
+         str(root / "eval.jsonl"), "--sinkhorn-iters=1"],
         ["eval", str(mixed), "--index", str(root / "mixed.vpri"), "--config", str(config)],
         ["reparam", str(weights), "--out", str(root / "fused.vprw")],
         ["bench", "--report", str(root / "bench.jsonl"), "--images=2", "--queries=1", *MODEL_FLAGS],
