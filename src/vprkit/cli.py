@@ -26,11 +26,11 @@ from .backbone import count_params_flops, form_deviation
 from .descriptor import GlobalDescriptor, PatchDescriptorSet, PatchGrid
 from .errors import ConfigError, FormatError, VprError
 from .io_store import (
+    container_parts,
     load_index,
     load_manifest,
     load_weights,
     model_to_tensors,
-    pack_tensors,
     save_index,
     save_weights,
     WEIGHTS_MAGIC,
@@ -171,8 +171,11 @@ def _timed_model(cfg: RunConfig) -> tuple[ModelParams, float, str, int]:
     start = time.perf_counter()
     model = _resolve_model(cfg)
     seconds = time.perf_counter() - start
-    packed = pack_tensors(model_to_tensors(model), WEIGHTS_MAGIC)
-    return model, seconds, hashlib.sha256(packed).hexdigest(), len(packed)
+    digest, size = hashlib.sha256(), 0
+    for part in container_parts(model_to_tensors(model), WEIGHTS_MAGIC):
+        digest.update(part)
+        size += len(part)
+    return model, seconds, digest.hexdigest(), size
 
 
 def _settings(cfg: RunConfig, model: ModelParams, grid: PatchGrid | None = None, index: str = "") -> ExtractionSettings:

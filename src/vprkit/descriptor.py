@@ -9,9 +9,14 @@ patch descriptors are the windows of a dense grid, and the global descriptor is
 the single window that covers the whole map.
 
 The head works in float64 over bands of windows, about HEAD_BAND_BYTES of
-residuals at a time, and rounds each band's normalized rows into one float32
-(windows, K*D) matrix. The projection centres and projects those float32 rows
-in float32 and renormalizes each projected row in float64.
+residuals at a time, in one band buffer per call, and rounds each band's
+normalized rows into float32. Without a projection those rows are the output,
+one (windows, K*D) matrix. With one, they go to a staging buffer of four bands,
+which the projection consumes a staged group at a time: it centres and projects
+the float32 rows in float32 and renormalizes each projected row in float64 into
+a (windows, out_dim) output. No (windows, K*D) matrix is built then, so the
+transient memory of a projected extraction is bounded by the band size, not
+the window count.
 """
 
 from __future__ import annotations
@@ -284,11 +289,14 @@ def extract_patch_descriptors(
     return PatchDescriptorSet(descriptors=flat.astype(np.float32, copy=False), grid=grid)
 
 
-def window_residuals(x: np.ndarray, assignments: np.ndarray, windows: np.ndarray, p: VladParams) -> np.ndarray:
+def window_residuals(
+    x: np.ndarray, assignments: np.ndarray, windows: np.ndarray, p: VladParams, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """(windows, K, D) float64 residual sums, one batched product over every row of
-    indices into x in windows: block w is vlad_raw(x[windows[w]], assignments[windows[w]], p).T."""
+    indices into x in windows: block w is vlad_raw(x[windows[w]], assignments[windows[w]], p).T.
+    The product is written into out when given."""
     aw = assignments[windows]
-    raw = np.matmul(aw.transpose(0, 2, 1), x[windows].astype(np.float64))
+    raw = np.matmul(aw.transpose(0, 2, 1), x[windows].astype(np.float64), out=out)
     raw -= aw.sum(axis=1)[:, :, None] * p.centers.astype(np.float64)
     return raw
 
@@ -298,21 +306,33 @@ def _vlad_head(
 ) -> np.ndarray:
     """The VLAD head, one row per window: residual sums, L2 per cluster (a zero block
     stays zero) and L2 of the whole (a zero whole is refused) in float64, a band of
-    windows at a time, rounded into float32 rows; then the projection, if any."""
+    windows at a time, rounded into float32 rows; then the projection, if any, one
+    staged group of bands at a time."""
+    n = len(windows)
     k, d = p.centers.shape
-    out = np.empty((len(windows), k * d), dtype=np.float32)
     band = max(1, HEAD_BAND_BYTES // (k * d * 8))
-    for w0 in range(0, len(windows), band):
-        raw = window_residuals(x, assignments, windows[w0 : w0 + band], p)
-        norms = np.sqrt(np.einsum("pkd,pkd->pk", raw, raw))
-        raw /= np.where(norms > 0.0, norms, 1.0)[:, :, None]
-        flat = raw.reshape(len(raw), -1)
-        totals = np.sqrt(np.einsum("pj,pj->p", flat, flat))
-        if np.any(totals == 0.0):
-            raise DegenerateInputError("a window produced an identically zero descriptor")
-        flat /= totals[:, None]
-        out[w0 : w0 + band] = flat
-    return out if pca is None else _project_rows(out, pca)
+    # Four bands per projection GEMM: with one, the GEMM re-packs the whole
+    # projection for every band, about 70 ms more per default-size image.
+    group = n if pca is None else 4 * band
+    stage = np.empty((min(group, n), k * d), dtype=np.float32)
+    out = stage if pca is None else np.empty((n, pca.out_dim))
+    buf = np.empty((min(band, n), k, d))
+    for g0 in range(0, n, group):
+        g1 = min(g0 + group, n)
+        for w0 in range(g0, g1, band):
+            w1 = min(w0 + band, g1)
+            raw = window_residuals(x, assignments, windows[w0:w1], p, out=buf[: w1 - w0])
+            norms = np.sqrt(np.einsum("pkd,pkd->pk", raw, raw))
+            raw /= np.where(norms > 0.0, norms, 1.0)[:, :, None]
+            flat = raw.reshape(len(raw), -1)
+            totals = np.sqrt(np.einsum("pj,pj->p", flat, flat))
+            if np.any(totals == 0.0):
+                raise DegenerateInputError("a window produced an identically zero descriptor")
+            flat /= totals[:, None]
+            stage[w0 - g0 : w1 - g0] = flat
+        if pca is not None:
+            out[g0:g1] = _project_rows(stage[: g1 - g0], pca)
+    return out
 
 
 def _as_assignments(assignments: np.ndarray, n: int, p: VladParams) -> np.ndarray:

@@ -72,26 +72,34 @@ def _dtype_code(arr: np.ndarray) -> int:
     return _CODE_FOR_KIND[key]
 
 
-def pack_tensors(tensors: Mapping[str, np.ndarray], magic: bytes) -> bytes:
-    """Serialize named arrays into one container blob, in mapping order."""
+def container_parts(tensors: Mapping[str, np.ndarray], magic: bytes) -> list:
+    """The container blob of named arrays, in mapping order, as a list of buffers:
+    the header and tensor table, then each array's little-endian bytes as a
+    uint8 view of the array itself, so listing them copies no payload."""
     if len(magic) != 4:
         raise FormatError(f"magic must be 4 bytes, got {magic!r}")
-    table = bytearray()
-    payload = bytearray()
+    table = bytearray(magic + struct.pack("<II", FORMAT_VERSION, len(tensors)))
+    blobs = []
+    offset = 0
     for name, arr in tensors.items():
         arr = np.ascontiguousarray(arr)
         if arr.ndim < 1 or arr.ndim > 8:
             raise FormatError(f"tensor {name!r} has unsupported rank {arr.ndim}")
         code = _dtype_code(arr)
-        blob = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
+        blob = arr.astype(arr.dtype.newbyteorder("<"), copy=False).reshape(-1).view(np.uint8)
         encoded = name.encode("utf-8")
         table += struct.pack("<I", len(encoded)) + encoded
         table += struct.pack("<BB", code, arr.ndim)
         table += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        table += struct.pack("<QQ", len(payload), len(blob))
-        payload += blob
-    head = magic + struct.pack("<II", FORMAT_VERSION, len(tensors))
-    return bytes(head + table + payload)
+        table += struct.pack("<QQ", offset, blob.nbytes)
+        offset += blob.nbytes
+        blobs.append(blob)
+    return [table, *blobs]
+
+
+def pack_tensors(tensors: Mapping[str, np.ndarray], magic: bytes) -> bytes:
+    """Serialize named arrays into one container blob, in mapping order."""
+    return b"".join(container_parts(tensors, magic))
 
 
 class _Cursor:

@@ -104,11 +104,14 @@ def attention_forward(x_src: np.ndarray, x_dst: np.ndarray, layer: AttentionLaye
     # Cast, not promote, the weights: float64 @ float32 skips BLAS and rounds differently.
     f = xs @ layer.w_f.astype(dtype, copy=False).T
     g = xd @ layer.w_g.astype(dtype, copy=False).T
-    logits = f @ g.T  # (N_src, N_dst)
-    e = np.exp(logits - logits.max(axis=0, keepdims=True))
-    rho = e / e.sum(axis=0, keepdims=True)
+    # The (N_src, N_dst) logits become rho in place: one such buffer per call.
+    rho = f @ g.T
+    rho -= rho.max(axis=0, keepdims=True)
+    np.exp(rho, out=rho)
+    rho /= rho.sum(axis=0, keepdims=True)
     values = xs @ layer.w_h.astype(dtype, copy=False).T
-    out = xd + rho.T @ values
+    out = rho.T @ values
+    out += xd
     return out, rho
 
 
@@ -227,7 +230,8 @@ def sinkhorn_assign(
         raise ShapeError(f"max_iters must be >= 1, got {max_iters}")
 
     m, n = scores.shape
-    s = _augment(scores, dustbin_score) / reg
+    s = _augment(scores, dustbin_score)
+    s /= reg
     log_r, log_c = _log_marginals(m, n)
     r, c = np.exp(log_r), np.exp(log_c)
 

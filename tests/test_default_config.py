@@ -1,12 +1,15 @@
 """Extraction at the default configuration: golden descriptor values, the
-float32 projection against the float64 one it replaced, and band sizes that
-leave the backbone's output unchanged."""
+float32 projection against the float64 one it replaced, band sizes that
+leave the backbone's output unchanged, and the traced memory of patch
+extraction and of packing the model."""
 
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
+import numpy as np
 from numpy.testing import assert_allclose, assert_array_equal
 
 from make_golden import GOLDEN_DESCRIPTORS, default_model, descriptor_values, noise_images
@@ -14,7 +17,7 @@ from oracles import float64_projection
 from vprkit import descriptor, tensor
 from vprkit.backbone import backbone_forward
 from vprkit.descriptor import extract_patch_descriptors, global_descriptor, make_patch_grid
-from vprkit.io_store import load_image
+from vprkit.io_store import WEIGHTS_MAGIC, load_image, model_to_tensors, pack_tensors
 
 
 @pytest.fixture(scope="module")
@@ -60,3 +63,41 @@ def test_float32_projection_against_float64(model, fmap, monkeypatch):
 def test_backbone_band_size_does_not_change_the_map(model, images, fmap, monkeypatch):
     monkeypatch.setattr(tensor, "CONV_BAND_BYTES", 1 << 40)
     assert_array_equal(backbone_forward(load_image(str(images[0])), model.backbone, fused=True), fmap)
+
+
+# Bytes patch extraction may hold beyond its own output. The (1131, 12288)
+# float32 matrix of every normalized VLAD row is 55.6 MB at the default map on
+# its own, and building it before projecting took the traced peak to 82.7 MB.
+PATCH_TRANSIENT_BOUND = 56e6
+
+
+def traced_peak(run):
+    """run()'s result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def extraction_transient(self, model, fmap):
+        grid = make_patch_grid(fmap.shape[2], fmap.shape[3], 2, 2)
+        patches, peak = traced_peak(lambda: extract_patch_descriptors(fmap, grid, model.vlad, model.pca))
+        assert patches.descriptors.shape == (grid.count, 512)
+        return peak - patches.descriptors.nbytes
+
+    def test_default_map_extraction_is_bounded(self, model, fmap):
+        assert self.extraction_transient(model, fmap) <= PATCH_TRANSIENT_BOUND
+
+    def test_transient_does_not_scale_with_the_grid(self, model):
+        """A 60x80 map has four times the default windows (4661); the bytes held
+        beyond the output stay within the default map's bound."""
+        fmap = np.random.default_rng(60).standard_normal((1, 192, 60, 80)).astype(np.float32)
+        assert self.extraction_transient(model, fmap) <= PATCH_TRANSIENT_BOUND
+
+    def test_packing_holds_about_one_copy_of_the_model(self, model):
+        packed, peak = traced_peak(lambda: pack_tensors(model_to_tensors(model), WEIGHTS_MAGIC))
+        assert len(packed) > 75e6
+        assert peak <= 1.1 * len(packed)
