@@ -6,7 +6,8 @@ a command has only for the settings it reads.
 Reports come out twice: a human table on stdout and, when requested,
 machine-readable JSON lines with a frozen, versioned schema. Every command is
 deterministic for fixed (seed, weights, inputs) apart from wall-clock fields.
-Exit codes: 0 success, 1 verification failure, 2 usage or format error.
+Exit codes: 0 success, 1 a failed verification (selfcheck, or reparam's fused-form
+check), 2 usage or format error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .backbone import count_params_flops, form_deviation
+from .backbone import count_params_flops
 from .descriptor import GlobalDescriptor, PatchDescriptorSet, PatchGrid
 from .errors import ConfigError, FormatError, VprError
 from .io_store import (
@@ -31,6 +32,7 @@ from .io_store import (
     load_manifest,
     load_weights,
     model_to_tensors,
+    read_utf8,
     save_index,
     save_weights,
     WEIGHTS_MAGIC,
@@ -38,10 +40,10 @@ from .io_store import (
 from .model import ModelParams, random_model
 from .pipeline import ExtractionSettings, assemble_index, extract_from_tensor, extract_images, extract_index
 from .retrieval import CandidateList, DescriptorIndex, GeoTag, global_retrieve, recall_at_k, rerank
-from .selfcheck import run_all
+from .selfcheck import check_fused_form, run_all
 from .tensor import conv_output_size
 
-REPORT_SCHEMA_VERSION = 5
+REPORT_SCHEMA_VERSION = 6
 RECALL_KS = (1, 5, 10)
 
 
@@ -94,7 +96,7 @@ _KEY_TYPES = {f.name: str if f.default is None else type(f.default) for f in fie
 def parse_config_file(path: str | Path) -> dict[str, object]:
     """key = value lines; # starts a comment; unknown keys are refused."""
     out: dict[str, object] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path, ConfigError).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -149,8 +151,9 @@ _MODEL_KEYS = ("weights", "clusters", "pca_dim", "seed", "patch_size", "patch_st
 
 
 def add_config_flags(parser: argparse.ArgumentParser, keys: Sequence[str] = tuple(_KEY_TYPES)) -> None:
-    """--config plus one flag per setting in keys: --pca-dim sets pca_dim, parsed as its config key is."""
+    """--config and --report, plus one flag per setting in keys: --pca-dim sets pca_dim, parsed as its config key is."""
     parser.add_argument("--config", metavar="FILE", help="key = value settings file")
+    parser.add_argument("--report", metavar="FILE", help="write JSON-lines report here")
     for key in keys:
         parser.add_argument("--" + key.replace("_", "-"), dest=key, type=_KEY_TYPES[key], help=_KEY_HELP[key])
 
@@ -220,13 +223,10 @@ class _Report:
         Path(self.path).write_text(text, encoding="utf-8")
 
 
-def _table(rows: list[Sequence[str]], out=None) -> None:
-    out = out or sys.stdout
-    if not rows:
-        return
+def _table(rows: list[Sequence[str]]) -> None:
     widths = [max(len(str(row[i])) for row in rows) for i in range(len(rows[0]))]
     for row in rows:
-        print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)).rstrip(), file=out)
+        print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -393,41 +393,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_reparam(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    model = load_weights(args.weights_in)
+    resolve_config(args)  # applies no setting, but a malformed config file still fails
+    model, model_seconds, model_sha256, _ = _timed_model(RunConfig(weights=args.weights_in))
     report = _Report(args.report)
+    loaded = {"model_seconds": round(model_seconds, 6), "model_sha256": model_sha256}
     if model.backbone.blocks is None:
         save_weights(args.out, model)
-        report.add("reparam", status="noop", reason="input carries only fused weights")
+        report.add("reparam", status="noop", reason="input carries only fused weights", **loaded)
         report.flush()
         print("input is already fused; copied unchanged")
         return 0
-    fused_model = model.with_fused()
-    rng = np.random.default_rng(cfg.seed)
-    probe = rng.standard_normal((1, model.backbone.spec.in_channels, 64, 64)).astype(np.float32)
-    deviation, rel_deviation = form_deviation(fused_model.backbone, probe)
-    params_multi, flops_multi = count_params_flops(model.backbone, fused=False)
-    params_fused, flops_fused = count_params_flops(model.backbone, fused=True)
-    save_weights(args.out, fused_model)
-    report.add(
-        "reparam",
-        status="fused",
-        max_abs_deviation=deviation,
-        max_rel_deviation=rel_deviation,
-        params_multibranch=params_multi,
-        params_fused=params_fused,
-        flops_multibranch=flops_multi,
-        flops_fused=flops_fused,
-    )
+    check, deviation, rel_deviation = check_fused_form(model.backbone)
+    status = "fused" if check.ok else "failed"
+    report.add("reparam", status=status, max_abs_deviation=deviation, max_rel_deviation=rel_deviation, **loaded)
     report.flush()
-    _table(
-        [
-            ("", "multibranch", "fused"),
-            ("params", str(params_multi), str(params_fused)),
-            ("mult-adds", str(flops_multi), str(flops_fused)),
-        ]
-    )
     print(f"max elementwise deviation on probe batch: {deviation:.3e} (relative {rel_deviation:.3e})")
+    if not check.ok:
+        print(f"error: the fused form fails its check ({check.detail}); {args.out} not written", file=sys.stderr)
+        return 1
+    save_weights(args.out, model)
     print(f"wrote both forms -> {args.out}")
     return 0
 
@@ -520,30 +504,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="dataset manifest CSV")
     p.add_argument("--out", default="index.vpri", help="index file to write")
     p.add_argument("--save-weights", dest="save_weights", metavar="FILE", help="persist the model used")
-    p.add_argument("--report", metavar="FILE", help="write JSON-lines report here")
     add_config_flags(p, (*_MODEL_KEYS, "threads"))
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("eval", help="retrieve+rerank the query split against an index")
     p.add_argument("manifest", help="dataset manifest CSV")
     p.add_argument("--index", required=True, help="index file from extract")
-    p.add_argument("--report", metavar="FILE", help="write JSON-lines report here")
     add_config_flags(
         p, ("weights", "sinkhorn_reg", "sinkhorn_tol", "sinkhorn_iters", "candidates", "radius_m", "threads")
     )
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("reparam", help="fuse branches and verify on a probe batch")
+    p = sub.add_parser("reparam", help="fuse branches, check the fused form on a probe batch, and write both forms")
     p.add_argument("weights_in", help="weights container to fuse")
-    p.add_argument("--out", required=True, help="weights container to write (both forms)")
-    p.add_argument("--report", metavar="FILE", help="write JSON-lines report here")
-    add_config_flags(p, ("seed",))  # the weights come from weights_in
+    p.add_argument("--out", required=True, help="weights container to write (both forms), unless the check fails")
+    add_config_flags(p, ())  # the weights come from weights_in
     p.set_defaults(func=cmd_reparam)
 
     p = sub.add_parser("bench", help="time extraction and matching on synthetic fixtures")
     p.add_argument("--images", type=int, default=3, help="synthetic database size")
     p.add_argument("--queries", type=int, default=2, help="synthetic query count")
-    p.add_argument("--report", metavar="FILE", help="write JSON-lines report here")
     add_config_flags(p, (*_MODEL_KEYS, "sinkhorn_reg", "sinkhorn_tol", "sinkhorn_iters", "candidates"))
     p.set_defaults(func=cmd_bench)
 
@@ -552,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the installed numerics: backbone, descriptor, matcher, io_store, and the weights file if one is "
         "set (oracle comparisons live in the test suite)",
     )
-    p.add_argument("--report", metavar="FILE", help="write JSON-lines report here")
     add_config_flags(p, ("weights", "seed"))
     p.set_defaults(func=cmd_selfcheck)
 

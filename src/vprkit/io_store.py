@@ -10,6 +10,7 @@ atomic (write to a temp file in the target directory, then rename).
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import struct
@@ -22,7 +23,7 @@ import numpy as np
 
 from .backbone import Backbone, ConvBnBranch, NetworkSpec, RepVggBlock, StageSpec
 from .descriptor import GlobalDescriptor, PatchDescriptorSet, PcaModel, VladParams, make_patch_grid
-from .errors import FormatError
+from .errors import FormatError, VprError
 from .matcher import AttentionLayer, MatcherParams
 from .model import ModelParams
 from .retrieval import DescriptorIndex, GeoTag, IndexEntry
@@ -147,12 +148,19 @@ def unpack_tensors(data: bytes, expect_magic: bytes) -> dict[str, np.ndarray]:
             raise FormatError(f"tensor {name!r} declares {nbytes} bytes but dims {dims} require {expected}")
         entries.append((name, code, dims, offset, nbytes))
     base = cur.pos  # payload offsets count from here; read in place rather than slice a copy of the payload
+    # The payloads tile the rest of the file in table order, as pack_tensors lays them out.
+    end, before = base, "the tensor table"
+    for name, _, _, offset, nbytes in entries:
+        if base + offset != end:
+            raise FormatError(f"tensor {name!r} payload starts at offset {base + offset}, but {before} ends at {end}")
+        end += nbytes
+        before = f"tensor {name!r} payload"
+    if end != len(data):
+        raise FormatError(f"{before} ends at offset {end}, but the file ends at offset {len(data)}")
     out: dict[str, np.ndarray] = {}
     for name, code, dims, offset, nbytes in entries:
         if name in out:
             raise FormatError(f"duplicate tensor name {name!r}")
-        if base + offset + nbytes > len(data):
-            raise FormatError(f"tensor {name!r} payload runs past end of file")
         arr = np.frombuffer(data, dtype=_DTYPE_CODES[code], count=math.prod(dims), offset=base + offset)
         out[name] = arr.reshape(dims).copy()
     return out
@@ -416,6 +424,16 @@ def load_index(path: str | Path) -> tuple[DescriptorIndex, dict[str, PatchDescri
 # Manifest
 # ---------------------------------------------------------------------------
 
+def read_utf8(path: str | Path, error: type[VprError] = FormatError) -> str:
+    """The text of a UTF-8 file; otherwise `error` naming the line that holds the first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as bad:
+        line = data.count(b"\n", 0, bad.start) + 1
+        raise error(f"{path}: line {line}: byte 0x{data[bad.start]:02x} at offset {bad.start} is not UTF-8") from None
+
+
 MANIFEST_HEADER = ["image_id", "path", "easting", "northing", "split"]
 _SPLITS = ("query", "database")
 
@@ -437,7 +455,7 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
     """
     records: list[ManifestRecord] = []
     seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with io.StringIO(read_utf8(path), newline="") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -472,8 +490,6 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
 
 def save_manifest(path: str | Path, records: Sequence[ManifestRecord]) -> None:
     """Write records back in the canonical format (repr floats, LF line ends)."""
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(MANIFEST_HEADER)

@@ -116,25 +116,23 @@ def check_io_store(rng: np.random.Generator) -> list[CheckResult]:
     return [CheckResult("io_store", "container round-trip", ok, "20 random tables")]
 
 
+def check_fused_form(net: bb.Backbone) -> tuple[CheckResult, float, float]:
+    """The fused form of a backbone carrying both forms against its multibranch form, on a fixed
+    32x32 probe: the verdict (relative deviation at most 1e-5), then the max abs and rel deviation."""
+    x = np.random.default_rng(7).standard_normal((1, net.spec.in_channels, 32, 32)).astype(np.float32)
+    deviation, rel = bb.form_deviation(net, x)
+    return CheckResult("weights", "fused vs multibranch forms", rel <= 1e-5, f"max rel dev {rel:.2e}"), deviation, rel
+
+
 def check_weights_file(path: str) -> list[CheckResult]:
     """Cross-verify a weights file whose backbone carries both forms."""
     from .io_store import load_weights
 
-    model = load_weights(path)
-    net = model.backbone
+    net = load_weights(path).backbone
     if net.blocks is None or net.fused is None:
-        return [
-            CheckResult(
-                "weights",
-                "fused vs multibranch forms",
-                True,
-                "file carries a single form; nothing to cross-check",
-            )
-        ]
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((1, net.spec.in_channels, 32, 32)).astype(np.float32)
-    _, rel = bb.form_deviation(net, x)
-    return [CheckResult("weights", "fused vs multibranch forms", rel <= 1e-5, f"max rel dev {rel:.2e}")]
+        single = "file carries a single form; nothing to cross-check"
+        return [CheckResult("weights", "fused vs multibranch forms", True, single)]
+    return [check_fused_form(net)[0]]
 
 
 SUITES: dict[str, Callable[[np.random.Generator], list[CheckResult]]] = {

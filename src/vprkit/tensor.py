@@ -118,11 +118,11 @@ class BatchNormParams:
         return self.gamma.shape[0]
 
 
-def neutral_batchnorm(channels: int, eps: float = 1e-5) -> BatchNormParams:
-    """gamma=1, beta=0, mean=0, var=1; with eps=0 this is an exact identity."""
+def neutral_batchnorm(channels: int) -> BatchNormParams:
+    """gamma=1, beta=0, mean=0, var=1 at the default eps: a scale by 1/sqrt(1 + eps)."""
     ones = np.ones(channels, dtype=np.float32)
     zeros = np.zeros(channels, dtype=np.float32)
-    return BatchNormParams(gamma=ones, beta=zeros, running_mean=zeros, running_var=ones.copy(), eps=eps)
+    return BatchNormParams(gamma=ones, beta=zeros, running_mean=zeros, running_var=ones.copy())
 
 
 def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vprkit import backbone, cli, descriptor, io_store, matcher
+from vprkit import backbone, cli, descriptor, io_store, matcher, selfcheck
 from vprkit.backbone import NetworkSpec, StageSpec, count_params_flops
 from vprkit.cli import (
     REPORT_SCHEMA_VERSION,
@@ -253,6 +253,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_file(f)
 
+    def test_non_utf8_comment_is_usage_error_naming_the_line(self, tmp_path, capsys):
+        f = tmp_path / "bad.cfg"
+        f.write_bytes(b"clusters = 8\n# caf\xe9\n")
+        assert main(["selfcheck", "--config", str(f)]) == 2
+        assert "bad.cfg: line 2: byte 0xe9 at offset 18 is not UTF-8" in capsys.readouterr().err
+
     def test_missing_equals_refused(self, tmp_path):
         f = tmp_path / "run.cfg"
         f.write_text("threads 4\n")
@@ -311,7 +317,7 @@ class TestFlagsMatchReads:
             if not line.startswith("|"):
                 break
             command, names, count = (cell.strip() for cell in line.strip("|").split("|"))
-            listed = names.split(", ")
+            listed = names.split(", ") if names else []  # an empty cell: the command registers no setting flag
             assert len(set(listed)) == len(listed), command
             table[command.strip("`")] = set(listed)
             assert count.startswith(f"{len(listed)} of {len(SETTINGS)}"), command
@@ -322,6 +328,7 @@ class TestFlagsMatchReads:
         [
             ["extract", "m.csv", "--sinkhorn-reg", "0.02"],
             ["reparam", "w.vprw", "--out", "o.vprw", "--candidates", "7"],
+            ["reparam", "w.vprw", "--out", "o.vprw", "--seed", "1"],
             ["reparam", "w.vprw", "--out", "o.vprw", "--weights", "x.vprw", "--clusters", "4"],
             ["bench", "--threads", "2"],
             ["bench", "--radius-m", "5"],
@@ -337,6 +344,7 @@ class TestFlagsMatchReads:
         ids=[
             "extract-sinkhorn-reg",
             "reparam-candidates",
+            "reparam-seed",
             "reparam-weights-clusters",
             "bench-threads",
             "bench-radius-m",
@@ -407,7 +415,7 @@ class TestExtract:
         main(["extract", str(manifest), "--out", str(tmp_path / "i.vpri"), "--report", str(report), *MODEL_FLAGS])
         records = read_report(report)
         assert records[0]["type"] == "extract"
-        assert records[0]["version"] == REPORT_SCHEMA_VERSION == 5
+        assert records[0]["version"] == REPORT_SCHEMA_VERSION == 6
         assert records[0]["images"] == 5
         assert records[0]["model_seconds"] > 0.0
         assert json.loads(load_index(tmp_path / "i.vpri")[0].record) == {
@@ -792,6 +800,12 @@ class TestEval:
         manifest = write_corpus(tmp_path, twins=[0], query_positions=[0.0])
         assert main(["eval", str(manifest), "--index", str(tmp_path / "nope.vpri")]) == 2
 
+    def test_non_utf8_manifest_is_usage_error_naming_the_line(self, tmp_path, capsys):
+        manifest = tmp_path / "bad.csv"
+        manifest.write_bytes(b"image_id,path,easting,northing,split\nq0,q\xff.ppm,0,0,query\n")
+        assert main(["eval", str(manifest), "--index", str(tmp_path / "i.vpri")]) == 2  # read before the index
+        assert "bad.csv: line 2: byte 0xff at offset 41 is not UTF-8" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "name, bad",
         [("entry00000.id", np.array([0xFF], dtype=np.uint8)), ("meta.count", np.zeros(0, dtype=np.int32))],
@@ -855,14 +869,47 @@ class TestReparam:
         out = tmp_path / "out.vprw"
         report = tmp_path / "reparam.jsonl"
         assert main(["reparam", str(weights_in), "--out", str(out), "--report", str(report)]) == 0
-        record = read_report(report)[0]
+        (record,) = read_report(report)
         assert record["status"] == "fused"
         # Neutral normalization: fusion is essentially exact.
-        assert record["max_rel_deviation"] < 1e-6
-        assert record["params_fused"] < record["params_multibranch"]
-        assert record["flops_fused"] < record["flops_multibranch"]
+        assert record["max_rel_deviation"] < 1e-6 and record["max_abs_deviation"] >= 0.0
+        assert record["model_seconds"] > 0.0
+        # The identity of the written file, and what extract --weights records for it.
+        assert record["model_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest() == fused_sha256(weights_in)
+        assert not [key for key in record if key.startswith(("params_", "flops_"))]  # bench --weights counts them
         fused = load_weights(out)
         assert fused.backbone.blocks is not None and fused.backbone.fused is not None
+
+    def test_same_check_as_selfcheck(self, tmp_path, small_model):
+        """reparam and selfcheck --weights run one fused-form check, so they report one deviation."""
+        assert cli.check_fused_form is selfcheck.check_fused_form
+        weights_in, out = tmp_path / "in.vprw", tmp_path / "out.vprw"
+        save_weights(weights_in, small_model)
+        reparam_report, check_report = tmp_path / "reparam.jsonl", tmp_path / "check.jsonl"
+        assert main(["reparam", str(weights_in), "--out", str(out), "--report", str(reparam_report)]) == 0
+        assert main(["selfcheck", "--weights", str(out), "--report", str(check_report)]) == 0
+        (record,) = read_report(reparam_report)
+        (checked,) = [r for r in read_report(check_report) if r.get("check") == "fused vs multibranch forms"]
+        assert checked["detail"] == f"max rel dev {record['max_rel_deviation']:.2e}"
+        _, deviation, rel = selfcheck.check_fused_form(load_weights(out).backbone)
+        assert (record["max_abs_deviation"], record["max_rel_deviation"]) == (deviation, rel)
+
+    def test_fault_in_the_fuse_exits_one_and_writes_nothing(self, tmp_path, small_model, monkeypatch, capsys):
+        def off_by_a_bias(original):
+            def broken(block):
+                conv = original(block)
+                return dataclasses.replace(conv, bias=conv.bias + 1e-2)
+
+            return broken
+
+        monkeypatch.setattr(backbone, "reparameterize_block", off_by_a_bias(backbone.reparameterize_block))
+        weights_in, out, report = tmp_path / "in.vprw", tmp_path / "out.vprw", tmp_path / "reparam.jsonl"
+        save_weights(weights_in, small_model)
+        assert main(["reparam", str(weights_in), "--out", str(out), "--report", str(report)]) == 1
+        assert not out.exists()
+        assert "fails its check" in capsys.readouterr().err
+        (record,) = read_report(report)
+        assert record["status"] == "failed" and record["max_rel_deviation"] > 1e-5
 
     def test_already_fused_is_noop(self, tmp_path, small_model, capsys):
         fused_only = dataclasses.replace(
@@ -870,11 +917,13 @@ class TestReparam:
         )
         weights_in = tmp_path / "fused.vprw"
         save_weights(weights_in, fused_only)
-        out = tmp_path / "copy.vprw"
-        assert main(["reparam", str(weights_in), "--out", str(out)]) == 0
+        out, report = tmp_path / "copy.vprw", tmp_path / "reparam.jsonl"
+        assert main(["reparam", str(weights_in), "--out", str(out), "--report", str(report)]) == 0
         assert "already fused" in capsys.readouterr().out
-        again = load_weights(out)
-        assert again.backbone.blocks is None
+        assert out.read_bytes() == weights_in.read_bytes()
+        (record,) = read_report(report)
+        assert record["status"] == "noop"
+        assert record["model_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 class TestBench:

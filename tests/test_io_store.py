@@ -93,6 +93,22 @@ class TestTensorContainer:
         with pytest.raises(FormatError, match=f"offset {at} is not UTF-8"):
             unpack_tensors(blob.replace(b"ab", b"\xff\xfe"), WEIGHTS_MAGIC)
 
+    def test_trailing_bytes_refused_naming_the_last_tensor(self):
+        blob = pack_tensors({"x": np.zeros(2, np.float32), "y": np.ones(2, np.float32)}, WEIGHTS_MAGIC)
+        with pytest.raises(FormatError, match=f"tensor 'y' payload ends at offset {len(blob)}, but the file ends at offset {len(blob) + 4}"):
+            unpack_tensors(blob + b"junk", WEIGHTS_MAGIC)
+
+    @pytest.mark.parametrize("offset", [4, 12], ids=["overlap", "gap"])
+    def test_payload_off_its_place_refused_with_its_offset(self, offset):
+        """Each payload starts where the one before it ends, in table order."""
+        blob = pack_tensors({"x": np.zeros(2, np.float32), "y": np.ones(2, np.float32)}, WEIGHTS_MAGIC)
+        field = blob.index(struct.pack("<I", 1) + b"y") + 11  # name length, name, code, rank, dims
+        assert blob[field : field + 8] == struct.pack("<Q", 8)
+        moved = blob[:field] + struct.pack("<Q", offset) + blob[field + 8 :]
+        base = len(blob) - 16  # the table ends where x's 8 payload bytes start
+        with pytest.raises(FormatError, match=f"tensor 'y' payload starts at offset {base + offset}, but tensor 'x'"):
+            unpack_tensors(moved, WEIGHTS_MAGIC)
+
     @given(
         st.dictionaries(
             st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=12),
@@ -430,6 +446,12 @@ class TestManifest:
         path = tmp_path / "m.csv"
         path.write_text("image_id,path,easting,northing,split\na,x.ppm,0,0,train\n")
         with pytest.raises(FormatError):
+            load_manifest(path)
+
+    def test_non_utf8_byte_reports_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"image_id,path,easting,northing,split\na,x.ppm,0,0,database\nb,\xff.ppm,1,1,query\n")
+        with pytest.raises(FormatError, match=r"m.csv: line 3: byte 0xff at offset 60 is not UTF-8"):
             load_manifest(path)
 
 
