@@ -106,6 +106,7 @@ def attention_forward(x_src: np.ndarray, x_dst: np.ndarray, layer: AttentionLaye
     g = xd @ layer.w_g.astype(dtype, copy=False).T
     # The (N_src, N_dst) logits become rho in place: one such buffer per call.
     rho = f @ g.T
+    del f, g
     rho -= rho.max(axis=0, keepdims=True)
     np.exp(rho, out=rho)
     rho /= rho.sum(axis=0, keepdims=True)
@@ -158,10 +159,13 @@ class AssignmentMatrix:
         return self.z[:-1, :-1]
 
 
-def _augment(scores: np.ndarray, dustbin_score: float) -> np.ndarray:
+def _fill_scaled(out: np.ndarray, scores: np.ndarray, dustbin_score: float, reg: float) -> np.ndarray:
+    """Write the dustbin-augmented scores over reg into out, an (M+1, N+1) float64 array."""
     m, n = scores.shape
-    out = np.full((m + 1, n + 1), float(dustbin_score), dtype=np.float64)
     out[:m, :n] = scores
+    out[m, :] = dustbin_score
+    out[:m, n] = dustbin_score
+    out /= reg
     return out
 
 
@@ -212,6 +216,10 @@ def sinkhorn_assign(
     arXiv 1610.06519), which keeps small reg stable. The dustbin row and
     column keep an entry of every row and column of K away from zero.
 
+    One (M+1, N+1) float64 array is held: K, refilled in place from scores
+    (augmented, over reg) at the first row update and at each absorption,
+    and scaled into the plan at the end. scores itself is never written.
+
     Convergence means the worst marginal violation is within tol. It is read
     from vectors the loop has anyway: row sums of the plan are u * (K v),
     where K v is the product the next row update needs, and column sums are
@@ -230,14 +238,13 @@ def sinkhorn_assign(
         raise ShapeError(f"max_iters must be >= 1, got {max_iters}")
 
     m, n = scores.shape
-    s = _augment(scores, dustbin_score)
-    s /= reg
     log_r, log_c = _log_marginals(m, n)
     r, c = np.exp(log_r), np.exp(log_c)
 
     # First row update in the log domain; its exponentials become the kernel.
-    hi = s.max(axis=1)
-    kernel = s - hi[:, None]
+    kernel = _fill_scaled(np.empty((m + 1, n + 1)), scores, dustbin_score, reg)
+    hi = kernel.max(axis=1)
+    kernel -= hi[:, None]
     np.exp(kernel, out=kernel)
     row_scale = r / kernel.sum(axis=1)
     kernel *= row_scale[:, None]
@@ -261,7 +268,8 @@ def sinkhorn_assign(
         if _out_of_range(u) or _out_of_range(v):
             f += np.log(u)
             g += np.log(v)
-            np.add(s, f[:, None], out=kernel)
+            _fill_scaled(kernel, scores, dustbin_score, reg)
+            kernel += f[:, None]
             kernel += g[None, :]
             np.exp(kernel, out=kernel)
             u = np.ones(m + 1)
@@ -358,7 +366,7 @@ def loss_gradient(
         return np.zeros_like(scores)
     m, n = scores.shape
     _check_pairs_in(matches.pairs, m, n)
-    s = _augment(scores, dustbin_score) / reg
+    s = _fill_scaled(np.empty((m + 1, n + 1)), scores, dustbin_score, reg)
     log_r, log_c = _log_marginals(m, n)
 
     # Forward, keeping the per-iteration duals for the reverse sweep.
@@ -426,8 +434,9 @@ def match_pair(
     max_iters: int = 100,
 ) -> PairScore:
     """Enhance, score, transport, and summarize one query/candidate pair."""
-    yq, yd = enhance_descriptors(q_patches, d_patches, params)
-    assignment = sinkhorn_assign(score_matrix(yq, yd), params.dustbin_score, reg=reg, tol=tol, max_iters=max_iters)
+    # The enhanced sets are let go once their score matrix exists.
+    scores = score_matrix(*enhance_descriptors(q_patches, d_patches, params))
+    assignment = sinkhorn_assign(scores, params.dustbin_score, reg=reg, tol=tol, max_iters=max_iters)
     return PairScore(match_score(assignment), assignment.iterations, assignment.converged)
 
 

@@ -125,13 +125,16 @@ def check_fused_form(net: bb.Backbone) -> tuple[CheckResult, float, float]:
 
 
 def check_weights_file(path: str) -> list[CheckResult]:
-    """Cross-verify a weights file whose backbone carries both forms."""
+    """Cross-verify a weights file's fused form against its multibranch form. A
+    multibranch-only file is fused first, as every command fuses it at load."""
     from .io_store import load_weights
 
     net = load_weights(path).backbone
-    if net.blocks is None or net.fused is None:
+    if net.blocks is None:
         single = "file carries a single form; nothing to cross-check"
         return [CheckResult("weights", "fused vs multibranch forms", True, single)]
+    if net.fused is None:
+        net = bb.reparameterize_backbone(net)
     return [check_fused_form(net)[0]]
 
 

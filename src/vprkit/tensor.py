@@ -16,8 +16,8 @@ A convolution is one float64 GEMM per band of output rows: the taps are
 copied, cast to float64 on the way, into a (channels, kh, kw, rows, out_w)
 column buffer straight from the unpadded input, and the product with the
 flattened weight comes out in (out_channels, rows, out_w) order, so no
-transpose follows. A band holds about CONV_BAND_BYTES of columns; the result
-does not depend on the band size.
+transpose follows. A band's float64 columns and float64 products together
+hold about CONV_BAND_BYTES; the result does not depend on the band size.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from .errors import ShapeError
 # A Tensor4 is a plain ndarray; the alias marks the (B, C, H, W) float32 contract.
 Tensor4 = np.ndarray
 
-# Bytes of float64 columns conv2d fills per GEMM; a band is at least one output row.
+# Bytes of float64 columns plus float64 products conv2d holds per GEMM; a band
+# is at least one output row.
 CONV_BAND_BYTES = 8 << 20
 
 
@@ -129,12 +130,13 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     """Cross-correlate x with p.weight and add p.bias.
 
     Output spatial size along each axis is floor((in + 2*padding - kernel)/stride) + 1.
-    Each band of output rows (about CONV_BAND_BYTES of columns) fills a float64
-    column buffer of shape (in_channels, kh, kw, rows, out_w), one strided slice
-    of the unpadded input per tap, with zeros where a tap reads padding; then
-    weight.reshape(out, in*kh*kw) @ columns is one GEMM whose result is already
-    in (out, rows, out_w) order. Products accumulate in float64; the output is a
-    fresh contiguous float32 array.
+    Each band of output rows fills a float64 column buffer of shape
+    (in_channels, kh, kw, rows, out_w), one strided slice of the unpadded input
+    per tap, with zeros where a tap reads padding; then
+    weight.reshape(out, in*kh*kw) @ columns is one GEMM whose float64 products
+    are already in (out, rows, out_w) order. A band's columns and products
+    together hold about CONV_BAND_BYTES. Products accumulate in float64; the
+    output is a fresh contiguous float32 array.
     """
     x = as_tensor4(x)
     b, c, h, w = x.shape
@@ -156,7 +158,7 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
         return slice(lo - start, hi - start), slice(first, first + (hi - lo - 1) * stride + 1, stride)
 
     depth = c * kh * kw
-    band = max(1, min(oh, CONV_BAND_BYTES // (depth * ow * 8)))  # output rows per band
+    band = max(1, min(oh, CONV_BAND_BYTES // ((depth + p.out_channels) * ow * 8)))  # output rows per band
     col_buf = np.empty(depth * band * ow, dtype=np.float64)
     prod_buf = np.empty(p.out_channels * band * ow, dtype=np.float64)
     col_spans = [span(v, w, 0, ow) for v in range(kw)]

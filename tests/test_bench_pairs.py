@@ -48,6 +48,36 @@ def test_a_gain_beyond_the_parent_spread_is_flagged(bench_pairs):
     assert worse["wins"] == 0 and worse["median_gain"] < 0 and not worse["gain_exceeds_parent_spread"]
 
 
+def test_claim_met_needs_nine_in_ten_wins_and_a_gain_beyond_the_spread(bench_pairs):
+    parent = [{"peak_rss_mb": v} for v in (198.0, 198.1, 198.2, 198.3, 198.4, 198.0, 198.1, 198.2, 198.3, 198.4)]
+    nine = [{"peak_rss_mb": v} for v in (189.0, 189.1, 189.2, 189.3, 189.4, 189.0, 189.1, 189.2, 189.3, 199.0)]
+    s = bench_pairs.summarize(parent, nine, {"peak_rss_mb": "lower"})["peak_rss_mb"]
+    assert (s["wins"], s["gain_exceeds_parent_spread"], s["claim_met"]) == (9, True, True)
+    eight = nine[:8] + [{"peak_rss_mb": 199.0}] * 2
+    s = bench_pairs.summarize(parent, eight, {"peak_rss_mb": "lower"})["peak_rss_mb"]
+    assert (s["wins"], s["gain_exceeds_parent_spread"], s["claim_met"]) == (8, True, False)
+    # Ten wins by less than the parent's quartile distance (0.25 MB) claim nothing.
+    close = [{"peak_rss_mb": run["peak_rss_mb"] - 0.05} for run in parent]
+    s = bench_pairs.summarize(parent, close, {"peak_rss_mb": "lower"})["peak_rss_mb"]
+    assert (s["wins"], s["gain_exceeds_parent_spread"], s["claim_met"]) == (10, False, False)
+
+
+def test_within_bound_reads_the_bound_as_a_share_of_the_parent_median(bench_pairs):
+    parent = [{"op_p50_s": v, "ops_per_s": 1.0 / v} for v in (1.9, 2.0, 2.1)]
+    slower = [{"op_p50_s": v, "ops_per_s": 1.0 / v} for v in (2.4, 2.5, 2.6)]
+    better = {"op_p50_s": "lower", "ops_per_s": "higher"}
+    # Median 2.0 s -> 2.5 s is 25% worse: at the 0.25 bound, past a 0.2 one.
+    assert bench_pairs.summarize(parent, slower, better, {"op_p50_s": 0.25})["op_p50_s"]["within_bound"]
+    summary = bench_pairs.summarize(parent, slower, better, {"op_p50_s": 0.2, "ops_per_s": 0.25})
+    assert summary["op_p50_s"]["within_bound"] is False
+    # The rate falls from 0.5 to 0.4 per second, 20% of the parent's median.
+    assert summary["ops_per_s"]["within_bound"] is True
+    assert bench_pairs.summarize(parent, slower, better, {"ops_per_s": 0.1})["ops_per_s"]["within_bound"] is False
+    # A gain is always within its bound; a metric without one reads None.
+    assert bench_pairs.summarize(slower, parent, better, {"op_p50_s": 0.0})["op_p50_s"]["within_bound"] is True
+    assert bench_pairs.summarize(parent, slower, better)["op_p50_s"]["within_bound"] is None
+
+
 def test_unpaired_runs_refused(bench_pairs):
     with pytest.raises(ValueError):
         bench_pairs.summarize([{"x": 1.0}], [], {"x": "lower"})

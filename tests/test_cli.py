@@ -1073,3 +1073,22 @@ class TestSelfcheck:
         path = tmp_path / "ok.vprw"
         save_weights(path, small_model.with_fused())
         assert main(["selfcheck", "--weights", str(path)]) == 0
+
+    def test_multibranch_only_weights_are_fused_and_checked(self, tmp_path, small_model):
+        """A file storing only the multibranch form is fused as a command would fuse
+        it at load, and its row reports the measured deviation."""
+        path, report = tmp_path / "multi.vprw", tmp_path / "check.jsonl"
+        save_weights(path, small_model)
+        assert load_weights(path).backbone.fused is None
+        assert main(["selfcheck", "--weights", str(path), "--report", str(report)]) == 0
+        (row,) = [r for r in read_report(report) if r.get("check") == "fused vs multibranch forms"]
+        _, _, rel = selfcheck.check_fused_form(backbone.reparameterize_backbone(load_weights(path).backbone))
+        assert row["ok"] and row["detail"] == f"max rel dev {rel:.2e}"
+
+    def test_fused_only_weights_keep_their_single_form_row(self, tmp_path, small_model):
+        path, report = tmp_path / "fused.vprw", tmp_path / "check.jsonl"
+        both = small_model.with_fused()
+        save_weights(path, dataclasses.replace(both, backbone=dataclasses.replace(both.backbone, blocks=None)))
+        assert main(["selfcheck", "--weights", str(path), "--report", str(report)]) == 0
+        (row,) = [r for r in read_report(report) if r.get("check") == "fused vs multibranch forms"]
+        assert row["detail"] == "file carries a single form; nothing to cross-check"

@@ -1,7 +1,8 @@
 """Extraction at the default configuration: golden descriptor values, the
 float32 projection against the float64 one it replaced, band sizes that
-leave the backbone's output unchanged, and the traced memory of patch
-extraction and of packing the model."""
+leave the backbone's output unchanged, and the traced memory of the first
+convolution, of patch extraction, of packing the model and of matching one
+default-size pair."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from make_golden import GOLDEN_DESCRIPTORS, default_model, descriptor_values, noise_images
 from oracles import float64_projection
-from vprkit import descriptor, tensor
+from vprkit import descriptor, matcher, tensor
 from vprkit.backbone import backbone_forward
 from vprkit.descriptor import extract_patch_descriptors, global_descriptor, make_patch_grid
 from vprkit.io_store import WEIGHTS_MAGIC, load_image, model_to_tensors, pack_tensors
@@ -101,3 +102,40 @@ class TestMemory:
         packed, peak = traced_peak(lambda: pack_tensors(model_to_tensors(model), WEIGHTS_MAGIC))
         assert len(packed) > 75e6
         assert peak <= 1.1 * len(packed)
+
+    def test_first_convolution_holds_one_band_beyond_its_output(self, model, images):
+        """A band's float64 columns and products together fit CONV_BAND_BYTES. When
+        the budget counted the columns alone, a 14.9 MB product buffer sat beside
+        them and the traced peak was 38.0 MB."""
+        x = tensor.as_tensor4(load_image(str(images[0])))  # contiguous, as backbone_forward hands it on
+        out, peak = traced_peak(lambda: tensor.conv2d(x, model.backbone.fused[0]))
+        assert out.shape == (1, 48, 240, 320)
+        assert peak <= out.nbytes + tensor.CONV_BAND_BYTES + 1e6
+
+
+@pytest.fixture(scope="module")
+def patch_set(model, fmap):
+    grid = make_patch_grid(fmap.shape[2], fmap.shape[3], 2, 2)
+    return extract_patch_descriptors(fmap, grid, model.vlad, model.pca).descriptors
+
+
+class TestPairMemory:
+    """One default-size pair, 1131x512 float32 sets, at reg 0.02, where Sinkhorn
+    absorbs its drifting duals."""
+
+    def test_match_pair_lets_the_enhanced_sets_go(self, model, patch_set):
+        """The enhanced sets go once their scores exist, and transport holds one
+        (1132, 1132) array beside the scores: 35.5 MB traced when the sets, the
+        scores, an augmented copy of them and the kernel were all alive."""
+        assert patch_set.shape == (1131, 512) and patch_set.dtype == np.float32
+        score, peak = traced_peak(lambda: matcher.match_pair(patch_set, patch_set, model.matcher, reg=0.02))
+        assert 0.0 < score <= 1.0
+        assert peak <= 27e6
+
+    def test_sinkhorn_holds_one_plan_sized_array(self, model, patch_set):
+        """2.0x the plan's bytes traced when an augmented copy of the scores lived
+        beside the kernel."""
+        scores = matcher.score_matrix(*matcher.enhance_descriptors(patch_set, patch_set, model.matcher))
+        plan, peak = traced_peak(lambda: matcher.sinkhorn_assign(scores, model.matcher.dustbin_score, reg=0.02))
+        assert plan.z.shape == (1132, 1132)
+        assert peak <= 1.1 * plan.z.nbytes

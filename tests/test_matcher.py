@@ -337,7 +337,9 @@ class TestSinkhornScalingForm:
         for m, n in ((30, 30), (12, 40), (40, 3)):
             scores = rng.uniform(-5.0, 5.0, size=(m, n))
             scores[:, 0] = 5.0 + rng.uniform(0.0, 1.0, size=m)
+            before = scores.copy()
             assert_same_as_log_domain(scores, 0.3, reg, tol)
+            assert_array_equal(scores, before)  # absorption refills the kernel from scores, never writes them
         assert any(absorbed)
 
     def test_large_sharp_matrix(self):

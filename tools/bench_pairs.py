@@ -12,10 +12,14 @@ machine's speed falls on both sides alike. The seeds are used in turn.
 For every workload and end-to-end metric the file holds each side's quartiles
 and median, computed as vprbench/spread.py computes them
 (statistics.quantiles(values, n=4)); how many pairs the change won; the
-change's median gain in the metric's better direction; and whether that gain
-exceeds the distance between the parent's quartiles. It also records every
-run's values, the machine (cores, BLAS, the thread pin), both revisions with a
-digest of their src/vprkit sources, and the seeds.
+change's median gain in the metric's better direction; whether that gain
+exceeds the distance between the parent's quartiles; and two verdicts:
+claim_met (the change won at least 9 in 10 of the pairs and its median gain
+exceeds the parent's quartile distance) and within_bound (the change's median
+is worse than the parent's by no more than the metric's BENCHMARK.json bound,
+a share of the parent's median as vprbench/spread.py reads it). It also
+records every run's values, the machine (cores, BLAS, the thread pin), both
+revisions with a digest of their src/vprkit sources, and the seeds.
 """
 
 from __future__ import annotations
@@ -47,11 +51,21 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(parent: list[dict[str, float]], change: list[dict[str, float]], better: dict[str, str]) -> dict:
+# The share of pairs a claimed gain must win.
+CLAIM_WIN_SHARE = 0.9
+
+
+def summarize(
+    parent: list[dict[str, float]],
+    change: list[dict[str, float]],
+    better: dict[str, str],
+    bounds: dict[str, float] | None = None,
+) -> dict:
     """Per metric of better (name -> "lower" or "higher"): both sides' quartiles over
     the paired runs (parent[i] pairs with change[i]), the change's wins, its median
-    gain in the better direction, and whether that gain exceeds the parent's
-    quartile distance."""
+    gain in the better direction, whether that gain exceeds the parent's quartile
+    distance, whether a claim of it is met, and whether the change's median is
+    within the metric's bound of the parent's (None for a metric bounds lacks)."""
     if len(parent) != len(change) or not parent:
         raise ValueError(f"need equal, nonzero numbers of runs; got {len(parent)} and {len(change)}")
     out = {}
@@ -62,15 +76,19 @@ def summarize(parent: list[dict[str, float]], change: list[dict[str, float]], be
         pq, cq = quartiles(p), quartiles(c)
         gain = sign * (pq["median"] - cq["median"])
         spread = pq["q3"] - pq["q1"]
+        wins = sum(sign * (a - b) > 0 for a, b in zip(p, c))
+        bound = (bounds or {}).get(name)
         out[name] = {
             "better": direction,
             "parent": pq,
             "change": cq,
-            "wins": sum(sign * (a - b) > 0 for a, b in zip(p, c)),
+            "wins": wins,
             "pairs": len(p),
             "median_gain": gain,
             "parent_quartile_distance": spread,
             "gain_exceeds_parent_spread": gain > spread,
+            "claim_met": wins >= CLAIM_WIN_SHARE * len(p) and gain > spread,
+            "within_bound": None if bound is None else -gain <= bound * abs(pq["median"]),
         }
     return out
 
@@ -120,6 +138,7 @@ def run_bench(tree: Path, command: list[str], workload: str, seed: int, seconds:
 def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent_rev", metavar="PARENT_REV")
     parser.add_argument("--workload", nargs="+", required=True, choices=[w["name"] for w in spec["workloads"]])
@@ -158,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
                 runs.append(pair)
             parent_metrics = [r["parent"]["metrics"] for r in runs]
             record["workloads"][workload] = {
-                "summary": summarize(parent_metrics, [r["change"]["metrics"] for r in runs], better),
+                "summary": summarize(parent_metrics, [r["change"]["metrics"] for r in runs], better, bounds),
                 "failed": {side: sum(r[side]["failed"] for r in runs) for side in trees},
                 "attempted": {side: sum(r[side]["attempted"] for r in runs) for side in trees},
                 "runs": runs,
@@ -169,7 +188,8 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"{workload} {name}: parent {s['parent']['median']:.6g} change {s['change']['median']:.6g} "
                 f"wins {s['wins']}/{s['pairs']} gain {s['median_gain']:.4g} "
-                f"parent spread {s['parent_quartile_distance']:.4g}"
+                f"parent spread {s['parent_quartile_distance']:.4g} "
+                f"claim_met {s['claim_met']} within_bound {s['within_bound']}"
             )
     return 0
 
