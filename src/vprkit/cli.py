@@ -140,7 +140,7 @@ _KEY_HELP = {
     "sinkhorn_iters": "max scaling iterations",
     "candidates": "stage-one candidate depth",
     "radius_m": "localization radius in meters",
-    "threads": "extraction worker threads",
+    "threads": "images extracted at once; each image's bands use every CPU the process may run on",
     "seed": "seed for random weights and probes",
     "input_height": "working image height",
     "input_width": "working image width",

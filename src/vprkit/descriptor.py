@@ -22,12 +22,13 @@ the window count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
-from .tensor import Tensor4, as_tensor4, softmax_rows
+from .tensor import Tensor4, as_tensor4, band_workers, softmax_rows
 
 # Bytes of float64 residual sums the VLAD head holds per band; a band is at least one window.
 HEAD_BAND_BYTES = 8 << 20
@@ -290,14 +291,19 @@ def extract_patch_descriptors(
 
 
 def window_residuals(
-    x: np.ndarray, assignments: np.ndarray, windows: np.ndarray, p: VladParams, out: Optional[np.ndarray] = None
+    x: np.ndarray,
+    assignments: np.ndarray,
+    windows: np.ndarray,
+    p: VladParams,
+    out: Optional[np.ndarray] = None,
+    centre: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """(windows, K, D) float64 residual sums, one batched product over every row of
     indices into x in windows: block w is vlad_raw(x[windows[w]], assignments[windows[w]], p).T.
-    The product is written into out when given."""
+    The product is written into out and the centre term into centre when given."""
     aw = assignments[windows]
     raw = np.matmul(aw.transpose(0, 2, 1), x[windows].astype(np.float64), out=out)
-    raw -= aw.sum(axis=1)[:, :, None] * p.centers.astype(np.float64)
+    raw -= np.multiply(aw.sum(axis=1)[:, :, None], p.centers.astype(np.float64), out=centre)
     return raw
 
 
@@ -307,7 +313,16 @@ def _vlad_head(
     """The VLAD head, one row per window: residual sums, L2 per cluster (a zero block
     stays zero) and L2 of the whole (a zero whole is refused) in float64, a band of
     windows at a time, rounded into float32 rows; then the projection, if any, one
-    staged group of bands at a time."""
+    staged group of bands at a time.
+
+    Each band and each group runs on one worker per CPU the process may use
+    (tensor.band_workers): the workers normalize a slice of the band's windows
+    each, and project a slice of at least two of the group's staged rows each.
+    The result cannot depend on the worker count: every window's row is
+    computed on its own, and a row slice of the projection GEMM is a smaller
+    GEMM whose every product accumulates the same terms in the same order.
+    The calling thread allocates the band, centre-term, staging and output
+    buffers; the workers write into them in place."""
     n = len(windows)
     k, d = p.centers.shape
     band = max(1, HEAD_BAND_BYTES // (k * d * 8))
@@ -317,21 +332,30 @@ def _vlad_head(
     stage = np.empty((min(group, n), k * d), dtype=np.float32)
     out = stage if pca is None else np.empty((n, pca.out_dim))
     buf = np.empty((min(band, n), k, d))
-    for g0 in range(0, n, group):
-        g1 = min(g0 + group, n)
-        for w0 in range(g0, g1, band):
-            w1 = min(w0 + band, g1)
-            raw = window_residuals(x, assignments, windows[w0:w1], p, out=buf[: w1 - w0])
-            norms = np.sqrt(np.einsum("pkd,pkd->pk", raw, raw))
-            raw /= np.where(norms > 0.0, norms, 1.0)[:, :, None]
-            flat = raw.reshape(len(raw), -1)
-            totals = np.sqrt(np.einsum("pj,pj->p", flat, flat))
-            if np.any(totals == 0.0):
-                raise DegenerateInputError("a window produced an identically zero descriptor")
-            flat /= totals[:, None]
-            stage[w0 - g0 : w1 - g0] = flat
-        if pca is not None:
-            out[g0:g1] = _project_rows(stage[: g1 - g0], pca)
+    centre = np.empty_like(buf)
+
+    def normalize(w0: int, g0: int, lo: int, hi: int) -> None:
+        """Windows w0 + lo .. w0 + hi, staged at their offset from g0."""
+        raw = window_residuals(x, assignments, windows[w0 + lo : w0 + hi], p, out=buf[lo:hi], centre=centre[lo:hi])
+        norms = np.sqrt(np.einsum("pkd,pkd->pk", raw, raw))
+        raw /= np.where(norms > 0.0, norms, 1.0)[:, :, None]
+        flat = raw.reshape(len(raw), -1)
+        totals = np.sqrt(np.einsum("pj,pj->p", flat, flat))
+        if np.any(totals == 0.0):
+            raise DegenerateInputError("a window produced an identically zero descriptor")
+        flat /= totals[:, None]
+        stage[w0 - g0 + lo : w0 - g0 + hi] = flat
+
+    def project(g0: int, lo: int, hi: int) -> None:
+        out[g0 + lo : g0 + hi] = _project_rows(stage[lo:hi], pca)
+
+    with band_workers() as split:
+        for g0 in range(0, n, group):
+            g1 = min(g0 + group, n)
+            for w0 in range(g0, g1, band):
+                split(partial(normalize, w0, g0), min(w0 + band, g1) - w0, 1)
+            if pca is not None:
+                split(partial(project, g0), g1 - g0, 2)
     return out
 
 

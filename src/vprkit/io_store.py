@@ -584,7 +584,7 @@ def load_image(path: str | Path, input_dims: Optional[tuple[int, int]] = None) -
         rgb = parse_ppm(data, path)
         arr = rgb.astype(np.float64) / 255.0
         arr = (arr - np.asarray(IMAGE_MEAN, dtype=np.float64)) / np.asarray(IMAGE_STD, dtype=np.float64)
-        tensor = arr.transpose(2, 0, 1)[None, :, :, :].astype(np.float32)
+        tensor = np.ascontiguousarray(arr.transpose(2, 0, 1)[None, :, :, :], dtype=np.float32)
     elif p.suffix == ".t4":
         tensor = load_t4(path)
     else:

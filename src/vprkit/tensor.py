@@ -18,11 +18,28 @@ column buffer straight from the unpadded input, and the product with the
 flattened weight comes out in (out_channels, rows, out_w) order, so no
 transpose follows. A band's float64 columns and float64 products together
 hold about CONV_BAND_BYTES; the result does not depend on the band size.
+
+Each band runs on one worker per CPU the process may use (usable_cpus): the
+workers fill the shared column buffer a slice of the band's output rows each,
+then each runs the GEMM for a slice of the output channels into the shared
+product buffer. The result cannot depend on the worker count: filling copies
+values, and a slice of a GEMM's output rows is a smaller GEMM over the same
+operand rows and columns, so every output element sums the same products in
+the same order (the tests compare the bits at one, two and three workers).
+The calling thread allocates every buffer and the workers write into them in
+place, so no multi-MB block lands in a worker thread's heap. The workers expect BLAS to run on one
+thread per call: a BLAS that spreads each call over the CPUs as well contends
+with them.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,6 +51,47 @@ Tensor4 = np.ndarray
 # Bytes of float64 columns plus float64 products conv2d holds per GEMM; a band
 # is at least one output row.
 CONV_BAND_BYTES = 8 << 20
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has
+    one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+Split = Callable[[Callable[[int, int], None], int, int], None]
+
+
+@contextmanager
+def band_workers() -> Iterator[Split]:
+    """Yield split(fn, n, least), which calls fn(lo, hi) over up to usable_cpus()
+    contiguous, near-equal ranges of [0, n), each at least least long, all at
+    once, the calling thread running the first. It returns when every range is
+    done, re-raising the first exception a range raised. With one usable CPU
+    no pool exists and split calls fn(0, n); pool threads end with the block."""
+    workers = usable_cpus()
+    pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="vprkit-band") if workers > 1 else None
+
+    def split(fn: Callable[[int, int], None], n: int, least: int) -> None:
+        parts = max(1, min(workers, n // least))
+        bounds = [n * i // parts for i in range(parts + 1)]
+        rest = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        try:
+            fn(bounds[0], bounds[1])
+        finally:
+            errors = [f.exception() for f in rest]
+        for error in errors:
+            if error is not None:
+                raise error
+
+    try:
+        yield split
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def as_tensor4(x: np.ndarray) -> Tensor4:
@@ -135,8 +193,10 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     per tap, with zeros where a tap reads padding; then
     weight.reshape(out, in*kh*kw) @ columns is one GEMM whose float64 products
     are already in (out, rows, out_w) order. A band's columns and products
-    together hold about CONV_BAND_BYTES. Products accumulate in float64; the
-    output is a fresh contiguous float32 array.
+    together hold about CONV_BAND_BYTES. Workers fill the columns by slices of
+    the band's rows and run the GEMM by slices of at least two output channels
+    (a one-row slice would be a matrix-vector product, not a GEMM). Products
+    accumulate in float64; the output is a fresh contiguous float32 array.
     """
     x = as_tensor4(x)
     b, c, h, w = x.shape
@@ -165,24 +225,34 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     flat_w = p.weight.reshape(p.out_channels, depth).astype(np.float64)
     bias = p.bias.astype(np.float64)[:, None]
     out = np.empty((b, p.out_channels, oh, ow), dtype=np.float32)
-    for n in range(b):
-        for r0 in range(0, oh, band):
-            rows = min(band, oh - r0)
-            cols = col_buf[: depth * rows * ow].reshape(c, kh, kw, rows, ow)
-            for u in range(kh):
-                out_rows, in_rows = span(u, h, r0, r0 + rows)
-                for v, (out_cols, in_cols) in enumerate(col_spans):
-                    tap = cols[:, u, v]
-                    tap[:, : out_rows.start] = 0.0
-                    tap[:, out_rows.stop :] = 0.0
-                    tap[:, :, : out_cols.start] = 0.0
-                    tap[:, :, out_cols.stop :] = 0.0
-                    if out_rows.stop > out_rows.start and out_cols.stop > out_cols.start:
-                        tap[:, out_rows, out_cols] = x[n, :, in_rows, in_cols]
-            prod = prod_buf[: p.out_channels * rows * ow].reshape(p.out_channels, rows * ow)
-            np.matmul(flat_w, cols.reshape(depth, rows * ow), out=prod)
-            prod += bias
-            out[n, :, r0 : r0 + rows] = prod.reshape(p.out_channels, rows, ow)
+
+    def fill(n: int, r0: int, cols: np.ndarray, lo: int, hi: int) -> None:
+        """Columns of output rows r0 + lo .. r0 + hi of image n."""
+        for u in range(kh):
+            out_rows, in_rows = span(u, h, r0 + lo, r0 + hi)
+            for v, (out_cols, in_cols) in enumerate(col_spans):
+                tap = cols[:, u, v, lo:hi]
+                tap[:, : out_rows.start] = 0.0
+                tap[:, out_rows.stop :] = 0.0
+                tap[:, :, : out_cols.start] = 0.0
+                tap[:, :, out_cols.stop :] = 0.0
+                if out_rows.stop > out_rows.start and out_cols.stop > out_cols.start:
+                    tap[:, out_rows, out_cols] = x[n, :, in_rows, in_cols]
+
+    def multiply(n: int, r0: int, rows: int, cols: np.ndarray, prod: np.ndarray, lo: int, hi: int) -> None:
+        """Output channels lo .. hi of output rows r0 .. r0 + rows of image n."""
+        np.matmul(flat_w[lo:hi], cols.reshape(depth, rows * ow), out=prod[lo:hi])
+        prod[lo:hi] += bias[lo:hi]
+        out[n, lo:hi, r0 : r0 + rows] = prod[lo:hi].reshape(hi - lo, rows, ow)
+
+    with band_workers() as split:
+        for n in range(b):
+            for r0 in range(0, oh, band):
+                rows = min(band, oh - r0)
+                cols = col_buf[: depth * rows * ow].reshape(c, kh, kw, rows, ow)
+                prod = prod_buf[: p.out_channels * rows * ow].reshape(p.out_channels, rows * ow)
+                split(partial(fill, n, r0, cols), rows, 1)
+                split(partial(multiply, n, r0, rows, cols, prod), p.out_channels, 2)
     return out
 
 

@@ -1,11 +1,13 @@
 """Extraction at the default configuration: golden descriptor values, the
 float32 projection against the float64 one it replaced, band sizes that
-leave the backbone's output unchanged, and the traced memory of the first
-convolution, of patch extraction, of packing the model and of matching one
-default-size pair."""
+leave the backbone's output unchanged and band-worker counts that leave the
+extraction's bytes unchanged, and the traced memory of the first
+convolution, of patch extraction (on one and on two band workers), of
+packing the model and of matching one default-size pair."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tracemalloc
 
@@ -19,6 +21,7 @@ from vprkit import descriptor, matcher, tensor
 from vprkit.backbone import backbone_forward
 from vprkit.descriptor import extract_patch_descriptors, global_descriptor, make_patch_grid
 from vprkit.io_store import WEIGHTS_MAGIC, load_image, model_to_tensors, pack_tensors
+from vprkit.pipeline import ExtractionSettings, extract_from_tensor
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +62,18 @@ def test_float32_projection_against_float64(model, fmap, monkeypatch):
     assert got[1].descriptors.shape == (1131, 512)
     assert_allclose(got[0].values, want[0].values, rtol=0, atol=2.5e-7)
     assert_allclose(got[1].descriptors, want[1].descriptors, rtol=0, atol=2.5e-7)
+
+
+def test_extraction_bits_do_not_depend_on_the_worker_count(model, images, monkeypatch):
+    """The default extraction's global and patch bytes, by sha256, on one, two and
+    three band workers."""
+    image = load_image(str(images[0]))
+    digests = set()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(tensor, "usable_cpus", lambda: workers)
+        desc, patches = extract_from_tensor(image, model, ExtractionSettings(fused=True))
+        digests.add(hashlib.sha256(desc.values.tobytes() + patches.descriptors.tobytes()).hexdigest())
+    assert len(digests) == 1
 
 
 def test_backbone_band_size_does_not_change_the_map(model, images, fmap, monkeypatch):
@@ -111,6 +126,22 @@ class TestMemory:
         out, peak = traced_peak(lambda: tensor.conv2d(x, model.backbone.fused[0]))
         assert out.shape == (1, 48, 240, 320)
         assert peak <= out.nbytes + tensor.CONV_BAND_BYTES + 1e6
+
+    def test_band_workers_hold_what_one_worker_holds(self, model, images, fmap, monkeypatch):
+        """The calling thread allocates every band buffer and the workers write into
+        them, so two workers trace the peak of one, within 5%."""
+        x = tensor.as_tensor4(load_image(str(images[0])))
+        grid = make_patch_grid(fmap.shape[2], fmap.shape[3], 2, 2)
+        runs = {
+            "conv2d": lambda: tensor.conv2d(x, model.backbone.fused[0]),
+            "patches": lambda: extract_patch_descriptors(fmap, grid, model.vlad, model.pca),
+        }
+        peaks = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(tensor, "usable_cpus", lambda: workers)
+            peaks[workers] = {name: traced_peak(run)[1] for name, run in runs.items()}
+        for name in runs:
+            assert peaks[2][name] <= 1.05 * peaks[1][name], name
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from oracles import (
     patch_placements,
     vlad_double_loop,
 )
-from vprkit import descriptor, model
+from vprkit import descriptor, model, tensor
 from vprkit.descriptor import (
     PcaModel,
     VladParams,
@@ -375,6 +376,45 @@ class TestHeadBands:
             assert rows.dtype == whole.dtype == (np.float64 if projected else np.float32)
             assert_array_equal(rows, got[1 << 40][0])
             assert_array_equal(whole, got[1 << 40][1])
+
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_worker_count_does_not_change_the_rows(self, projected, monkeypatch):
+        """Three-window bands (a shorter last one) on one, two and three workers."""
+        rng = np.random.default_rng(SEED + 25)
+        p = random_vlad_params(dim=5, clusters=3, rng=rng)
+        x = feature_map_descriptors(rng.standard_normal((1, 5, 9, 11)).astype(np.float32))
+        a = soft_assign(x, p)
+        windows = np.lib.stride_tricks.sliding_window_view(np.arange(99).reshape(9, 11), (2, 2)).reshape(-1, 4)
+        pca = _centred_projection(rng) if projected else None
+        monkeypatch.setattr(descriptor, "HEAD_BAND_BYTES", 3 * 3 * 5 * 8)
+        got = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tensor, "usable_cpus", lambda: workers)
+            got[workers] = descriptor._vlad_head(x, a, windows, p, pca)
+        assert_array_equal(got[2], got[1])
+        assert_array_equal(got[3], got[1])
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        """A zero window in the second of two workers' slices raises there; the
+        caller gets that DegenerateInputError, and the pool's thread has ended."""
+        p = _codebook(np.array([[1.0, 2.0]], dtype=np.float32))
+        x = np.array([[0.0, 0.0], [3.0, 3.0], [1.0, 2.0], [1.0, 2.0]], dtype=np.float32)
+        windows = np.array([[0, 0], [1, 1], [2, 3]])
+        threads = {}
+        residuals = descriptor.window_residuals
+
+        def recording(x, a, w, *args, **kwargs):
+            threads[tuple(map(tuple, w))] = threading.current_thread().name
+            return residuals(x, a, w, *args, **kwargs)
+
+        monkeypatch.setattr(descriptor, "window_residuals", recording)
+        monkeypatch.setattr(tensor, "usable_cpus", lambda: 2)
+        before = set(threading.enumerate())
+        with pytest.raises(DegenerateInputError, match="identically zero descriptor"):
+            descriptor._vlad_head(x, np.ones((4, 1)), windows, p, None)
+        assert threads[((1, 1), (2, 3))].startswith("vprkit-band")
+        assert not threads[((0, 0),)].startswith("vprkit-band")
+        assert set(threading.enumerate()) == before
 
     def test_unprojected_rows_are_not_copied(self, monkeypatch):
         rng = np.random.default_rng(SEED + 24)

@@ -16,6 +16,8 @@ from numpy.testing import assert_array_equal
 from vprkit.errors import FormatError
 from vprkit.descriptor import GlobalDescriptor, PatchDescriptorSet, make_patch_grid
 from vprkit.io_store import (
+    IMAGE_MEAN,
+    IMAGE_STD,
     INDEX_MAGIC,
     ManifestRecord,
     WEIGHTS_MAGIC,
@@ -541,6 +543,18 @@ class TestLoadImage:
         write_ppm(path, img)
         out = load_image(path, input_dims=(16, 24))
         assert out.shape == (1, 3, 16, 24)
+
+    def test_ppm_tensor_is_contiguous(self, tmp_path):
+        """The backbone takes the loaded image as it is, with no layout copy; the
+        values are those of the strided (H, W, C) transpose it replaced."""
+        rng = np.random.default_rng(SEED + 9)
+        img = rng.integers(0, 256, size=(12, 20, 3), dtype=np.uint8)
+        path = tmp_path / "x.ppm"
+        write_ppm(path, img)
+        out = load_image(path)
+        arr = (img.astype(np.float64) / 255.0 - np.asarray(IMAGE_MEAN)) / np.asarray(IMAGE_STD)
+        assert out.flags["C_CONTIGUOUS"]
+        assert out.tobytes() == arr.transpose(2, 0, 1)[None, :, :, :].astype(np.float32).tobytes()
 
     def test_t4_loaded_verbatim(self, tmp_path):
         rng = np.random.default_rng(SEED + 8)

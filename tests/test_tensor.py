@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +111,63 @@ class TestConv2d:
             w[c, c, 1, 1] = 1.0
         p = ConvParams(weight=w, bias=np.zeros(3, dtype=np.float32), stride=1, padding=1)
         assert_array_equal(conv2d(x, p), x)
+
+
+def at_workers(monkeypatch, workers, run):
+    """run() with usable_cpus() reading workers."""
+    monkeypatch.setattr(tensor, "usable_cpus", lambda: workers)
+    return run()
+
+
+class TestBandWorkers:
+    """Bands spread over one to three workers give the bits of one worker."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("height", [3, 11], ids=["rows-below-workers", "rows-across-bands"])
+    def test_conv2d_same_bits_at_every_worker_count(self, k, stride, padding, height, monkeypatch):
+        """At height 3 the output has fewer rows than three workers (one or two); at
+        height 11 the two-row bands leave a shorter last band."""
+        rng = np.random.default_rng(SEED + 11)
+        x = rng.standard_normal((2, 6, height, 9)).astype(np.float32)
+        p = random_conv(rng, 6, 7, k, stride, padding)
+        ow = conv_output_size(9, k, stride, padding)
+        monkeypatch.setattr(tensor, "CONV_BAND_BYTES", 2 * (6 * k * k + 7) * ow * 8)
+        got = {w: at_workers(monkeypatch, w, lambda: conv2d(x, p)) for w in (1, 2, 3)}
+        assert got[1].shape[2] == conv_output_size(height, k, stride, padding)
+        assert_array_equal(got[2], got[1])
+        assert_array_equal(got[3], got[1])
+
+    def test_conv2d_same_bits_on_a_deep_layer(self, monkeypatch):
+        """A 48-channel 3x3 layer with the default band: a 432-deep GEMM split by
+        output channels, 40 in all. The interpreter switches threads every
+        microsecond, so a slice written twice or not at all would show."""
+        rng = np.random.default_rng(SEED + 12)
+        x = rng.standard_normal((1, 48, 30, 40)).astype(np.float32)
+        p = random_conv(rng, 48, 40, 3, 1, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = {w: at_workers(monkeypatch, w, lambda: conv2d(x, p)) for w in (1, 2, 3)}
+        finally:
+            sys.setswitchinterval(interval)
+        assert_array_equal(got[2], got[1])
+        assert_array_equal(got[3], got[1])
+
+    def test_split_covers_every_item_once_and_stops_its_threads(self, monkeypatch):
+        before = set(threading.enumerate())
+        seen = []
+
+        def record(lo, hi):
+            seen.append((lo, hi, threading.current_thread().name))
+
+        with at_workers(monkeypatch, 3, tensor.band_workers) as split:
+            split(record, 10, 1)
+            split(record, 5, 2)
+        assert sorted((lo, hi) for lo, hi, _ in seen) == [(0, 2), (0, 3), (2, 5), (3, 6), (6, 10)]
+        assert {name.startswith("vprkit-band") for *_, name in seen} == {True, False}
+        assert set(threading.enumerate()) == before
 
 
 class TestConvOutputSize:
