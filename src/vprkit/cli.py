@@ -140,7 +140,7 @@ _KEY_HELP = {
     "sinkhorn_iters": "max scaling iterations",
     "candidates": "stage-one candidate depth",
     "radius_m": "localization radius in meters",
-    "threads": "images extracted at once; each image's bands use every CPU the process may run on",
+    "threads": "images extracted at once; with BLAS on one thread, each image's bands also run in halves on two CPUs",
     "seed": "seed for random weights and probes",
     "input_height": "working image height",
     "input_width": "working image width",

@@ -315,14 +315,15 @@ def _vlad_head(
     windows at a time, rounded into float32 rows; then the projection, if any, one
     staged group of bands at a time.
 
-    Each band and each group runs on one worker per CPU the process may use
-    (tensor.band_workers): the workers normalize a slice of the band's windows
-    each, and project a slice of at least two of the group's staged rows each.
-    The result cannot depend on the worker count: every window's row is
-    computed on its own, and a row slice of the projection GEMM is a smaller
-    GEMM whose every product accumulates the same terms in the same order.
-    The calling thread allocates the band, centre-term, staging and output
-    buffers; the workers write into them in place."""
+    On tensor.band_workers, each band's windows may be normalized, and each
+    group's staged rows projected, in two halves at once (at least two rows a
+    half for the projection). Every window's row is computed on its own, and
+    on the OpenBLAS the tests run with, half of the projection GEMM's rows
+    carries the bits of the whole GEMM's (the tests compare them). The calling
+    thread allocates the band, centre-term, staging and output buffers; the
+    pool thread allocates only the temporaries of its half (gathered window
+    rows, the projection's float32 products and their float64 copies), each
+    under 1 MB at the default size."""
     n = len(windows)
     k, d = p.centers.shape
     band = max(1, HEAD_BAND_BYTES // (k * d * 8))

@@ -19,17 +19,20 @@ flattened weight comes out in (out_channels, rows, out_w) order, so no
 transpose follows. A band's float64 columns and float64 products together
 hold about CONV_BAND_BYTES; the result does not depend on the band size.
 
-Each band runs on one worker per CPU the process may use (usable_cpus): the
-workers fill the shared column buffer a slice of the band's output rows each,
-then each runs the GEMM for a slice of the output channels into the shared
-product buffer. The result cannot depend on the worker count: filling copies
-values, and a slice of a GEMM's output rows is a smaller GEMM over the same
-operand rows and columns, so every output element sums the same products in
-the same order (the tests compare the bits at one, two and three workers).
-The calling thread allocates every buffer and the workers write into them in
-place, so no multi-MB block lands in a worker thread's heap. The workers expect BLAS to run on one
-thread per call: a BLAS that spreads each call over the CPUs as well contends
-with them.
+When BLAS runs each call on one thread and the process may use two CPUs,
+each band's column fill and GEMM run in two halves at once (band_workers),
+one on the calling thread and one on a pool thread: the fill by output rows,
+the GEMM by output channels. Otherwise the calling thread runs each step
+whole, as before, and a multi-threaded BLAS spreads each GEMM over the CPUs
+itself (halves at once beside BLAS's own threads measured slower than
+either). Filling copies values, and half of a GEMM's output rows is a smaller
+GEMM over the same operand rows and columns; on the OpenBLAS the tests run
+with, its products carry the bits of the whole GEMM's, which the tests
+compare at the default backbone's shapes. A BLAS that picks its kernel by
+shape need not, just as OpenBLAS already picks its kernels by the host's
+CPU. Two halves is the cut measured to pay on two CPUs; more CPUs are not
+used. The calling thread allocates every buffer and the pool thread writes
+into them in place, so no multi-MB block lands in its heap.
 """
 
 from __future__ import annotations
@@ -62,30 +65,45 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def blas_threads() -> int:
+    """The threads OpenBLAS spreads one call over, read as it reads them when it
+    loads: OPENBLAS_NUM_THREADS, else GOTO_NUM_THREADS, else OMP_NUM_THREADS,
+    else one per usable CPU."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            count = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if count > 0:
+            return min(count, usable_cpus())
+    return usable_cpus()
+
+
 Split = Callable[[Callable[[int, int], None], int, int], None]
 
 
 @contextmanager
 def band_workers() -> Iterator[Split]:
-    """Yield split(fn, n, least), which calls fn(lo, hi) over up to usable_cpus()
-    contiguous, near-equal ranges of [0, n), each at least least long, all at
-    once, the calling thread running the first. It returns when every range is
-    done, re-raising the first exception a range raised. With one usable CPU
-    no pool exists and split calls fn(0, n); pool threads end with the block."""
-    workers = usable_cpus()
-    pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="vprkit-band") if workers > 1 else None
+    """Yield split(fn, n, least), which covers [0, n) with calls fn(lo, hi) and
+    returns when they are done, re-raising the first exception they raised.
+    When BLAS runs each call on one thread, the process may use two CPUs and
+    each half of [0, n) holds at least least items, the calling thread runs the
+    first half while one pool thread runs the second; otherwise the calling
+    thread runs fn(0, n). The pool thread ends with the block."""
+    at_once = blas_threads() == 1 and usable_cpus() > 1
+    pool = ThreadPoolExecutor(1, thread_name_prefix="vprkit-band") if at_once else None
 
     def split(fn: Callable[[int, int], None], n: int, least: int) -> None:
-        parts = max(1, min(workers, n // least))
-        bounds = [n * i // parts for i in range(parts + 1)]
-        rest = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        if pool is None or n < 2 * least:
+            fn(0, n)
+            return
+        second = pool.submit(fn, n // 2, n)
         try:
-            fn(bounds[0], bounds[1])
+            fn(0, n // 2)
         finally:
-            errors = [f.exception() for f in rest]
-        for error in errors:
-            if error is not None:
-                raise error
+            error = second.exception()
+        if error is not None:
+            raise error
 
     try:
         yield split
@@ -193,10 +211,11 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     per tap, with zeros where a tap reads padding; then
     weight.reshape(out, in*kh*kw) @ columns is one GEMM whose float64 products
     are already in (out, rows, out_w) order. A band's columns and products
-    together hold about CONV_BAND_BYTES. Workers fill the columns by slices of
-    the band's rows and run the GEMM by slices of at least two output channels
-    (a one-row slice would be a matrix-vector product, not a GEMM). Products
-    accumulate in float64; the output is a fresh contiguous float32 array.
+    together hold about CONV_BAND_BYTES. On band_workers, the columns may be
+    filled in two halves of the band's rows and the GEMM run in two halves of
+    the output channels, each at least two (a one-row half would be a
+    matrix-vector product, not a GEMM). Products accumulate in float64; the
+    output is a fresh contiguous float32 array.
     """
     x = as_tensor4(x)
     b, c, h, w = x.shape

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from vprkit import tensor
 from vprkit.backbone import NetworkSpec, StageSpec
 from vprkit.io_store import ManifestRecord, save_manifest, write_ppm
 from vprkit.model import ModelParams, random_model
@@ -38,6 +39,18 @@ def build_corpus(root, count: int, dims=(48, 64), seed: int = 0, query_offset_m:
     manifest = root / "manifest.csv"
     save_manifest(manifest, records)
     return manifest
+
+
+@pytest.fixture
+def band_halves(monkeypatch):
+    """set(at_once) makes tensor.band_workers run each step whole (False) or in two
+    halves at once (True), as with BLAS on one thread of one or of two CPUs."""
+
+    def set_at_once(at_once: bool) -> None:
+        monkeypatch.setattr(tensor, "blas_threads", lambda: 1)
+        monkeypatch.setattr(tensor, "usable_cpus", lambda: 2 if at_once else 1)
+
+    return set_at_once
 
 
 @pytest.fixture

@@ -1,8 +1,8 @@
 """Extraction at the default configuration: golden descriptor values, the
 float32 projection against the float64 one it replaced, band sizes that
-leave the backbone's output unchanged and band-worker counts that leave the
+leave the backbone's output unchanged and band halves that leave the
 extraction's bytes unchanged, and the traced memory of the first
-convolution, of patch extraction (on one and on two band workers), of
+convolution, of patch extraction (whole bands and halves at once), of
 packing the model and of matching one default-size pair."""
 
 from __future__ import annotations
@@ -64,13 +64,13 @@ def test_float32_projection_against_float64(model, fmap, monkeypatch):
     assert_allclose(got[1].descriptors, want[1].descriptors, rtol=0, atol=2.5e-7)
 
 
-def test_extraction_bits_do_not_depend_on_the_worker_count(model, images, monkeypatch):
-    """The default extraction's global and patch bytes, by sha256, on one, two and
-    three band workers."""
+def test_extraction_bits_do_not_depend_on_the_band_halves(model, images, band_halves):
+    """The default extraction's global and patch bytes, by sha256, with whole bands
+    and with halves at once."""
     image = load_image(str(images[0]))
     digests = set()
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(tensor, "usable_cpus", lambda: workers)
+    for at_once in (False, True):
+        band_halves(at_once)
         desc, patches = extract_from_tensor(image, model, ExtractionSettings(fused=True))
         digests.add(hashlib.sha256(desc.values.tobytes() + patches.descriptors.tobytes()).hexdigest())
     assert len(digests) == 1
@@ -127,9 +127,9 @@ class TestMemory:
         assert out.shape == (1, 48, 240, 320)
         assert peak <= out.nbytes + tensor.CONV_BAND_BYTES + 1e6
 
-    def test_band_workers_hold_what_one_worker_holds(self, model, images, fmap, monkeypatch):
-        """The calling thread allocates every band buffer and the workers write into
-        them, so two workers trace the peak of one, within 5%."""
+    def test_band_halves_at_once_hold_what_whole_bands_hold(self, model, images, fmap, band_halves):
+        """The calling thread allocates every band buffer and the pool thread writes
+        into them, so halves at once trace the peak of whole bands, within 5%."""
         x = tensor.as_tensor4(load_image(str(images[0])))
         grid = make_patch_grid(fmap.shape[2], fmap.shape[3], 2, 2)
         runs = {
@@ -137,11 +137,11 @@ class TestMemory:
             "patches": lambda: extract_patch_descriptors(fmap, grid, model.vlad, model.pca),
         }
         peaks = {}
-        for workers in (1, 2):
-            monkeypatch.setattr(tensor, "usable_cpus", lambda: workers)
-            peaks[workers] = {name: traced_peak(run)[1] for name, run in runs.items()}
+        for at_once in (False, True):
+            band_halves(at_once)
+            peaks[at_once] = {name: traced_peak(run)[1] for name, run in runs.items()}
         for name in runs:
-            assert peaks[2][name] <= 1.05 * peaks[1][name], name
+            assert peaks[True][name] <= 1.05 * peaks[False][name], name
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,7 @@ from oracles import (
     patch_placements,
     vlad_double_loop,
 )
-from vprkit import descriptor, model, tensor
+from vprkit import descriptor, model
 from vprkit.descriptor import (
     PcaModel,
     VladParams,
@@ -378,8 +378,9 @@ class TestHeadBands:
             assert_array_equal(whole, got[1 << 40][1])
 
     @pytest.mark.parametrize("projected", [False, True])
-    def test_worker_count_does_not_change_the_rows(self, projected, monkeypatch):
-        """Three-window bands (a shorter last one) on one, two and three workers."""
+    def test_halves_give_the_rows_of_the_whole(self, projected, band_halves, monkeypatch):
+        """Three-window bands (a shorter last one) and twelve-row groups, whole and in
+        halves at once."""
         rng = np.random.default_rng(SEED + 25)
         p = random_vlad_params(dim=5, clusters=3, rng=rng)
         x = feature_map_descriptors(rng.standard_normal((1, 5, 9, 11)).astype(np.float32))
@@ -388,14 +389,13 @@ class TestHeadBands:
         pca = _centred_projection(rng) if projected else None
         monkeypatch.setattr(descriptor, "HEAD_BAND_BYTES", 3 * 3 * 5 * 8)
         got = {}
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(tensor, "usable_cpus", lambda: workers)
-            got[workers] = descriptor._vlad_head(x, a, windows, p, pca)
-        assert_array_equal(got[2], got[1])
-        assert_array_equal(got[3], got[1])
+        for at_once in (False, True):
+            band_halves(at_once)
+            got[at_once] = descriptor._vlad_head(x, a, windows, p, pca)
+        assert_array_equal(got[True], got[False])
 
-    def test_worker_error_reaches_the_caller(self, monkeypatch):
-        """A zero window in the second of two workers' slices raises there; the
+    def test_worker_error_reaches_the_caller(self, band_halves, monkeypatch):
+        """A zero window in the second half of a band raises on the pool thread; the
         caller gets that DegenerateInputError, and the pool's thread has ended."""
         p = _codebook(np.array([[1.0, 2.0]], dtype=np.float32))
         x = np.array([[0.0, 0.0], [3.0, 3.0], [1.0, 2.0], [1.0, 2.0]], dtype=np.float32)
@@ -408,7 +408,7 @@ class TestHeadBands:
             return residuals(x, a, w, *args, **kwargs)
 
         monkeypatch.setattr(descriptor, "window_residuals", recording)
-        monkeypatch.setattr(tensor, "usable_cpus", lambda: 2)
+        band_halves(True)
         before = set(threading.enumerate())
         with pytest.raises(DegenerateInputError, match="identically zero descriptor"):
             descriptor._vlad_head(x, np.ones((4, 1)), windows, p, None)

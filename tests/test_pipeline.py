@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import build_corpus
 from make_golden import GOLDEN_C08, c08_results
 from oracles import conv2d_im2col, float64_projection, patch_descriptors_loop
-from vprkit import backbone, descriptor, pipeline, tensor
+from vprkit import backbone, descriptor, pipeline
 from vprkit.backbone import NetworkSpec, StageSpec, backbone_forward
 from vprkit.descriptor import PatchDescriptorSet, extract_patch_descriptors, global_descriptor, make_patch_grid
 from vprkit.errors import FormatError, ShapeError
@@ -129,19 +129,19 @@ class TestExtractImage:
         assert_array_equal(desc_file.values, desc_mem.values)
         assert_array_equal(patches_file.descriptors, patches_mem.descriptors)
 
-    def test_images_at_once_and_band_workers_do_not_change_results(self, small_model, tmp_path, monkeypatch):
-        """Two images at a time, each on one, two or three band workers, give the
-        bits of one image at a time on one worker."""
+    def test_images_at_once_and_band_halves_do_not_change_results(self, small_model, tmp_path, band_halves):
+        """Two images at a time, each with its bands whole or in halves at once, give
+        the bits of one image at a time with whole bands."""
         manifest = build_corpus(tmp_path, count=3, dims=(32, 32), seed=7)
         paths = [r.path for r in load_manifest(manifest)]
         settings = ExtractionSettings(input_dims=(32, 32))
         got = {}
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(tensor, "usable_cpus", lambda: workers)
+        for at_once in (False, True):
+            band_halves(at_once)
             for threads in (1, 2):
-                got[workers, threads] = extract_images(paths, small_model, settings, threads=threads)
+                got[at_once, threads] = extract_images(paths, small_model, settings, threads=threads)
         for run in got.values():
-            for (desc, patches), (want_desc, want_patches) in zip(run, got[1, 1], strict=True):
+            for (desc, patches), (want_desc, want_patches) in zip(run, got[False, 1], strict=True):
                 assert_array_equal(desc.values, want_desc.values)
                 assert_array_equal(patches.descriptors, want_patches.descriptors)
 

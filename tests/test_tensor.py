@@ -113,61 +113,92 @@ class TestConv2d:
         assert_array_equal(conv2d(x, p), x)
 
 
-def at_workers(monkeypatch, workers, run):
-    """run() with usable_cpus() reading workers."""
-    monkeypatch.setattr(tensor, "usable_cpus", lambda: workers)
-    return run()
-
-
 class TestBandWorkers:
-    """Bands spread over one to three workers give the bits of one worker."""
+    """A band's halves, run at once, give the bits of the whole band."""
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("padding", [0, 1])
-    @pytest.mark.parametrize("height", [3, 11], ids=["rows-below-workers", "rows-across-bands"])
-    def test_conv2d_same_bits_at_every_worker_count(self, k, stride, padding, height, monkeypatch):
-        """At height 3 the output has fewer rows than three workers (one or two); at
-        height 11 the two-row bands leave a shorter last band."""
+    @pytest.mark.parametrize("height", [3, 11], ids=["one-or-two-rows", "rows-across-bands"])
+    def test_conv2d_halves_give_the_whole_bands_bits(self, k, stride, padding, height, band_halves, monkeypatch):
+        """At height 3 the output has one or two rows; at height 11 the two-row bands
+        leave a shorter last band. Seven output channels halve into 3 and 4."""
         rng = np.random.default_rng(SEED + 11)
         x = rng.standard_normal((2, 6, height, 9)).astype(np.float32)
         p = random_conv(rng, 6, 7, k, stride, padding)
         ow = conv_output_size(9, k, stride, padding)
         monkeypatch.setattr(tensor, "CONV_BAND_BYTES", 2 * (6 * k * k + 7) * ow * 8)
-        got = {w: at_workers(monkeypatch, w, lambda: conv2d(x, p)) for w in (1, 2, 3)}
-        assert got[1].shape[2] == conv_output_size(height, k, stride, padding)
-        assert_array_equal(got[2], got[1])
-        assert_array_equal(got[3], got[1])
+        got = {}
+        for at_once in (False, True):
+            band_halves(at_once)
+            got[at_once] = conv2d(x, p)
+        assert got[False].shape[2] == conv_output_size(height, k, stride, padding)
+        assert_array_equal(got[True], got[False])
 
-    def test_conv2d_same_bits_on_a_deep_layer(self, monkeypatch):
-        """A 48-channel 3x3 layer with the default band: a 432-deep GEMM split by
-        output channels, 40 in all. The interpreter switches threads every
-        microsecond, so a slice written twice or not at all would show."""
+    @pytest.mark.parametrize("channels", [48, 96, 192])
+    def test_conv2d_halves_give_the_whole_bands_bits_on_deep_layers(self, channels, band_halves):
+        """3x3 layers of the default backbone's widths on a 30x40 map, at the default
+        band: GEMMs 432 to 1728 deep, halved into 24 to 96 output channels. The
+        interpreter switches threads every microsecond, so a half written twice or
+        not at all would show."""
         rng = np.random.default_rng(SEED + 12)
-        x = rng.standard_normal((1, 48, 30, 40)).astype(np.float32)
-        p = random_conv(rng, 48, 40, 3, 1, 1)
+        x = rng.standard_normal((1, channels, 30, 40)).astype(np.float32)
+        p = random_conv(rng, channels, channels, 3, 1, 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        got = {}
         try:
-            got = {w: at_workers(monkeypatch, w, lambda: conv2d(x, p)) for w in (1, 2, 3)}
+            for at_once in (False, True):
+                band_halves(at_once)
+                got[at_once] = conv2d(x, p)
         finally:
             sys.setswitchinterval(interval)
-        assert_array_equal(got[2], got[1])
-        assert_array_equal(got[3], got[1])
+        assert_array_equal(got[True], got[False])
 
-    def test_split_covers_every_item_once_and_stops_its_threads(self, monkeypatch):
+    def test_split_runs_halves_at_once_or_the_whole_and_stops_its_thread(self, band_halves):
         before = set(threading.enumerate())
+        for at_once, ranges in ((False, [(0, 3), (0, 11)]), (True, [(0, 3), (0, 5), (5, 11)])):
+            band_halves(at_once)
+            seen = []
+
+            def record(lo, hi):
+                seen.append((lo, hi, threading.current_thread().name))
+
+            with tensor.band_workers() as split:
+                split(record, 11, 1)
+                split(record, 3, 2)
+            assert sorted((lo, hi) for lo, hi, _ in seen) == ranges
+            assert {name.startswith("vprkit-band") for *_, name in seen} == {False, at_once}
+            assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize(
+        "env, want",
+        [
+            ({}, 4),
+            ({"OMP_NUM_THREADS": "2"}, 2),
+            ({"OMP_NUM_THREADS": "2", "GOTO_NUM_THREADS": "3"}, 3),
+            ({"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "1"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "4,2"}, 4),
+            ({"OPENBLAS_NUM_THREADS": "16"}, 4),
+        ],
+    )
+    def test_blas_threads_read_as_openblas_reads_them(self, env, want, monkeypatch):
+        """Unset, zero or unparsable counts fall through; none exceeds the usable CPUs."""
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(tensor, "usable_cpus", lambda: 4)
+        assert tensor.blas_threads() == want
+
+    def test_no_halves_beside_a_multithreaded_blas(self, monkeypatch):
+        """With BLAS on two threads of two CPUs, the calling thread runs the whole."""
+        monkeypatch.setattr(tensor, "usable_cpus", lambda: 2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         seen = []
-
-        def record(lo, hi):
-            seen.append((lo, hi, threading.current_thread().name))
-
-        with at_workers(monkeypatch, 3, tensor.band_workers) as split:
-            split(record, 10, 1)
-            split(record, 5, 2)
-        assert sorted((lo, hi) for lo, hi, _ in seen) == [(0, 2), (0, 3), (2, 5), (3, 6), (6, 10)]
-        assert {name.startswith("vprkit-band") for *_, name in seen} == {True, False}
-        assert set(threading.enumerate()) == before
+        with tensor.band_workers() as split:
+            split(lambda lo, hi: seen.append((lo, hi, threading.current_thread().name)), 8, 1)
+        assert seen == [(0, 8, threading.current_thread().name)]
 
 
 class TestConvOutputSize:
