@@ -38,7 +38,7 @@ from .io_store import (
     WEIGHTS_MAGIC,
 )
 from .model import ModelParams, random_model
-from .pipeline import ExtractionSettings, assemble_index, extract_from_tensor, extract_images, extract_index
+from .pipeline import ExtractionSettings, assemble_index, extract_from_tensor, extract_image, extract_index
 from .retrieval import CandidateList, DescriptorIndex, GeoTag, global_retrieve, recall_at_k, rerank
 from .selfcheck import check_fused_form, run_all
 from .tensor import conv_output_size
@@ -61,7 +61,6 @@ class RunConfig:
     sinkhorn_iters: int = 100
     candidates: int = 100
     radius_m: float = 25.0
-    threads: int = 1
     seed: int = 0
     input_height: int = 480
     input_width: int = 640
@@ -80,7 +79,6 @@ class RunConfig:
         need(self.sinkhorn_iters >= 1, f"sinkhorn_iters must be >= 1, got {self.sinkhorn_iters}")
         need(self.candidates >= 1, f"candidates must be >= 1, got {self.candidates}")
         need(self.radius_m >= 0, f"radius_m must be >= 0, got {self.radius_m}")
-        need(self.threads >= 1, f"threads must be >= 1, got {self.threads}")
         need(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         need(self.input_height >= 16 and self.input_width >= 16, "input dims must be at least 16 per axis")
         return self
@@ -140,7 +138,6 @@ _KEY_HELP = {
     "sinkhorn_iters": "max scaling iterations",
     "candidates": "stage-one candidate depth",
     "radius_m": "localization radius in meters",
-    "threads": "images extracted at once; with BLAS on one thread, each image's bands also run in halves on two CPUs",
     "seed": "seed for random weights and probes",
     "input_height": "working image height",
     "input_width": "working image width",
@@ -235,7 +232,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     model, model_seconds, model_sha256, _ = _timed_model(cfg)
     settings = _settings(cfg, model)
     start = time.perf_counter()
-    index, patch_store = extract_index(records, model, settings, threads=cfg.threads)
+    index, patch_store = extract_index(records, model, settings)
     elapsed = time.perf_counter() - start
     built = {"model_sha256": model_sha256, "input_height": cfg.input_height, "input_width": cfg.input_width}
     if not cfg.weights:
@@ -348,7 +345,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     queries = [r for r in records if r.split == "query"]
     if not queries:
         raise FormatError("manifest contains no query records")
-    extracted = extract_images([r.path for r in queries], model, settings, threads=cfg.threads)
+    extracted = [extract_image(r.path, model, settings) for r in queries]
     initial_lists, reranked_lists, match_seconds, pairs, unconverged_pairs = _search(
         cfg, model, index, patch_store, [(r.image_id, *e) for r, e in zip(queries, extracted)]
     )
@@ -504,15 +501,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="dataset manifest CSV")
     p.add_argument("--out", default="index.vpri", help="index file to write")
     p.add_argument("--save-weights", dest="save_weights", metavar="FILE", help="persist the model used")
-    add_config_flags(p, (*_MODEL_KEYS, "threads"))
+    add_config_flags(p, _MODEL_KEYS)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("eval", help="retrieve+rerank the query split against an index")
     p.add_argument("manifest", help="dataset manifest CSV")
     p.add_argument("--index", required=True, help="index file from extract")
-    add_config_flags(
-        p, ("weights", "sinkhorn_reg", "sinkhorn_tol", "sinkhorn_iters", "candidates", "radius_m", "threads")
-    )
+    add_config_flags(p, ("weights", "sinkhorn_reg", "sinkhorn_tol", "sinkhorn_iters", "candidates", "radius_m"))
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("reparam", help="fuse branches, check the fused form on a probe batch, and write both forms")

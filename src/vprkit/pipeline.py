@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -14,7 +13,7 @@ from .descriptor import (
     global_descriptor,
     make_patch_grid,
 )
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .io_store import ManifestRecord, load_image
 from .model import ModelParams
 from .retrieval import DescriptorIndex, GeoTag, IndexEntry
@@ -51,17 +50,6 @@ def extract_image(
     return extract_from_tensor(image, model, settings)
 
 
-def extract_images(
-    paths: Sequence[str], model: ModelParams, settings: ExtractionSettings, threads: int = 1
-) -> list[tuple[GlobalDescriptor, PatchDescriptorSet]]:
-    """extract_image over each path, results in input order; a worker pool runs
-    them only when threads > 1."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda path: extract_image(path, model, settings), paths))
-    return [extract_image(path, model, settings) for path in paths]
-
-
 def extract_index(
     records: Sequence[ManifestRecord],
     model: ModelParams,
@@ -70,13 +58,18 @@ def extract_index(
 ) -> tuple[DescriptorIndex, dict[str, PatchDescriptorSet]]:
     """Build a searchable index over database records.
 
-    Entries are ordered by image_id no matter the manifest order or how the
-    worker pool schedules, so the same inputs always produce the same bytes.
+    Entries are ordered by image_id no matter the manifest order, so the same
+    inputs always produce the same bytes. Images are extracted one after
+    another; tensor.band_workers decides how each uses the CPUs. threads
+    accepts only 1.
     """
+    # vprbench passes threads=1; a benchmark change drops the argument there, then here.
+    if threads != 1:
+        raise ConfigError(f"threads must be 1, got {threads}: images are extracted one at a time")
     rows = sorted((r for r in records if r.split == "database"), key=lambda r: r.image_id)
     if not rows:
         raise FormatError("manifest contains no database records")
-    results = extract_images([r.path for r in rows], model, settings, threads=threads)
+    results = [extract_image(r.path, model, settings) for r in rows]
     return assemble_index([(r.image_id, GeoTag.utm(r.easting, r.northing)) for r in rows], results)
 
 

@@ -62,7 +62,7 @@ import pytest
 from vprkit import cli, retrieval
 from vprkit.io_store import write_ppm
 from vprkit.model import ModelParams, random_model
-from vprkit.pipeline import ExtractionSettings, extract_images, extract_index
+from vprkit.pipeline import ExtractionSettings, extract_image, extract_index
 from vprkit.retrieval import CandidateList, global_retrieve, rerank
 
 GOLDEN = Path(__file__).parent / "golden" / "eval.json"
@@ -156,7 +156,7 @@ def noise_images(root: Path) -> list[Path]:
 
 def descriptor_values(model: ModelParams, paths: list[Path]) -> list[dict]:
     """Per image, the recorded global and patch descriptor values at the default settings."""
-    extracted = extract_images([str(p) for p in paths], model, ExtractionSettings(fused=True))
+    extracted = [extract_image(str(p), model, ExtractionSettings(fused=True)) for p in paths]
     return [
         {
             "image": path.name,

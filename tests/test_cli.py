@@ -38,7 +38,7 @@ from vprkit.io_store import (
     write_ppm,
 )
 from vprkit.model import random_model
-from vprkit.pipeline import extract_images
+from vprkit.pipeline import extract_image
 from vprkit.descriptor import GlobalDescriptor, PatchDescriptorSet, PatchGrid
 from vprkit.retrieval import DescriptorIndex, GeoTag, IndexEntry, global_retrieve, rerank
 from vprkit.selfcheck import run_all
@@ -136,15 +136,15 @@ class TestConfigResolution:
 
     def test_file_overrides_default(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("threads = 3\nclusters = 16\n")
+        cfg_file.write_text("candidates = 3\nclusters = 16\n")
         cfg = resolve_config(self.args(config=str(cfg_file)))
-        assert cfg.threads == 3
+        assert cfg.candidates == 3
         assert cfg.clusters == 16
 
     def test_flag_overrides_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("threads = 3\n")
-        assert resolve_config(self.args(config=str(cfg_file), threads=5)).threads == 5
+        cfg_file.write_text("candidates = 3\n")
+        assert resolve_config(self.args(config=str(cfg_file), candidates=5)).candidates == 5
 
     @pytest.mark.parametrize("key, flag", [("clusters", "--clusters"), ("pca_dim", "--pca-dim")])
     def test_model_shape_flag_refused_with_weights(self, tmp_path, capsys, small_model, key, flag):
@@ -234,6 +234,13 @@ class TestConfigFile:
             with pytest.raises(ConfigError, match="unknown setting"):
                 parse_config_file(f)
 
+    def test_threads_key_refused_by_extract(self, tmp_path, capsys):
+        """threads is no longer a setting: a file that still sets it is refused, not ignored."""
+        f = tmp_path / "run.cfg"
+        f.write_text("clusters = 8\nthreads = 2\n")
+        assert main(["extract", "manifest.csv", "--config", str(f)]) == 2
+        assert "run.cfg: line 2: unknown setting 'threads'" in capsys.readouterr().err
+
     def test_every_setting_is_a_key_and_a_flag(self, tmp_path):
         parser = argparse.ArgumentParser(allow_abbrev=False)
         add_config_flags(parser)
@@ -261,7 +268,7 @@ class TestConfigFile:
 
     def test_missing_equals_refused(self, tmp_path):
         f = tmp_path / "run.cfg"
-        f.write_text("threads 4\n")
+        f.write_text("clusters 4\n")
         with pytest.raises(ConfigError):
             parse_config_file(f)
 
@@ -327,6 +334,7 @@ class TestFlagsMatchReads:
         "argv",
         [
             ["extract", "m.csv", "--sinkhorn-reg", "0.02"],
+            ["extract", "m.csv", "--threads", "2"],
             ["reparam", "w.vprw", "--out", "o.vprw", "--candidates", "7"],
             ["reparam", "w.vprw", "--out", "o.vprw", "--seed", "1"],
             ["reparam", "w.vprw", "--out", "o.vprw", "--weights", "x.vprw", "--clusters", "4"],
@@ -340,9 +348,11 @@ class TestFlagsMatchReads:
             ["eval", "m.csv", "--index", "i.vpri", "--pca-dim", "8"],
             ["eval", "m.csv", "--index", "i.vpri", "--input-height", "48"],
             ["eval", "m.csv", "--index", "i.vpri", "--input-width", "79"],
+            ["eval", "m.csv", "--index", "i.vpri", "--threads", "2"],
         ],
         ids=[
             "extract-sinkhorn-reg",
+            "extract-threads",
             "reparam-candidates",
             "reparam-seed",
             "reparam-weights-clusters",
@@ -356,6 +366,7 @@ class TestFlagsMatchReads:
             "eval-pca-dim",
             "eval-input-height",
             "eval-input-width",
+            "eval-threads",
         ],
     )
     def test_unread_setting_flag_refused(self, capsys, argv):
@@ -584,7 +595,7 @@ class TestEval:
         model = _resolve_model(cfg)
         index, patch_store = load_index(index_path)
         queries = [r for r in load_manifest(manifest) if r.split == "query"]
-        extracted = extract_images([r.path for r in queries], model, _settings(cfg, model))
+        extracted = [extract_image(r.path, model, _settings(cfg, model)) for r in queries]
         got_initial, got_reranked, seconds, pairs, unconverged_pairs = _search(
             cfg, model, index, patch_store, [(r.image_id, *e) for r, e in zip(queries, extracted)]
         )
@@ -637,7 +648,7 @@ class TestEval:
         model = _resolve_model(cfg)
         index, patch_store = load_index(index_path)
         records = [r for r in load_manifest(manifest) if r.split == "query"]
-        extracted = extract_images([r.path for r in records], model, _settings(cfg, model))
+        extracted = [extract_image(r.path, model, _settings(cfg, model)) for r in records]
         queries = [(r.image_id, *e) for r, e in zip(records, extracted)]
         got = _search(cfg, model, index, patch_store, queries)
         enhance = matcher.enhance_descriptors
@@ -719,7 +730,7 @@ class TestEval:
         bad = tmp_path / "inconsistent.vpri"
         save_index(bad, dataclasses.replace(index, record=json.dumps(record)), patch_store)
         extracted = []
-        monkeypatch.setattr(cli, "extract_images", lambda paths, *args, **kwargs: extracted.extend(paths))
+        monkeypatch.setattr(cli, "extract_image", lambda path, *args: extracted.append(path))
         argv = ["eval", str(manifest), "--index", str(bad), "--weights", str(weights)]
         with pytest.raises(FormatError, match="inconsistent.vpri"):
             cli.cmd_eval(build_parser().parse_args(argv))
@@ -733,7 +744,7 @@ class TestEval:
         other = tmp_path / "other.vprw"
         save_weights(other, random_model(seed=14, spec=EVAL_SPEC, clusters=8, pca_dim=32))
         extracted = []
-        monkeypatch.setattr(cli, "extract_images", lambda paths, *args, **kwargs: extracted.extend(paths))
+        monkeypatch.setattr(cli, "extract_image", lambda path, *args: extracted.append(path))
         assert main(["eval", str(manifest), "--index", str(index), "--weights", str(other), *EVAL_FLAGS]) == 2
         err = capsys.readouterr().err
         for path in (weights, other):

@@ -1,9 +1,9 @@
 """Every function defined in src/vprkit is run by a command, or ALLOWED names its caller.
 
 One sweep runs `cli.main` in-process under sys.setprofile and
-threading.setprofile, once for each flag path that selects code: the extract
-worker pool, --save-weights, --report and --config; a PPM resized to the working
-dims and a .t4 query; eval with a weights file and with a config file; reparam;
+threading.setprofile, once for each flag path that selects code: extract with
+--save-weights, --report and --config; a PPM resized to the working dims and a
+.t4 query; eval with a weights file and with a config file; reparam;
 bench; selfcheck with a weights file. Each function the package defines (as
 module.qualname, nested defs included) must be called by some run, or be named
 in ALLOWED with its caller outside the unit tests: an acceptance criterion, a
@@ -92,7 +92,7 @@ def sweep(root: Path) -> set[tuple[str, int]]:
     config.write_text("".join(f"{k} = {v}\n" for k, v in MODEL_SETTINGS.items()), encoding="utf-8")
 
     runs = [
-        ["extract", str(manifest), "--out", str(index), "--threads=2", "--save-weights", str(weights),
+        ["extract", str(manifest), "--out", str(index), "--save-weights", str(weights),
          "--report", str(root / "extract.jsonl"), *MODEL_FLAGS],
         ["extract", str(mixed), "--out", str(root / "mixed.vpri"), "--config", str(config)],
         ["eval", str(manifest), "--index", str(index), "--weights", str(weights), "--report",
