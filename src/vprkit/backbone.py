@@ -8,6 +8,7 @@ conv with bias; both forms are kept around so the transform stays checkable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -221,11 +222,15 @@ def block_forward_fused(x: Tensor4, conv: ConvParams) -> Tensor4:
     return np.maximum(out, np.float32(0.0), out=out)
 
 
-def _check_input_dims(h: int, w: int, strict: bool) -> None:
+def _check_input_dims(h: int, w: int, spec: NetworkSpec, strict: bool) -> None:
     if h < 16 or w < 16:
         raise ShapeError(f"input {h}x{w} is too small; each axis must be at least 16")
-    if strict and (h % 16 != 0 or w % 16 != 0):
-        raise ShapeError(f"input dims {h}x{w} must be divisible by 16 (use strict_dims=False to relax)")
+    total = math.prod(stride for _, _, stride, _ in spec.layer_plan())
+    if strict and (h % total != 0 or w % total != 0):
+        raise ShapeError(
+            f"input dims {h}x{w} must be divisible by {total}, the stage layout's total stride "
+            "(use strict_dims=False to relax)"
+        )
 
 
 def backbone_forward(
@@ -238,12 +243,13 @@ def backbone_forward(
     """Run the network over a batch.
 
     With strict_dims (the default) input height and width must be divisible by
-    16 and the output is exactly 1/16 scale per axis; otherwise any input of at
-    least 16 per axis is accepted and each stage entry sizes its output by the
-    conv formula. collect_stages additionally returns the output of each stage.
+    the product of the layout's strides (16 for the default layout) and the
+    output is exactly that fraction per axis; otherwise any input of at least 16
+    per axis is accepted and each stage entry sizes its output by the conv
+    formula. collect_stages additionally returns the output of each stage.
     """
     x = as_tensor4(x)
-    _check_input_dims(x.shape[2], x.shape[3], strict_dims)
+    _check_input_dims(x.shape[2], x.shape[3], net.spec, strict_dims)
     layers = net.fused if fused else net.blocks
     if layers is None:
         form = "fused" if fused else "multibranch"

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 import struct
 import tempfile
 from pathlib import Path
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from types import SimpleNamespace
+from typing import Any, BinaryIO, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -46,12 +48,15 @@ _DTYPE_CODES: dict[int, np.dtype] = {
 _CODE_FOR_KIND = {("f", 4): 0, ("f", 8): 1, ("i", 4): 2, ("u", 1): 3}
 
 
-def _atomic_write(path: str | Path, data: bytes) -> None:
+def _atomic_write(path: str | Path, parts: Iterable[Any]) -> None:
+    """Write the buffers `parts` to `path` in order, through a temp file in its directory
+    renamed into place, so a failed write leaves any old file as it was."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent if str(path.parent) else ".", prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for part in parts:
+                f.write(part)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -103,66 +108,62 @@ def pack_tensors(tensors: Mapping[str, np.ndarray], magic: bytes) -> bytes:
     return b"".join(container_parts(tensors, magic))
 
 
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+def unpack_tensors(f: BinaryIO, expect_magic: bytes) -> dict[str, np.ndarray]:
+    """Read a container from the seekable binary stream `f` into named arrays. The table and
+    the payload layout are checked against the stream's size before any payload array exists;
+    each payload is then read once, straight into a fresh (so aligned) array."""
+    size = f.seek(0, os.SEEK_END)
+    f.seek(0)
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FormatError(f"truncated container: wanted {n} bytes at offset {self.pos}, have {len(self.data)}")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+    def take(fmt: str) -> tuple:
+        n, at = struct.calcsize(fmt), f.tell()
+        data = f.read(n) if at + n <= size else b""  # a bad length must not size a read
+        if len(data) != n:
+            raise FormatError(f"truncated container: wanted {n} bytes at offset {at}, have {size}")
+        return struct.unpack(fmt, data)
 
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def unpack_tensors(data: bytes, expect_magic: bytes) -> dict[str, np.ndarray]:
-    """Parse a container blob back into named arrays, validating the layout."""
-    cur = _Cursor(data)
-    magic = cur.take(4)
+    (magic,) = take("4s")
     if magic != expect_magic:
         raise FormatError(f"bad magic: found {magic!r}, expected {expect_magic!r}")
-    version, count = cur.unpack("<II")
+    version, count = take("<II")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported container version {version} (this build reads version {FORMAT_VERSION})")
-    entries: list[tuple[str, int, tuple[int, ...], int, int]] = []
+    entries: dict[str, tuple[np.dtype, tuple[int, ...], int, int]] = {}
     for _ in range(count):
-        at = cur.pos
-        (name_len,) = cur.unpack("<I")
+        at = f.tell()
+        (name_len,) = take("<I")
         try:
-            name = cur.take(name_len).decode("utf-8")
+            name = take(f"{name_len}s")[0].decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"tensor name in the table entry at offset {at} is not UTF-8") from None
-        code, rank = cur.unpack("<BB")
+        code, rank = take("<BB")
         if code not in _DTYPE_CODES:
             raise FormatError(f"tensor {name!r} uses unknown dtype code {code}")
         if rank < 1 or rank > 8:
             raise FormatError(f"tensor {name!r} has unsupported rank {rank}")
-        dims = cur.unpack(f"<{rank}I")
-        offset, nbytes = cur.unpack("<QQ")
+        dims = take(f"<{rank}I")
+        offset, nbytes = take("<QQ")
         expected = math.prod(dims) * _DTYPE_CODES[code].itemsize
         if expected != nbytes:
             raise FormatError(f"tensor {name!r} declares {nbytes} bytes but dims {dims} require {expected}")
-        entries.append((name, code, dims, offset, nbytes))
-    base = cur.pos  # payload offsets count from here; read in place rather than slice a copy of the payload
-    # The payloads tile the rest of the file in table order, as pack_tensors lays them out.
+        if name in entries:
+            raise FormatError(f"duplicate tensor name {name!r}")
+        entries[name] = (_DTYPE_CODES[code], dims, offset, nbytes)
+    base = f.tell()  # payload offsets count from here
+    # The payloads tile the rest of the file in table order, as container_parts lays them out.
     end, before = base, "the tensor table"
-    for name, _, _, offset, nbytes in entries:
+    for name, (_, _, offset, nbytes) in entries.items():
         if base + offset != end:
             raise FormatError(f"tensor {name!r} payload starts at offset {base + offset}, but {before} ends at {end}")
         end += nbytes
         before = f"tensor {name!r} payload"
-    if end != len(data):
-        raise FormatError(f"{before} ends at offset {end}, but the file ends at offset {len(data)}")
+    if end != size:
+        raise FormatError(f"{before} ends at offset {end}, but the file ends at offset {size}")
     out: dict[str, np.ndarray] = {}
-    for name, code, dims, offset, nbytes in entries:
-        if name in out:
-            raise FormatError(f"duplicate tensor name {name!r}")
-        arr = np.frombuffer(data, dtype=_DTYPE_CODES[code], count=math.prod(dims), offset=base + offset)
-        out[name] = arr.reshape(dims).copy()
+    for name, (dtype, dims, offset, nbytes) in entries.items():
+        out[name] = np.empty(dims, dtype=dtype)
+        if (got := f.readinto(out[name])) != nbytes:
+            raise FormatError(f"short read of tensor {name!r} at offset {base + offset}: {got} of {nbytes} bytes")
     return out
 
 
@@ -189,14 +190,6 @@ def _refuse_non_finite(arr: np.ndarray, what: str) -> None:
     if bad.any():
         first = tuple(int(i) for i in np.argwhere(bad)[0])
         raise FormatError(f"{what}: {int(bad.sum())} non-finite values, the first at {first}")
-
-
-def save_tensors(path: str | Path, tensors: Mapping[str, np.ndarray], magic: bytes) -> None:
-    _atomic_write(path, pack_tensors(tensors, magic))
-
-
-def load_tensors(path: str | Path, expect_magic: bytes) -> dict[str, np.ndarray]:
-    return unpack_tensors(Path(path).read_bytes(), expect_magic)
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +330,12 @@ def model_from_tensors(t: Mapping[str, np.ndarray]) -> ModelParams:
 
 def save_weights(path: str | Path, model: ModelParams) -> None:
     """Write the full parameter bundle; load_weights(save_weights(m)) == m bit-exactly."""
-    save_tensors(path, model_to_tensors(model), WEIGHTS_MAGIC)
+    _atomic_write(path, container_parts(model_to_tensors(model), WEIGHTS_MAGIC))
 
 
 def load_weights(path: str | Path) -> ModelParams:
-    return model_from_tensors(load_tensors(path, WEIGHTS_MAGIC))
+    with open(path, "rb") as f:
+        return model_from_tensors(unpack_tensors(f, WEIGHTS_MAGIC))
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +407,12 @@ def index_from_tensors(t: Mapping[str, np.ndarray]) -> tuple[DescriptorIndex, di
 
 
 def save_index(path: str | Path, index: DescriptorIndex, patch_store: Mapping[str, PatchDescriptorSet]) -> None:
-    save_tensors(path, index_to_tensors(index, patch_store), INDEX_MAGIC)
+    _atomic_write(path, container_parts(index_to_tensors(index, patch_store), INDEX_MAGIC))
 
 
 def load_index(path: str | Path) -> tuple[DescriptorIndex, dict[str, PatchDescriptorSet]]:
-    return index_from_tensors(load_tensors(path, INDEX_MAGIC))
+    with open(path, "rb") as f:
+        return index_from_tensors(unpack_tensors(f, INDEX_MAGIC))
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +485,10 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
 
 def save_manifest(path: str | Path, records: Sequence[ManifestRecord]) -> None:
     """Write records back in the canonical format (repr floats, LF line ends)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MANIFEST_HEADER)
-    for r in records:
-        writer.writerow([r.image_id, r.path, repr(r.easting), repr(r.northing), r.split])
-    _atomic_write(path, buf.getvalue().encode("utf-8"))
+    # writerow returns what its target's write returns: here each line's UTF-8 bytes, written as it is made.
+    line = csv.writer(SimpleNamespace(write=lambda text: text.encode("utf-8")), lineterminator="\n").writerow
+    rows = ([r.image_id, r.path, repr(r.easting), repr(r.northing), r.split] for r in records)
+    _atomic_write(path, map(line, itertools.chain([MANIFEST_HEADER], rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +544,7 @@ def write_ppm(path: str | Path, image: np.ndarray) -> None:
     if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
         raise FormatError(f"write_ppm wants (H, W, 3) uint8, got {image.shape} {image.dtype}")
     header = f"P6\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
-    _atomic_write(path, header + np.ascontiguousarray(image).tobytes())
+    _atomic_write(path, [header, np.ascontiguousarray(image)])
 
 
 def load_t4(path: str | Path) -> Tensor4:

@@ -106,11 +106,10 @@ class DescriptorIndex:
 
 @dataclass(frozen=True)
 class CandidateList:
-    """Ranked (image_id, score) pairs for one query at one stage."""
+    """Ranked (image_id, score) pairs for one query, from stage-one search or from re-ranking."""
 
     query_id: str
     ranked: tuple[tuple[str, float], ...]
-    stage: Literal["initial", "reranked"]
     missing_patches: tuple[str, ...] = ()
     unconverged: tuple[str, ...] = ()
 
@@ -138,7 +137,7 @@ def global_retrieve(query: GlobalDescriptor, index: DescriptorIndex, query_id: s
     order = sorted(range(len(index)), key=lambda i: (-scores[i], index.entries[i].image_id))
     top = order[: min(k, len(index))]
     ranked = tuple((index.entries[i].image_id, float(scores[i])) for i in top)
-    return CandidateList(query_id=query_id, ranked=ranked, stage="initial")
+    return CandidateList(query_id=query_id, ranked=ranked)
 
 
 def rerank(
@@ -179,13 +178,7 @@ def rerank(
             rescored.append((image_id, float(value)))
     order = sorted(range(len(rescored)), key=lambda i: (-rescored[i][1], i))  # stable in initial rank
     ranked = tuple(rescored[i] for i in order)
-    return CandidateList(
-        query_id=candidates.query_id,
-        ranked=ranked,
-        stage="reranked",
-        missing_patches=tuple(missing),
-        unconverged=tuple(unconverged),
-    )
+    return CandidateList(candidates.query_id, ranked, missing_patches=tuple(missing), unconverged=tuple(unconverged))
 
 
 def recall_at_k(

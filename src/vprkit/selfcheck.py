@@ -11,6 +11,7 @@ test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from io import BytesIO
 from typing import Callable, Optional
 
 import numpy as np
@@ -109,7 +110,7 @@ def check_io_store(rng: np.random.Generator) -> list[CheckResult]:
                 arr = rng.standard_normal(shape).astype(dtype)
             tensors[f"t{t}"] = arr
         blob = io.pack_tensors(tensors, io.WEIGHTS_MAGIC)
-        back = io.unpack_tensors(blob, io.WEIGHTS_MAGIC)
+        back = io.unpack_tensors(BytesIO(blob), io.WEIGHTS_MAGIC)
         ok &= set(back) == set(tensors)
         ok &= all(np.array_equal(back[k], tensors[k]) and back[k].dtype == tensors[k].dtype for k in tensors)
         ok &= io.pack_tensors(back, io.WEIGHTS_MAGIC) == blob

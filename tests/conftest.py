@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,16 @@ SMALL_SPEC = NetworkSpec(
     stages=(StageSpec(layer_count=1, out_channels=8), StageSpec(layer_count=2, out_channels=12)),
     input_dims=(32, 32),
 )
+
+
+def traced_peak(run):
+    """run()'s result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -179,10 +179,22 @@ class TestForwardShapes:
     def test_strict_dims_rejects_nonmultiple(self):
         rng = np.random.default_rng(SEED)
         net = random_backbone(SMALL, rng)
-        x = rng.standard_normal((1, 3, 20, 32)).astype(np.float32)
-        with pytest.raises(ShapeError):
+        x = rng.standard_normal((1, 3, 21, 32)).astype(np.float32)  # 21 is not a multiple of this layout's stride of 2
+        with pytest.raises(ShapeError, match="divisible by 2, the stage layout's total stride"):
             backbone_forward(x, net, strict_dims=True)
         backbone_forward(x, net, strict_dims=False)  # relaxed mode accepts it
+
+    @pytest.mark.parametrize("count, fits, misfits", [(3, (120, 160), (124, 160)), (5, (64, 64), (48, 48))])
+    def test_strict_dims_follow_the_layout_stride(self, count, fits, misfits):
+        """Strict mode asks for multiples of the layout's total stride (8 for three stages, 32 for
+        five), not of the default layout's 16, and then the output is exactly that fraction."""
+        spec = NetworkSpec(stages=tuple(StageSpec(layer_count=1, out_channels=4) for _ in range(count)))
+        net = random_backbone(spec, np.random.default_rng(SEED))
+        stride = 2**count
+        out = backbone_forward(np.zeros((1, 3, *fits), np.float32), net)
+        assert out.shape[2:] == (fits[0] // stride, fits[1] // stride)
+        with pytest.raises(ShapeError, match=f"divisible by {stride},"):
+            backbone_forward(np.zeros((1, 3, *misfits), np.float32), net)
 
     def test_too_small_input_always_rejected(self):
         rng = np.random.default_rng(SEED)

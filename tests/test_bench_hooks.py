@@ -62,7 +62,7 @@ def test_traced_rerank_counts_one_enhance_and_its_attention_calls_per_candidate(
         return PatchDescriptorSet(rng.standard_normal((count, 8)), make_patch_grid(2, count + 1, 2, 2))
 
     store = {"a": patches(5), "b": patches(6), "c": patches(4)}
-    initial = CandidateList(query_id="q", ranked=(("a", 0.9), ("b", 0.8), ("c", 0.7)), stage="initial")
+    initial = CandidateList(query_id="q", ranked=(("a", 0.9), ("b", 0.8), ("c", 0.7)))
     tracer = tracing.Tracer()
     tracer.install(modules)
     try:

@@ -621,7 +621,7 @@ class TestEval:
 
         def bits(lists):
             return [
-                (c.query_id, c.stage, c.ids(), np.array([s for _, s in c.ranked]).tobytes(), c.missing_patches, c.unconverged)
+                (c.query_id, c.ids(), np.array([s for _, s in c.ranked]).tobytes(), c.missing_patches, c.unconverged)
                 for c in lists
             ]
 
@@ -803,7 +803,7 @@ class TestEval:
         table = io_store.model_to_tensors(load_weights(weights))
         table["matcher.modes"] = np.array([7, 9, 0, 1], dtype=np.int32)
         bad = tmp_path / "bad.vprw"
-        io_store.save_tensors(bad, table, io_store.WEIGHTS_MAGIC)
+        bad.write_bytes(io_store.pack_tensors(table, io_store.WEIGHTS_MAGIC))
         assert main(["eval", str(manifest), "--index", str(index), "--weights", str(bad), *EVAL_FLAGS]) == 2
         assert "'matcher.modes' holds 7" in capsys.readouterr().err
 
@@ -828,7 +828,7 @@ class TestEval:
         table = io_store.index_to_tensors(DescriptorIndex(entries=(entry,)), {})
         table[name] = bad
         index = tmp_path / "bad.vpri"
-        io_store.save_tensors(index, table, io_store.INDEX_MAGIC)
+        index.write_bytes(io_store.pack_tensors(table, io_store.INDEX_MAGIC))
         assert main(["eval", str(manifest), "--index", str(index)]) == 2
         assert name in capsys.readouterr().err
 

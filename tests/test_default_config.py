@@ -3,24 +3,24 @@ float32 projection against the float64 one it replaced, band sizes that
 leave the backbone's output unchanged and band halves that leave the
 extraction's bytes unchanged, and the traced memory of the first
 convolution, of patch extraction (whole bands and halves at once), of
-packing the model and of matching one default-size pair."""
+packing, saving and loading the model and of matching one default-size pair."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-import tracemalloc
 
 import pytest
 import numpy as np
 from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import traced_peak
 from make_golden import GOLDEN_DESCRIPTORS, default_model, descriptor_values, noise_images
 from oracles import float64_projection
 from vprkit import descriptor, matcher, tensor
 from vprkit.backbone import backbone_forward
 from vprkit.descriptor import extract_patch_descriptors, global_descriptor, make_patch_grid
-from vprkit.io_store import WEIGHTS_MAGIC, load_image, model_to_tensors, pack_tensors
+from vprkit.io_store import WEIGHTS_MAGIC, load_image, load_weights, model_to_tensors, pack_tensors, save_weights
 from vprkit.pipeline import ExtractionSettings, extract_from_tensor
 
 
@@ -87,16 +87,6 @@ def test_backbone_band_size_does_not_change_the_map(model, images, fmap, monkeyp
 PATCH_TRANSIENT_BOUND = 56e6
 
 
-def traced_peak(run):
-    """run()'s result and the peak bytes tracemalloc saw while it ran."""
-    tracemalloc.start()
-    try:
-        result = run()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestMemory:
     def extraction_transient(self, model, fmap):
         grid = make_patch_grid(fmap.shape[2], fmap.shape[3], 2, 2)
@@ -117,6 +107,19 @@ class TestMemory:
         packed, peak = traced_peak(lambda: pack_tensors(model_to_tensors(model), WEIGHTS_MAGIC))
         assert len(packed) > 75e6
         assert peak <= 1.1 * len(packed)
+
+    def test_weights_save_copies_no_payload(self, model, tmp_path):
+        path = tmp_path / "model.vprw"
+        _, peak = traced_peak(lambda: save_weights(path, model))
+        assert peak <= 0.05 * path.stat().st_size
+
+    def test_weights_load_holds_about_one_copy_of_the_file(self, model, tmp_path):
+        """Each payload is read once, straight into its array. The rest, 0.08x the
+        file, is the non-finite check's mask over the largest tensor (the projection)."""
+        path = tmp_path / "model.vprw"
+        save_weights(path, model)
+        _, peak = traced_peak(lambda: load_weights(path))
+        assert peak <= 1.15 * path.stat().st_size
 
     def test_first_convolution_holds_one_band_beyond_its_output(self, model, images):
         """A band's float64 columns and products together fit CONV_BAND_BYTES. When

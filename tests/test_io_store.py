@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import io
+import os
 import re
 import struct
 import tracemalloc
@@ -13,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from conftest import traced_peak
+from vprkit import io_store
 from vprkit.errors import FormatError
 from vprkit.descriptor import GlobalDescriptor, PatchDescriptorSet, make_patch_grid
 from vprkit.io_store import (
@@ -34,7 +38,6 @@ from vprkit.io_store import (
     parse_ppm,
     save_index,
     save_manifest,
-    save_tensors,
     save_weights,
     unpack_tensors,
     write_ppm,
@@ -64,7 +67,7 @@ class TestTensorContainer:
             "d.bytes": rng.integers(0, 256, size=11).astype(np.uint8),
         }
         blob = pack_tensors(table, WEIGHTS_MAGIC)
-        back = unpack_tensors(blob, WEIGHTS_MAGIC)
+        back = unpack_tensors(io.BytesIO(blob), WEIGHTS_MAGIC)
         assert set(back) == set(table)
         for name in table:
             assert back[name].dtype == table[name].dtype
@@ -78,27 +81,27 @@ class TestTensorContainer:
     def test_wrong_magic_refused(self):
         blob = pack_tensors({"x": np.zeros(1, np.float32)}, WEIGHTS_MAGIC)
         with pytest.raises(FormatError):
-            unpack_tensors(blob, INDEX_MAGIC)
+            unpack_tensors(io.BytesIO(blob), INDEX_MAGIC)
 
     def test_truncated_payload_refused(self):
         blob = pack_tensors({"x": np.zeros(8, np.float32)}, WEIGHTS_MAGIC)
         with pytest.raises(FormatError):
-            unpack_tensors(blob[:-5], WEIGHTS_MAGIC)
+            unpack_tensors(io.BytesIO(blob[:-5]), WEIGHTS_MAGIC)
 
     def test_garbage_refused(self):
         with pytest.raises(FormatError):
-            unpack_tensors(b"not a container at all", WEIGHTS_MAGIC)
+            unpack_tensors(io.BytesIO(b"not a container at all"), WEIGHTS_MAGIC)
 
     def test_non_utf8_name_refused_with_its_offset(self):
         blob = pack_tensors({"x": np.zeros(1, np.float32), "ab": np.zeros(1, np.float32)}, WEIGHTS_MAGIC)
         at = blob.index(b"ab") - 4  # the entry starts with the name length
         with pytest.raises(FormatError, match=f"offset {at} is not UTF-8"):
-            unpack_tensors(blob.replace(b"ab", b"\xff\xfe"), WEIGHTS_MAGIC)
+            unpack_tensors(io.BytesIO(blob.replace(b"ab", b"\xff\xfe")), WEIGHTS_MAGIC)
 
     def test_trailing_bytes_refused_naming_the_last_tensor(self):
         blob = pack_tensors({"x": np.zeros(2, np.float32), "y": np.ones(2, np.float32)}, WEIGHTS_MAGIC)
         with pytest.raises(FormatError, match=f"tensor 'y' payload ends at offset {len(blob)}, but the file ends at offset {len(blob) + 4}"):
-            unpack_tensors(blob + b"junk", WEIGHTS_MAGIC)
+            unpack_tensors(io.BytesIO(blob + b"junk"), WEIGHTS_MAGIC)
 
     @pytest.mark.parametrize("offset", [4, 12], ids=["overlap", "gap"])
     def test_payload_off_its_place_refused_with_its_offset(self, offset):
@@ -109,7 +112,36 @@ class TestTensorContainer:
         moved = blob[:field] + struct.pack("<Q", offset) + blob[field + 8 :]
         base = len(blob) - 16  # the table ends where x's 8 payload bytes start
         with pytest.raises(FormatError, match=f"tensor 'y' payload starts at offset {base + offset}, but tensor 'x'"):
-            unpack_tensors(moved, WEIGHTS_MAGIC)
+            unpack_tensors(io.BytesIO(moved), WEIGHTS_MAGIC)
+
+    def test_payload_beyond_a_tiny_file_refused_before_any_is_allocated(self):
+        """A table declaring 400 MB of payload in a 43-byte file fails on the layout check."""
+        blob = pack_tensors({"x": np.zeros(1, np.float32)}, WEIGHTS_MAGIC)
+        dims = blob.index(struct.pack("<I", 1) + b"x") + 7  # name length, name, code, rank
+        huge = blob[:dims] + struct.pack("<IQQ", 10**8, 0, 4 * 10**8) + blob[dims + 20 :]
+        refused, peak = traced_peak(lambda: pytest.raises(FormatError, unpack_tensors, io.BytesIO(huge), WEIGHTS_MAGIC))
+        assert f"tensor 'x' payload ends at offset {len(blob) - 4 + 4 * 10**8}" in str(refused.value)
+        assert peak < 1_000_000
+
+    def test_short_read_refused_naming_the_tensor(self):
+        """A stream that comes up short mid-payload, as a file that shrinks while it is read would."""
+
+        class ShortReads(io.BytesIO):
+            def readinto(self, buffer):
+                return super().readinto(memoryview(buffer).cast("B")[:-1])
+
+        blob = pack_tensors({"x": np.zeros(2, np.float32), "y": np.ones(2, np.float32)}, WEIGHTS_MAGIC)
+        with pytest.raises(FormatError, match=f"short read of tensor 'x' at offset {len(blob) - 16}: 7 of 8 bytes"):
+            unpack_tensors(ShortReads(blob), WEIGHTS_MAGIC)
+
+    def test_unseekable_stream_refused(self):
+        """A pipe cannot be sized before it is read. The refusal is an OSError, which the CLI exits 2 on."""
+        read_end, write_end = os.pipe()
+        os.write(write_end, pack_tensors({"x": np.zeros(2, np.float32)}, WEIGHTS_MAGIC))
+        os.close(write_end)
+        with open(read_end, "rb") as f, pytest.raises(io.UnsupportedOperation) as refused:
+            unpack_tensors(f, WEIGHTS_MAGIC)
+        assert isinstance(refused.value, OSError)
 
     @given(
         st.dictionaries(
@@ -138,7 +170,7 @@ class TestTensorContainer:
                 arr = rng.integers(0, 256, size=dims).astype(np.uint8)
             table[name] = arr
         blob = pack_tensors(table, INDEX_MAGIC)
-        back = unpack_tensors(blob, INDEX_MAGIC)
+        back = unpack_tensors(io.BytesIO(blob), INDEX_MAGIC)
         for name in table:
             assert_array_equal(back[name], table[name])
         assert pack_tensors(back, INDEX_MAGIC) == blob
@@ -208,7 +240,7 @@ class TestWeightsFile:
                 old["pca.whitened"] = np.array([1], dtype=np.int32)
                 old["pca.explained_variance"] = np.arange(small_model.pca.out_dim, 0, -1, dtype=np.float32)
         old_path, new_path, resaved = tmp_path / "old.vprw", tmp_path / "new.vprw", tmp_path / "resaved.vprw"
-        save_tensors(old_path, old, WEIGHTS_MAGIC)
+        old_path.write_bytes(pack_tensors(old, WEIGHTS_MAGIC))
         save_weights(new_path, small_model)
         from_old, from_new = load_weights(old_path).pca, load_weights(new_path).pca
         for field in ("projection", "mean"):
@@ -247,7 +279,7 @@ class TestWeightsFile:
         table[name] = table[name].copy()
         table[name][at] = bad
         path = tmp_path / "bad.vprw"
-        save_tensors(path, table, WEIGHTS_MAGIC)
+        path.write_bytes(pack_tensors(table, WEIGHTS_MAGIC))
         with pytest.raises(FormatError, match=re.escape(f"'{name}': 1 non-finite values, the first at {at}")):
             load_weights(path)
 
@@ -264,7 +296,7 @@ class TestWeightsFile:
         table["spec.stages"] = table["spec.stages"].copy()
         table["spec.stages"][1, 0] = 10**6
         path = tmp_path / "huge.vprw"
-        save_tensors(path, table, WEIGHTS_MAGIC)
+        path.write_bytes(pack_tensors(table, WEIGHTS_MAGIC))
         tracemalloc.start()
         try:
             with pytest.raises(FormatError) as refused:
@@ -274,6 +306,18 @@ class TestWeightsFile:
             tracemalloc.stop()
         assert peak < 1_000_000
         assert "'spec.stages'" in str(refused.value)
+
+    def test_failed_save_leaves_the_old_file(self, small_model, tmp_path, monkeypatch):
+        """A part that fails mid-write leaves the old file as it was and no temp file beside it."""
+        path = tmp_path / "model.vprw"
+        save_weights(path, small_model)
+        before = path.read_bytes()
+        parts = io_store.container_parts
+        monkeypatch.setattr(io_store, "container_parts", lambda tensors, magic: [*parts(tensors, magic)[:3], None])
+        with pytest.raises(TypeError):
+            save_weights(path, small_model.with_fused())
+        assert path.read_bytes() == before
+        assert list(tmp_path.glob(".model.vprw.*.tmp")) == []
 
     def test_wrong_file_kind_refused(self, small_model, tmp_path):
         path = tmp_path / "index.vpri"
@@ -351,8 +395,8 @@ class TestIndexFile:
         with pytest.raises(FormatError):
             save_index(tmp_path / "bad.vpri", index, store)
 
-    def test_load_peak_memory_bounded(self, tmp_path):
-        """The file bytes plus one copy of each tensor: the payload is not copied first."""
+    def patch_heavy_index(self):
+        """Four entries of 1131 128-d patches each: 2.3 MB, nearly all payload."""
         rng = np.random.default_rng(SEED + 5)
         grid = make_patch_grid(30, 40, 2, 2)
         entries, store = [], {}
@@ -360,15 +404,20 @@ class TestIndexFile:
             d = rng.standard_normal((grid.count, 128)).astype(np.float32)
             store[f"img{i}"] = PatchDescriptorSet(descriptors=d / np.linalg.norm(d, axis=1, keepdims=True), grid=grid)
             entries.append(IndexEntry(f"img{i}", GlobalDescriptor(values=d[0]), GeoTag.utm(float(i), 0.0)))
+        return DescriptorIndex(entries=tuple(entries)), store
+
+    def test_load_peak_memory_bounded(self, tmp_path):
+        """One copy of each tensor: each payload is read straight into its array, not through the file's bytes."""
         path = tmp_path / "big.vpri"
-        save_index(path, DescriptorIndex(entries=tuple(entries)), store)
-        tracemalloc.start()
-        try:
-            load_index(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * path.stat().st_size
+        save_index(path, *self.patch_heavy_index())
+        _, peak = traced_peak(lambda: load_index(path))
+        assert peak <= 1.05 * path.stat().st_size
+
+    def test_save_copies_no_payload(self, tmp_path):
+        index, store = self.patch_heavy_index()
+        path = tmp_path / "big.vpri"
+        _, peak = traced_peak(lambda: save_index(path, index, store))
+        assert peak <= 0.05 * path.stat().st_size
 
     @pytest.mark.parametrize("field", ["id", "geo.frame"])
     def test_non_utf8_string_names_the_tensor(self, field):

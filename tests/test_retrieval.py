@@ -99,7 +99,6 @@ class TestGlobalRetrieve:
         got = global_retrieve(q, idx, "q", k=5)
         scores = {e.image_id: float(q.values.astype(np.float64) @ e.descriptor.values.astype(np.float64)) for e in entries}
         assert list(got.ids()) == topk_ids(scores, 5)
-        assert got.stage == "initial"
         assert got.query_id == "q"
 
     def test_matrix_stacked_once_and_shared(self):
@@ -137,11 +136,11 @@ class TestGlobalRetrieve:
 class TestCandidateList:
     def test_scores_must_not_increase(self):
         with pytest.raises(ShapeError):
-            CandidateList(query_id="q", ranked=(("a", 0.5), ("b", 0.9)), stage="initial")
+            CandidateList(query_id="q", ranked=(("a", 0.5), ("b", 0.9)))
 
     def test_duplicate_candidates_refused(self):
         with pytest.raises(ShapeError):
-            CandidateList(query_id="q", ranked=(("a", 0.9), ("a", 0.5)), stage="initial")
+            CandidateList(query_id="q", ranked=(("a", 0.9), ("a", 0.5)))
 
 
 def patch_set(rng, count, dim=6, grid=None) -> PatchDescriptorSet:
@@ -160,13 +159,8 @@ class TestRerank:
         q = patch_set(rng, 5)
         twin = PatchDescriptorSet(descriptors=q.descriptors.copy(), grid=q.grid)
         store = {"twin": twin, "noise1": patch_set(rng, 5), "noise2": patch_set(rng, 5)}
-        initial = CandidateList(
-            query_id="q",
-            ranked=(("noise1", 0.9), ("noise2", 0.8), ("twin", 0.7)),
-            stage="initial",
-        )
+        initial = CandidateList(query_id="q", ranked=(("noise1", 0.9), ("noise2", 0.8), ("twin", 0.7)))
         out = rerank(q, initial, store, params)
-        assert out.stage == "reranked"
         assert out.ids()[0] == "twin"
         assert out.missing_patches == ()
 
@@ -175,7 +169,7 @@ class TestRerank:
         params = random_matcher_params(dim=6, rng=rng, rounds=1)
         q = patch_set(rng, 4)
         store = {"present": patch_set(rng, 4)}
-        initial = CandidateList(query_id="q", ranked=(("ghost", 0.9), ("present", 0.8)), stage="initial")
+        initial = CandidateList(query_id="q", ranked=(("ghost", 0.9), ("present", 0.8)))
         out = rerank(q, initial, store, params)
         assert out.missing_patches == ("ghost",)
         kept = dict(out.ranked)["ghost"]
@@ -188,7 +182,7 @@ class TestRerank:
         same = PatchDescriptorSet(descriptors=q.descriptors.copy(), grid=q.grid)
         same2 = PatchDescriptorSet(descriptors=q.descriptors.copy(), grid=q.grid)
         store = {"first": same, "second": same2}
-        initial = CandidateList(query_id="q", ranked=(("first", 0.9), ("second", 0.8)), stage="initial")
+        initial = CandidateList(query_id="q", ranked=(("first", 0.9), ("second", 0.8)))
         out = rerank(q, initial, store, params)
         assert list(out.ids()) == ["first", "second"]
 
@@ -198,7 +192,7 @@ class TestRerank:
         params = random_matcher_params(dim=6, rng=rng, rounds=1)
         q = patch_set(rng, 4)
         store = {"a": patch_set(rng, 4), "b": patch_set(rng, 4)}
-        initial = CandidateList(query_id="q", ranked=(("a", 0.9), ("ghost", 0.85), ("b", 0.8)), stage="initial")
+        initial = CandidateList(query_id="q", ranked=(("a", 0.9), ("ghost", 0.85), ("b", 0.8)))
         assert rerank(q, initial, store, params, max_iters=500).unconverged == ()
         capped = rerank(q, initial, store, params, max_iters=1)
         assert capped.unconverged == ("a", "b")
@@ -248,11 +242,7 @@ class TestRerankAgainstLogDomainTransport:
 class TestRecall:
     def make_results(self, ranked_ids):
         return [
-            CandidateList(
-                query_id=f"q{i}",
-                ranked=tuple((r, 1.0 - 0.1 * j) for j, r in enumerate(ids)),
-                stage="initial",
-            )
+            CandidateList(query_id=f"q{i}", ranked=tuple((r, 1.0 - 0.1 * j) for j, r in enumerate(ids)))
             for i, ids in enumerate(ranked_ids)
         ]
 
