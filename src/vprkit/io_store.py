@@ -14,6 +14,7 @@ import io
 import itertools
 import math
 import os
+import stat
 import struct
 import tempfile
 from pathlib import Path
@@ -186,10 +187,22 @@ def _field(t: Mapping[str, np.ndarray], name: str, shape: tuple[int, ...] = ()) 
 
 
 def _refuse_non_finite(arr: np.ndarray, what: str) -> None:
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        first = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise FormatError(f"{what}: {int(bad.sum())} non-finite values, the first at {first}")
+    """Refuse arr, naming how many of its values are NaN or infinite and the first.
+    It is checked a block of rows (about a million values) at a time, so the
+    check's one mask stays small beside the tensor."""
+    rows = max(1, (1 << 20) // max(1, arr[:1].size))
+    mask = np.empty((min(rows, len(arr)), *arr.shape[1:]), dtype=bool)
+    count, first = 0, None
+    for lo in range(0, len(arr), rows):
+        block = arr[lo : lo + rows]
+        finite = np.isfinite(block, out=mask[: len(block)])
+        bad = finite.size - int(np.count_nonzero(finite))
+        if bad and first is None:
+            at = np.argwhere(~finite)[0]
+            first = (lo + int(at[0]), *(int(i) for i in at[1:]))
+        count += bad
+    if count:
+        raise FormatError(f"{what}: {count} non-finite values, the first at {first}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +346,16 @@ def save_weights(path: str | Path, model: ModelParams) -> None:
     _atomic_write(path, container_parts(model_to_tensors(model), WEIGHTS_MAGIC))
 
 
+def _open_container(path: str | Path) -> BinaryIO:
+    """path opened for reading, refused unless it is a regular file: a load seeks, and
+    opening a FIFO for reading would block until a writer appeared."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise FormatError(f"{path}: not a regular file; a container must be read from one")
+    return open(path, "rb")
+
+
 def load_weights(path: str | Path) -> ModelParams:
-    with open(path, "rb") as f:
+    with _open_container(path) as f:
         return model_from_tensors(unpack_tensors(f, WEIGHTS_MAGIC))
 
 
@@ -411,7 +432,7 @@ def save_index(path: str | Path, index: DescriptorIndex, patch_store: Mapping[st
 
 
 def load_index(path: str | Path) -> tuple[DescriptorIndex, dict[str, PatchDescriptorSet]]:
-    with open(path, "rb") as f:
+    with _open_container(path) as f:
         return index_from_tensors(unpack_tensors(f, INDEX_MAGIC))
 
 

@@ -5,6 +5,9 @@ cross-attention rounds, inner products of the enhanced descriptors form the
 score matrix (deliberately left un-normalized), and entropy-regularized
 optimal transport with a dustbin row/column turns scores into a soft
 assignment. Attention keeps float32 pairs in float32; the rest runs in float64.
+With BLAS on one thread and two usable CPUs, float32 attention runs in two
+halves at once, with the whole call's bits; the vprkit command leaves BLAS's
+threads unset, so there each call runs whole on a two-thread BLAS, as before.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Iterable, Literal, Optional
 import numpy as np
 
 from .errors import EmptyGroundTruthWarning, ShapeError
+from .tensor import band_workers
 
 
 @dataclass(frozen=True)
@@ -97,22 +101,52 @@ def attention_forward(x_src: np.ndarray, x_dst: np.ndarray, layer: AttentionLaye
     softmax over sources, so every column of the returned (N_src, N_dst) map
     sums to 1. The enhanced output is x_dst[j] + sum_i rho[i, j] * w_h @ x_src[i].
     Both are computed in float32 if both inputs are float32, in float64 otherwise.
+
+    Source rows are projected into keys and values; then each destination row
+    j gets its query, column j of the logits, their softmax and output row j,
+    all in buffers the calling thread allocates. A float32 call may run each
+    of the two steps in two halves at once, each of at least 64 rows and each
+    of whose GEMMs does at least 2**20 multiply-adds; tensor's docstring says
+    why float64 and smaller halves do not.
     """
     dtype = _pair_dtype(x_src, x_dst)
     xs = _as_rows(x_src, layer.dim, "source", dtype)
     xd = _as_rows(x_dst, layer.dim, "destination", dtype)
     # Cast, not promote, the weights: float64 @ float32 skips BLAS and rounds differently.
-    f = xs @ layer.w_f.astype(dtype, copy=False).T
-    g = xd @ layer.w_g.astype(dtype, copy=False).T
-    # The (N_src, N_dst) logits become rho in place: one such buffer per call.
-    rho = f @ g.T
-    del f, g
-    rho -= rho.max(axis=0, keepdims=True)
-    np.exp(rho, out=rho)
-    rho /= rho.sum(axis=0, keepdims=True)
-    values = xs @ layer.w_h.astype(dtype, copy=False).T
-    out = rho.T @ values
-    out += xd
+    w_f, w_g, w_h = (w.astype(dtype, copy=False) for w in (layer.w_f, layer.w_g, layer.w_h))
+    f = np.empty((len(xs), len(w_f)), dtype=dtype)
+    values = np.empty((len(xs), layer.dim), dtype=dtype)
+    rho = np.empty((len(xs), len(xd)), dtype=dtype)
+    out = np.empty((len(xd), layer.dim), dtype=dtype)
+
+    def project(lo: int, hi: int) -> None:
+        np.matmul(xs[lo:hi], w_f.T, out=f[lo:hi])
+        np.matmul(xs[lo:hi], w_h.T, out=values[lo:hi])
+
+    def attend(lo: int, hi: int) -> None:
+        """Columns lo .. hi of rho, the logits turned into weights in place, and their output rows."""
+        # Output rows lo .. hi hold the query projection until the output overwrites it.
+        g = np.matmul(xd[lo:hi], w_g.T, out=out[lo:hi] if w_g.shape == w_h.shape else None)
+        cols = np.matmul(f, g.T, out=rho[:, lo:hi])
+        cols -= cols.max(axis=0, keepdims=True)
+        np.exp(cols, out=cols)
+        cols /= cols.sum(axis=0, keepdims=True)
+        np.matmul(cols.T, values, out=out[lo:hi])
+        out[lo:hi] += xd[lo:hi]
+
+    def least(*row_costs: int) -> int:
+        """Rows a half holds: 64, and enough that each GEMM costing row_costs
+        multiply-adds a row does 2**20 of them."""
+        return max(64, -(-(1 << 20) // min(row_costs)))
+
+    if dtype == np.float32:
+        k, d = len(w_f), layer.dim
+        with band_workers() as split:
+            split(project, len(xs), least(k * d, d * d))
+            split(attend, len(xd), least(k * d, k * len(xs), d * len(xs)))
+    else:
+        project(0, len(xs))
+        attend(0, len(xd))
     return out, rho
 
 

@@ -6,7 +6,8 @@ row-major. Precision policy:
   before results are cast back to float32;
 - the VLAD head (residual sums, per-cluster and whole-vector L2) is float64;
 - the VLAD projection is a float32 GEMM whose rows are renormalized in float64;
-- attention runs in the dtype of its inputs, float32 for stored patch sets;
+- attention runs in the dtype of its inputs, float32 for stored patch sets,
+  and only float32 attention runs in halves (below);
 - the score matrix, Sinkhorn, the loss and its gradient, and anything an
   oracle checks at 1e-6 run in float64.
 float32 convolution GEMMs and a float32 VLAD head were both measured and miss
@@ -22,17 +23,26 @@ hold about CONV_BAND_BYTES; the result does not depend on the band size.
 When BLAS runs each call on one thread and the process may use two CPUs,
 each band's column fill and GEMM run in two halves at once (band_workers),
 one on the calling thread and one on a pool thread: the fill by output rows,
-the GEMM by output channels. Otherwise the calling thread runs each step
-whole, as before, and a multi-threaded BLAS spreads each GEMM over the CPUs
-itself (halves at once beside BLAS's own threads measured slower than
-either). Filling copies values, and half of a GEMM's output rows is a smaller
-GEMM over the same operand rows and columns; on the OpenBLAS the tests run
-with, its products carry the bits of the whole GEMM's, which the tests
-compare at the default backbone's shapes. A BLAS that picks its kernel by
-shape need not, just as OpenBLAS already picks its kernels by the host's
-CPU. Two halves is the cut measured to pay on two CPUs; more CPUs are not
-used. The calling thread allocates every buffer and the pool thread writes
-into them in place, so no multi-MB block lands in its heap.
+the GEMM by output channels; a float32 attention call runs its source rows,
+then its destination rows, in two halves the same way when they are large.
+Otherwise the calling thread runs each step whole, as before, and a
+multi-threaded BLAS spreads each GEMM over the CPUs itself (halves at once
+beside BLAS's own threads measured slower than either). The vprkit command
+leaves BLAS's threads unset, so on two CPUs it runs every step whole on a
+two-thread BLAS. Filling copies values, and half of a GEMM's output rows is a
+smaller GEMM over the same operand rows and columns; on the OpenBLAS the tests
+run with, its products carry the bits of the whole GEMM's, which the tests
+compare at the default backbone's and matcher's shapes. A BLAS that picks
+its kernel by shape need not, just as OpenBLAS already picks its kernels by
+the host's CPU, and OpenBLAS itself may send a small product (up to about a
+million multiply-adds) to a small-matrix kernel: float32 attention cut into
+halves with such products, on sets of under about 60 rows or at key or value
+dims of 16, was measured not to keep its bits, nor was a float64 logits
+product cut by rows or by columns. So attention cuts only float32 calls,
+into halves of at least 64 rows whose GEMMs each do at least 2**20
+multiply-adds. Two halves is the cut measured to pay on two CPUs;
+more CPUs are not used. The calling thread allocates every buffer and the
+pool thread writes into them in place, so no multi-MB block lands in its heap.
 """
 
 from __future__ import annotations

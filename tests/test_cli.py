@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,12 @@ class TestConfigResolution:
         extra = ["--seed", "-3"] if source == "flag" else ["--config", str(cfg)]
         assert main([*command, *extra]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_fifo_weights_path_is_usage_error_naming_it(self, tmp_path, capsys):
+        fifo = tmp_path / "weights.pipe"
+        os.mkfifo(fifo)
+        assert main(["selfcheck", "--weights", str(fifo)]) == 2
+        assert f"{fifo}: not a regular file" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -143,6 +143,28 @@ class TestTensorContainer:
             unpack_tensors(f, WEIGHTS_MAGIC)
         assert isinstance(refused.value, OSError)
 
+    @pytest.mark.parametrize("load", [load_weights, load_index], ids=["weights", "index"])
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_non_regular_path_refused_with_its_name(self, tmp_path, load, kind):
+        """Refused before it is opened: opening a FIFO for reading would block until a writer came."""
+        path = tmp_path / kind
+        if kind == "fifo":
+            os.mkfifo(path)
+        else:
+            path.mkdir()
+        with pytest.raises(FormatError, match=re.escape(f"{path}: not a regular file")):
+            load(path)
+
+    def test_non_finite_count_and_first_index_span_row_blocks(self):
+        """The check runs a block of about a million values at a time; the count and
+        the first index are those of the whole tensor."""
+        x = np.zeros((3000, 1000), dtype=np.float32)
+        for at in [(2999, 999), (1200, 3), (2500, 7), (1200, 900)]:
+            x[at] = np.nan
+        with pytest.raises(FormatError, match=re.escape("x: 4 non-finite values, the first at (1200, 3)")):
+            io_store._refuse_non_finite(x, "x")
+        io_store._refuse_non_finite(np.zeros((0, 5)), "empty")
+
     @given(
         st.dictionaries(
             st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=12),

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import central_difference, sinkhorn_linear, sinkhorn_log
 from vprkit.errors import EmptyGroundTruthWarning, ShapeError
-from vprkit import matcher
+from vprkit import matcher, tensor
 from vprkit.model import random_model
 from vprkit.pipeline import ExtractionSettings, extract_from_tensor
 from vprkit.matcher import (
@@ -42,6 +45,12 @@ def random_layer(rng, dim, mode="cross", key_dim=None):
         w_h=rng.standard_normal((dim, dim)).astype(np.float32) / np.sqrt(dim),
         mode=mode,
     )
+
+
+def unit_rows(rng, count, dim):
+    """count float64 rows of unit length, as patch descriptors are."""
+    x = rng.standard_normal((count, dim))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 class TestAttention:
@@ -169,6 +178,52 @@ class TestAttentionDtype:
             for got, want in zip(attention_forward(xs, xd, layer), float64_attention(xs, xd, layer)):
                 assert got.dtype == np.float64
                 assert_allclose(got, want, rtol=0, atol=0)
+
+
+class TestAttentionHalves:
+    """With BLAS on one thread and two usable CPUs, a float32 attention call runs
+    its source rows and its destination rows in two halves at once when each
+    half is large enough. The halves must give the whole call's bits; float64
+    and mixed pairs, and products small enough for OpenBLAS's small-matrix
+    kernels, run whole."""
+
+    @pytest.mark.parametrize(
+        "n_q, n_d, dim, q_dtype, d_dtype, cut",
+        [
+            (128, 300, 128, np.float32, np.float32, True),
+            (257, 130, 128, np.float32, np.float32, True),
+            (600, 530, 128, np.float32, np.float32, True),
+            (600, 199, 16, np.float32, np.float32, False),  # cut at 64 rows, its output bits moved
+            (300, 300, 128, np.float64, np.float64, False),
+            (300, 300, 128, np.float32, np.float64, False),
+        ],
+        ids=["float32-128x300", "float32-257x130", "float32-600x530", "float32-dim16", "float64", "mixed"],
+    )
+    def test_halves_give_the_whole_bits(self, band_halves, monkeypatch, n_q, n_d, dim, q_dtype, d_dtype, cut):
+        submitted = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(tensor, "ThreadPoolExecutor", CountingPool)
+        rng = np.random.default_rng(SEED + 50)
+        params = random_matcher_params(dim=dim, rng=rng, rounds=2)
+        q, d = unit_rows(rng, n_q, dim).astype(q_dtype), unit_rows(rng, n_d, dim).astype(d_dtype)
+        # Keys narrower than values: the query projection then has rows of its own.
+        layers = (*params.layers, random_layer(rng, dim, key_dim=dim // 4))
+        runs = [partial(attention_forward, q, d, layer) for layer in layers]
+        runs.append(partial(enhance_descriptors, q, d, params))
+        results = []
+        for at_once in (False, True):
+            band_halves(at_once)
+            results.append([run() for run in runs])
+        for whole, halves in zip(*results):
+            for got, want in zip(halves, whole):
+                assert got.dtype == np.result_type(q_dtype, d_dtype)
+                assert_array_equal(got, want)
+        assert bool(submitted) == cut
 
 
 class TestEnhance:
