@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -204,20 +204,18 @@ def _settings(cfg: RunConfig, model: ModelParams, grid: PatchGrid | None = None,
 
 
 class _Report:
-    """Collects JSON-line records and optionally writes them to a file."""
+    """JSON-line records, each appended to the file at `path` (when set) as it is added.
+    Creating the report truncates the file, so an unwritable path fails there."""
 
     def __init__(self, path: Optional[str]):
         self.path = path
-        self.records: list[dict] = []
+        if path is not None:
+            Path(path).write_text("", encoding="utf-8")
 
     def add(self, record_type: str, **payload: object) -> None:
-        self.records.append({"type": record_type, "version": REPORT_SCHEMA_VERSION, **payload})
-
-    def flush(self) -> None:
-        if self.path is None:
-            return
-        text = "".join(json.dumps(r) + "\n" for r in self.records)
-        Path(self.path).write_text(text, encoding="utf-8")
+        if self.path is not None:
+            with open(self.path, "a", encoding="utf-8") as f:
+                f.write(json.dumps({"type": record_type, "version": REPORT_SCHEMA_VERSION, **payload}) + "\n")
 
 
 def _table(rows: list[Sequence[str]]) -> None:
@@ -231,6 +229,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     records = load_manifest(args.manifest)
     model, model_seconds, model_sha256, _ = _timed_model(cfg)
     settings = _settings(cfg, model)
+    report = _Report(args.report)
     start = time.perf_counter()
     index, patch_store = extract_index(records, model, settings)
     elapsed = time.perf_counter() - start
@@ -241,7 +240,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if args.save_weights:
         save_weights(args.save_weights, model)
     per_sec = len(index) / elapsed if elapsed > 0 else float("inf")
-    report = _Report(args.report)
     report.add(
         "extract",
         images=len(index),
@@ -254,7 +252,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
         weights=cfg.weights or "random",
         model_sha256=model_sha256,
     )
-    report.flush()
     print(f"indexed {len(index)} images in {elapsed:.2f}s ({per_sec:.2f} images/sec) -> {args.out}")
     return 0
 
@@ -274,18 +271,11 @@ def _search(
     model: ModelParams,
     index: DescriptorIndex,
     patch_store: Mapping[str, PatchDescriptorSet],
-    queries: Sequence[tuple[str, GlobalDescriptor, PatchDescriptorSet]],
-) -> tuple[list[CandidateList], list[CandidateList], float, int, int]:
-    """Stage one then stage two for each (query_id, descriptor, patches).
-
-    Returns the stage-one lists, the re-ranked lists, the seconds spent in
-    stage two, and the counts of matched and unconverged candidate pairs.
-    """
-    initial_lists: list[CandidateList] = []
-    reranked_lists: list[CandidateList] = []
-    match_seconds = 0.0
-    pairs = 0
-    unconverged_pairs = 0
+    queries: Iterable[tuple[str, GlobalDescriptor, PatchDescriptorSet]],
+) -> Iterator[tuple[CandidateList, CandidateList, float]]:
+    """Stage one then stage two for each (query_id, descriptor, patches), taken from
+    queries one at a time; yields the stage-one list, the re-ranked list and the
+    seconds spent in stage two."""
     for query_id, desc, patches in queries:
         initial = global_retrieve(desc, index, query_id, k=cfg.candidates)
         start = time.perf_counter()
@@ -298,12 +288,13 @@ def _search(
             tol=cfg.sinkhorn_tol,
             max_iters=cfg.sinkhorn_iters,
         )
-        match_seconds += time.perf_counter() - start
-        pairs += len(reranked.ranked) - len(reranked.missing_patches)
-        unconverged_pairs += len(reranked.unconverged)
-        initial_lists.append(initial)
-        reranked_lists.append(reranked)
-    return initial_lists, reranked_lists, match_seconds, pairs, unconverged_pairs
+        yield initial, reranked, time.perf_counter() - start
+
+
+def _pair_counts(lists: Sequence[CandidateList]) -> tuple[int, int]:
+    """matched_pairs and unconverged_pairs of re-ranked lists: the candidate pairs that stage two matched, and those
+    of them whose transport did not converge."""
+    return sum(len(c.ranked) - len(c.missing_patches) for c in lists), sum(len(c.unconverged) for c in lists)
 
 
 def _recorded_build(path: str, index: DescriptorIndex, weights: Optional[str]) -> tuple[RunConfig, str]:
@@ -332,6 +323,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     index, patch_store = load_index(args.index)
     if len(index) == 0:
         raise FormatError(f"{args.index}: index is empty")
+    frames = {e.geotag.frame for e in index.entries} - {"utm"}
+    if frames:
+        raise FormatError(f"{args.index}: geotags in the {frames.pop()!r} frame; a manifest gives only utm positions")
     grids = {p.grid for p in patch_store.values()}
     if len(grids) > 1 or any(g.d_x != g.d_y for g in grids):
         shown = ", ".join(sorted(f"{g.d_x}x{g.d_y} stride {g.stride} on {g.height}x{g.width}" for g in grids))
@@ -345,15 +339,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     queries = [r for r in records if r.split == "query"]
     if not queries:
         raise FormatError("manifest contains no query records")
-    extracted = [extract_image(r.path, model, settings) for r in queries]
-    initial_lists, reranked_lists, match_seconds, pairs, unconverged_pairs = _search(
-        cfg, model, index, patch_store, [(r.image_id, *e) for r, e in zip(queries, extracted)]
-    )
-    query_geotags = {r.image_id: GeoTag.utm(r.easting, r.northing) for r in queries}
-    db_geotags = index.geotags()
-
     report = _Report(args.report)
-    for initial, reranked in zip(initial_lists, reranked_lists):
+    extracted = ((r.image_id, *extract_image(r.path, model, settings)) for r in queries)
+    searched = []
+    for initial, reranked, seconds in _search(cfg, model, index, patch_store, extracted):
+        searched.append((initial, reranked, seconds))
         report.add(
             "eval_query",
             query_id=initial.query_id,
@@ -362,6 +352,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             missing_patches=list(reranked.missing_patches),
             unconverged=list(reranked.unconverged),
         )
+    initial_lists, reranked_lists, seconds = zip(*searched)
+    pairs, unconverged_pairs = _pair_counts(reranked_lists)
+    query_geotags = {r.image_id: GeoTag.utm(r.easting, r.northing) for r in queries}
+    db_geotags = index.geotags()
 
     table_rows: list[Sequence[str]] = [("stage", *(f"R@{k}" for k in RECALL_KS))]
     for stage, lists in (("initial", initial_lists), ("reranked", reranked_lists)):
@@ -378,11 +372,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         candidates=cfg.candidates,
         model_seconds=round(model_seconds, 6),
         model_sha256=model_sha256,
-        match_seconds=round(match_seconds, 6),
+        match_seconds=round(sum(seconds), 6),
         matched_pairs=pairs,
         unconverged_pairs=unconverged_pairs,
     )
-    report.flush()
     _warn_unconverged(unconverged_pairs, pairs, cfg)
     _table(table_rows)
     print(f"{len(queries)} queries against {len(index)} database images, radius {cfg.radius_m} m")
@@ -397,13 +390,11 @@ def cmd_reparam(args: argparse.Namespace) -> int:
     if model.backbone.blocks is None:
         save_weights(args.out, model)
         report.add("reparam", status="noop", reason="input carries only fused weights", **loaded)
-        report.flush()
         print("input is already fused; copied unchanged")
         return 0
     check, deviation, rel_deviation = check_fused_form(model.backbone)
     status = "fused" if check.ok else "failed"
     report.add("reparam", status=status, max_abs_deviation=deviation, max_rel_deviation=rel_deviation, **loaded)
-    report.flush()
     print(f"max elementwise deviation on probe batch: {deviation:.3e} (relative {rel_deviation:.3e})")
     if not check.ok:
         print(f"error: the fused form fails its check ({check.detail}); {args.out} not written", file=sys.stderr)
@@ -421,6 +412,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError(f"--queries must be in [1, --images], got {args.queries}")
     model, model_seconds, model_sha256, model_size = _timed_model(cfg)
     settings = _settings(cfg, model)
+    report = _Report(args.report)
     rng = np.random.default_rng(cfg.seed)
     h, w = cfg.input_dims()
     images = [rng.standard_normal((1, 3, h, w)).astype(np.float32) for _ in range(args.images)]
@@ -432,13 +424,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     places = [(f"bench{i:03d}", GeoTag.utm(float(i), 0.0)) for i in range(len(images))]
     index, patch_store = assemble_index(places, extracted)
     queries = [("q", desc, patches) for desc, patches in extracted[: args.queries]]
-    _, _, match_seconds, pairs, unconverged_pairs = _search(cfg, model, index, patch_store, queries)
-    match_ms = match_seconds * 1000.0 / len(queries)
+    _, reranked_lists, seconds = zip(*_search(cfg, model, index, patch_store, queries))
+    match_ms = sum(seconds) * 1000.0 / len(queries)
+    pairs, unconverged_pairs = _pair_counts(reranked_lists)
 
     params_multi, flops_multi = count_params_flops(model.backbone, fused=False, input_dims=(h, w))
     params_fused, flops_fused = count_params_flops(model.backbone, fused=True, input_dims=(h, w))
 
-    report = _Report(args.report)
     report.add(
         "bench",
         model_seconds=round(model_seconds, 6),
@@ -456,7 +448,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         matched_pairs=pairs,
         unconverged_pairs=unconverged_pairs,
     )
-    report.flush()
     _warn_unconverged(unconverged_pairs, pairs, cfg)
     _table(
         [
@@ -484,7 +475,6 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
         report.add("selfcheck", module=r.module, check=r.name, ok=bool(r.ok), detail=r.detail)
     failed = [r for r in results if not r.ok]
     report.add("selfcheck_summary", checks=len(results), failed=len(failed))
-    report.flush()
     _table(rows)
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 0 if not failed else 1

@@ -86,15 +86,16 @@ def query_row(initial: CandidateList, reranked: CandidateList) -> dict:
 
 
 def eval_results(argv: list[str], monkeypatch: pytest.MonkeyPatch) -> tuple[list[dict], list[dict]]:
-    """Run `vprkit eval` with argv. Returns, per query, the lists cli._search gave
-    it, and per matched (query, candidate) pair, how its transport ended."""
+    """Run `vprkit eval` with argv. Returns, per query, the lists cli._search yielded
+    to it, and per matched (query, candidate) pair, how its transport ended."""
     captured = []
     scores = []
     search, match = cli._search, retrieval.match_pair
 
     def recording(*args):
-        captured.append(search(*args))
-        return captured[-1]
+        for result in search(*args):
+            captured.append(result)
+            yield result
 
     def matching(*args, **kwargs):
         scores.append(match(*args, **kwargs))
@@ -103,7 +104,7 @@ def eval_results(argv: list[str], monkeypatch: pytest.MonkeyPatch) -> tuple[list
     monkeypatch.setattr(cli, "_search", recording)
     monkeypatch.setattr(retrieval, "match_pair", matching)
     assert cli.main(argv) == 0
-    initial_lists, reranked_lists = captured[0][:2]
+    initial_lists, reranked_lists, _ = zip(*captured)
     # rerank matches each query's candidates that have patches, in stage-one order.
     pairs = iter(scores)
     transport = []

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from vprkit.backbone import NetworkSpec, StageSpec, count_params_flops
 from vprkit.cli import (
     REPORT_SCHEMA_VERSION,
     RunConfig,
+    _pair_counts,
     _resolve_model,
     _search,
     _settings,
@@ -480,6 +482,14 @@ class TestExtract:
     def test_missing_manifest_is_usage_error(self, tmp_path):
         assert main(["extract", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "i.vpri")]) == 2
 
+    def test_unwritable_report_fails_before_an_index_or_weights_are_written(self, tmp_path, capsys):
+        manifest = write_corpus(tmp_path, twins=[0], query_positions=[0.0])
+        out, weights, report = tmp_path / "i.vpri", tmp_path / "model.vprw", tmp_path / "missing_dir" / "r.jsonl"
+        argv = ["extract", str(manifest), "--out", str(out), "--save-weights", str(weights), "--report", str(report)]
+        assert main([*argv, *MODEL_FLAGS]) == 2
+        assert str(report) in capsys.readouterr().err
+        assert not out.exists() and not weights.exists()
+
 
 def index_eval_corpus(root, *extract_flags):
     """Six queries against five database images, indexed with the EVAL_SPEC
@@ -603,9 +613,10 @@ class TestEval:
         index, patch_store = load_index(index_path)
         queries = [r for r in load_manifest(manifest) if r.split == "query"]
         extracted = [extract_image(r.path, model, _settings(cfg, model)) for r in queries]
-        got_initial, got_reranked, seconds, pairs, unconverged_pairs = _search(
-            cfg, model, index, patch_store, [(r.image_id, *e) for r, e in zip(queries, extracted)]
+        got_initial, got_reranked, seconds = zip(
+            *_search(cfg, model, index, patch_store, [(r.image_id, *e) for r, e in zip(queries, extracted)])
         )
+        pairs, unconverged_pairs = _pair_counts(got_reranked)
 
         # Reference: the loop eval and bench each ran before they shared one.
         want_initial, want_reranked = [], []
@@ -635,7 +646,7 @@ class TestEval:
         assert bits(got_initial) == bits(want_initial)
         assert bits(got_reranked) == bits(want_reranked)
         assert (pairs, unconverged_pairs) == (want_pairs, want_unconverged)
-        assert pairs == 30 and seconds > 0.0
+        assert pairs == 30 and len(seconds) == 6 and min(seconds) > 0.0
         assert (unconverged_pairs == 30) if iters == 1 else (0 < unconverged_pairs < 30)  # all, then a mix
 
     def test_float32_attention_keeps_the_float64_order(self, indexed, monkeypatch):
@@ -657,16 +668,17 @@ class TestEval:
         records = [r for r in load_manifest(manifest) if r.split == "query"]
         extracted = [extract_image(r.path, model, _settings(cfg, model)) for r in records]
         queries = [(r.image_id, *e) for r, e in zip(records, extracted)]
-        got = _search(cfg, model, index, patch_store, queries)
+        got = [reranked for _, reranked, _ in _search(cfg, model, index, patch_store, queries)]
         enhance = matcher.enhance_descriptors
         monkeypatch.setattr(
             matcher, "enhance_descriptors", lambda q, d, p: enhance(q.astype(np.float64), d.astype(np.float64), p)
         )
-        want = _search(cfg, model, index, patch_store, queries)
-        for new, old in zip(got[1], want[1]):
+        want = [reranked for _, reranked, _ in _search(cfg, model, index, patch_store, queries)]
+        assert len(got) == len(want) == 6
+        for new, old in zip(got, want):
             assert (new.ids(), new.unconverged, new.missing_patches) == (old.ids(), old.unconverged, old.missing_patches)
             assert_allclose([s for _, s in new.ranked], [s for _, s in old.ranked], rtol=1e-6, atol=0)
-        assert (got[3], got[4]) == (want[3], want[4]) and got[3] == 30
+        assert _pair_counts(got) == _pair_counts(want) and _pair_counts(got)[0] == 30
 
     def test_golden_results(self, indexed, monkeypatch):
         """Orders and unconverged ids as recorded in tests/golden/eval.json,
@@ -721,6 +733,7 @@ class TestEval:
         search = cli._search
 
         def recording(cfg, model, idx, store, queries):
+            queries = list(queries)
             searched.extend(queries)
             return search(cfg, model, idx, store, queries)
 
@@ -745,6 +758,89 @@ class TestEval:
         err = capsys.readouterr().err
         assert "4x8 feature map" in err and "6x8" in err  # EVAL_SPEC maps 32x64 to 4x8; the grids are on 6x8
         assert extracted == []
+
+    def test_wgs84_index_refused_before_extraction(self, indexed, tmp_path, monkeypatch, capsys):
+        """The save_index API writes wgs84 geotags, but a manifest gives only utm positions: such an index is refused
+        before any query is extracted, with a message that names it and its frame, and no report is written."""
+        manifest, index_path, weights = indexed
+        index, patch_store = load_index(index_path)
+        entries = tuple(
+            dataclasses.replace(e, geotag=GeoTag.wgs84(48.0, 11.0 + i / 100)) for i, e in enumerate(index.entries)
+        )
+        bad, report = tmp_path / "wgs84.vpri", tmp_path / "eval.jsonl"
+        save_index(bad, dataclasses.replace(index, entries=entries), patch_store)
+        extracted = []
+        monkeypatch.setattr(cli, "extract_image", lambda path, *args: extracted.append(path))
+        argv = ["eval", str(manifest), "--index", str(bad), "--weights", str(weights), "--report", str(report)]
+        with pytest.raises(FormatError, match="wgs84.vpri: geotags in the 'wgs84' frame"):
+            cli.cmd_eval(build_parser().parse_args(argv))
+        assert main(argv) == 2
+        assert f"{bad}: geotags in the 'wgs84' frame" in capsys.readouterr().err
+        assert extracted == [] and not report.exists()
+
+    def test_unwritable_report_fails_before_extraction(self, indexed, tmp_path, monkeypatch, capsys):
+        manifest, index, weights = indexed
+        report = tmp_path / "missing_dir" / "r.jsonl"
+        extracted = []
+        monkeypatch.setattr(cli, "extract_image", lambda path, *args: extracted.append(path))
+        argv = ["eval", str(manifest), "--index", str(index), "--weights", str(weights), "--report", str(report)]
+        assert main([*argv, *EVAL_FLAGS]) == 2
+        assert str(report) in capsys.readouterr().err
+        assert extracted == []
+
+    def test_failed_query_leaves_the_lines_of_the_queries_before_it(self, indexed, tmp_path, capsys):
+        """The third query holds a NaN: eval exits 2, and its report holds the eval_query lines of the
+        two queries before it, with no recall and no eval_summary line."""
+        manifest, index, weights = indexed
+        x = np.zeros((1, 3, 48, 64), dtype=np.float32)
+        x[0, 2, 5, 6] = np.nan
+        bad = tmp_path / "q2.t4"
+        save_t4(bad, x)
+        records = [dataclasses.replace(r, path=str(bad)) if r.image_id == "q2" else r for r in load_manifest(manifest)]
+        assert [r.image_id for r in records if r.split == "query"][2] == "q2"
+        broken = tmp_path / "broken.csv"
+        save_manifest(broken, records)
+        report = tmp_path / "eval.jsonl"
+        argv = ["eval", str(broken), "--index", str(index), "--weights", str(weights), "--report", str(report)]
+        assert main([*argv, *EVAL_FLAGS]) == 2
+        assert str(bad) in capsys.readouterr().err
+        written = read_report(report)
+        assert [(r["type"], r["query_id"]) for r in written] == [("eval_query", "q0"), ("eval_query", "q1")]
+
+    def test_traced_peak_does_not_grow_with_the_query_count(self, tmp_path, monkeypatch):
+        """eval extracts each query when its turn comes and drops its patch set after, so ten queries trace
+        the same peak as two, within one patch set (at 240x320 the default model's is 266 x 512 float32).
+        The peak is taken after the model is loaded, since loading it traces more than a query does at this size."""
+        rng = np.random.default_rng(SEED)
+        records = []
+        for i in range(12):
+            path = tmp_path / f"im{i}.ppm"
+            write_ppm(path, rng.integers(0, 256, size=(240, 320, 3), dtype=np.uint8))
+            records.append(ManifestRecord(f"im{i:02d}", str(path), 100.0 * i, 0.0, "database" if i < 2 else "query"))
+        manifests = {count: tmp_path / f"{count}.csv" for count in (2, 10)}
+        for count, path in manifests.items():
+            save_manifest(path, records[: 2 + count])
+        index = tmp_path / "i.vpri"
+        assert main(["extract", str(manifests[10]), "--out", str(index), "--input-height", "240", "--input-width", "320"]) == 0
+        patch_set = next(iter(load_index(index)[1].values())).descriptors.nbytes
+        assert patch_set >= 500_000
+        timed_model = cli._timed_model
+
+        def loaded(cfg):
+            model = timed_model(cfg)
+            tracemalloc.reset_peak()
+            return model
+
+        monkeypatch.setattr(cli, "_timed_model", loaded)
+        peaks = {}
+        for count, path in manifests.items():
+            tracemalloc.start()
+            try:
+                assert main(["eval", str(path), "--index", str(index), "--candidates", "1"]) == 0
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[10] - peaks[2] < patch_set, (peaks, patch_set)
 
     def test_other_weights_refused_before_extraction(self, indexed, tmp_path, monkeypatch, capsys):
         manifest, index, weights = indexed
