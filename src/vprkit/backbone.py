@@ -2,8 +2,9 @@
 
 Blocks follow the RepVGG recipe: a 3x3 conv, a parallel 1x1 conv, and (when
 shapes permit) an identity path, each followed by batch norm, summed, then
-relu. At inference time the three branches can be fused into a single 3x3
-conv with bias; both forms are kept around so the transform stays checkable.
+relu. At inference time the three branches are fused into a single 3x3 conv
+with bias. reparameterize_backbone keeps both forms, so the transform stays
+checkable; the deploy model (ModelParams.with_fused) keeps the fused form alone.
 """
 
 from __future__ import annotations

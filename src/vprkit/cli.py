@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .backbone import count_params_flops
+from .backbone import count_params_flops, reparameterize_backbone
 from .descriptor import GlobalDescriptor, PatchDescriptorSet, PatchGrid
 from .errors import ConfigError, FormatError, VprError
 from .io_store import (
@@ -156,8 +156,8 @@ def add_config_flags(parser: argparse.ArgumentParser, keys: Sequence[str] = tupl
 
 
 def _resolve_model(cfg: RunConfig) -> ModelParams:
-    """The run's model, always carrying the fused backbone form (derived once
-    here when the weights lack it) so extraction never re-fuses per image."""
+    """The run's deploy model: the backbone's fused form alone (fused here, once, when the weights carry the
+    multibranch form), so extraction never re-fuses per image and no multibranch array stays in memory."""
     if cfg.weights:
         model = load_weights(cfg.weights)
     else:
@@ -165,17 +165,22 @@ def _resolve_model(cfg: RunConfig) -> ModelParams:
     return model.with_fused()
 
 
-def _timed_model(cfg: RunConfig) -> tuple[ModelParams, float, str, int]:
-    """_resolve_model's model; its wall time in seconds, reported as model_seconds; and the sha256 hex digest
-    (model_sha256) and size (bench's model_size_bytes) of its bytes as --save-weights writes them."""
-    start = time.perf_counter()
-    model = _resolve_model(cfg)
-    seconds = time.perf_counter() - start
+def _model_identity(model: ModelParams) -> tuple[str, int]:
+    """The sha256 hex digest (model_sha256) and size (bench's model_size_bytes) of the model's bytes as
+    save_weights writes them."""
     digest, size = hashlib.sha256(), 0
     for part in container_parts(model_to_tensors(model), WEIGHTS_MAGIC):
         digest.update(part)
         size += len(part)
-    return model, seconds, digest.hexdigest(), size
+    return digest.hexdigest(), size
+
+
+def _timed_model(cfg: RunConfig) -> tuple[ModelParams, float, str, int]:
+    """_resolve_model's model; its wall time in seconds, reported as model_seconds; and its _model_identity."""
+    start = time.perf_counter()
+    model = _resolve_model(cfg)
+    seconds = time.perf_counter() - start
+    return model, seconds, *_model_identity(model)
 
 
 def _settings(cfg: RunConfig, model: ModelParams, grid: PatchGrid | None = None, index: str = "") -> ExtractionSettings:
@@ -334,7 +339,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model, model_seconds, model_sha256, _ = _timed_model(built)
     if model_sha256 != recorded_sha256:
         source = cfg.weights or "its recorded seed"
-        raise ConfigError(f"{args.index} was built with model sha256 {recorded_sha256}; {source} gives {model_sha256}")
+        raise ConfigError(
+            f"{args.index} was built with model sha256 {recorded_sha256}; {source} gives {model_sha256}; "
+            "re-run extract with this model to rebuild the index"
+        )
     settings = _settings(built, model, next(iter(grids), None), args.index)  # no patch sets: the default patch
     queries = [r for r in records if r.split == "query"]
     if not queries:
@@ -384,23 +392,27 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_reparam(args: argparse.Namespace) -> int:
     resolve_config(args)  # applies no setting, but a malformed config file still fails
-    model, model_seconds, model_sha256, _ = _timed_model(RunConfig(weights=args.weights_in))
+    start = time.perf_counter()
+    loaded = load_weights(args.weights_in)
+    model = loaded.with_fused()
+    model_seconds = time.perf_counter() - start
+    model_sha256, _ = _model_identity(model)
     report = _Report(args.report)
-    loaded = {"model_seconds": round(model_seconds, 6), "model_sha256": model_sha256}
-    if model.backbone.blocks is None:
+    identity = {"model_seconds": round(model_seconds, 6), "model_sha256": model_sha256}
+    if loaded.backbone.blocks is None:
         save_weights(args.out, model)
-        report.add("reparam", status="noop", reason="input carries only fused weights", **loaded)
+        report.add("reparam", status="noop", reason="input carries only fused weights", **identity)
         print("input is already fused; copied unchanged")
         return 0
-    check, deviation, rel_deviation = check_fused_form(model.backbone)
+    check, deviation, rel_deviation = check_fused_form(reparameterize_backbone(loaded.backbone))
     status = "fused" if check.ok else "failed"
-    report.add("reparam", status=status, max_abs_deviation=deviation, max_rel_deviation=rel_deviation, **loaded)
+    report.add("reparam", status=status, max_abs_deviation=deviation, max_rel_deviation=rel_deviation, **identity)
     print(f"max elementwise deviation on probe batch: {deviation:.3e} (relative {rel_deviation:.3e})")
     if not check.ok:
         print(f"error: the fused form fails its check ({check.detail}); {args.out} not written", file=sys.stderr)
         return 1
     save_weights(args.out, model)
-    print(f"wrote both forms -> {args.out}")
+    print(f"wrote the fused form -> {args.out}")
     return 0
 
 
@@ -500,9 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_flags(p, ("weights", "sinkhorn_reg", "sinkhorn_tol", "sinkhorn_iters", "candidates", "radius_m"))
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("reparam", help="fuse branches, check the fused form on a probe batch, and write both forms")
+    p = sub.add_parser("reparam", help="fuse branches, check the fused form on a probe batch, and write it")
     p.add_argument("weights_in", help="weights container to fuse")
-    p.add_argument("--out", required=True, help="weights container to write (both forms), unless the check fails")
+    p.add_argument("--out", required=True, help="weights container to write (fused form), unless the check fails")
     add_config_flags(p, ())  # the weights come from weights_in
     p.set_defaults(func=cmd_reparam)
 

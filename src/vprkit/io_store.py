@@ -596,8 +596,10 @@ def load_image(path: str | Path, input_dims: Optional[tuple[int, int]] = None) -
     data = p.read_bytes()
     if data.startswith(b"P6"):
         rgb = parse_ppm(data, path)
-        arr = rgb.astype(np.float64) / 255.0
-        arr = (arr - np.asarray(IMAGE_MEAN, dtype=np.float64)) / np.asarray(IMAGE_STD, dtype=np.float64)
+        arr = rgb.astype(np.float64)  # normalized in place: one float64 image, not one per step
+        arr /= 255.0
+        arr -= np.asarray(IMAGE_MEAN, dtype=np.float64)
+        arr /= np.asarray(IMAGE_STD, dtype=np.float64)
         tensor = np.ascontiguousarray(arr.transpose(2, 0, 1)[None, :, :, :], dtype=np.float32)
     elif p.suffix == ".t4":
         tensor = load_t4(path)

@@ -42,7 +42,9 @@ class ModelParams:
         return self.pca.out_dim if self.pca is not None else self.vlad.dim * self.vlad.cluster_count
 
     def with_fused(self) -> "ModelParams":
-        return replace(self, backbone=reparameterize_backbone(self.backbone))
+        """The deploy model: the backbone's fused form alone, derived from its multibranch form when it carries one.
+        To compare the two forms, fuse the backbone with reparameterize_backbone instead, which keeps both."""
+        return replace(self, backbone=replace(reparameterize_backbone(self.backbone), blocks=None))
 
 
 def random_model(

@@ -85,10 +85,15 @@ def read_report(path):
 
 
 def fused_sha256(weights):
-    """The sha256 of the weights file's model with its fused form, as --save-weights would write it."""
+    """The sha256 of the weights file's deploy model (its fused form alone), as --save-weights would write it."""
     tensors = io_store.model_to_tensors(load_weights(weights).with_fused())
     packed = io_store.pack_tensors(tensors, io_store.WEIGHTS_MAGIC)
     return hashlib.sha256(packed).hexdigest()
+
+
+def both_forms(model):
+    """The model with a backbone carrying its multibranch and fused forms, which reparam and selfcheck compare."""
+    return dataclasses.replace(model, backbone=backbone.reparameterize_backbone(model.backbone))
 
 
 def write_corpus(root, twins, query_positions):
@@ -127,7 +132,7 @@ class TestConfigResolution:
     def test_default_model_runs_fused_forward(self):
         cfg = resolve_config(self.args())
         model = _resolve_model(cfg)
-        assert model.backbone.blocks is not None and model.backbone.fused is not None
+        assert model.backbone.blocks is None and model.backbone.fused is not None
         assert _settings(cfg, model).fused is True
 
     def test_multibranch_weights_gain_fused_form(self, tmp_path, small_model):
@@ -854,6 +859,24 @@ class TestEval:
             assert fused_sha256(path) in err
         assert extracted == []
 
+    def test_index_of_the_two_form_default_model_is_refused_before_extraction(self, tmp_path, monkeypatch, capsys):
+        """An index extracted while the seed-0 default model kept its multibranch blocks recorded that
+        file's hash; eval names both hashes and says to re-run extract before any query is extracted."""
+        old = "5a27aa64d599b081a7fb09a9bd0db82410a5ebbc61c53a8e85498f80ea40ab82"
+        record = {"model_sha256": old, "input_height": 480, "input_width": 640, "seed": 0, "clusters": 64, "pca_dim": 512}
+        entry = IndexEntry("db0", GlobalDescriptor(values=np.eye(512, dtype=np.float32)[0]), GeoTag.utm(0.0, 0.0))
+        index = tmp_path / "old.vpri"
+        save_index(index, DescriptorIndex(entries=(entry,), record=json.dumps(record)), {})
+        manifest = write_corpus(tmp_path, twins=[0], query_positions=[0.0])
+
+        def no_extraction(*args):
+            raise AssertionError("a query was extracted")
+
+        monkeypatch.setattr(cli, "extract_image", no_extraction)
+        assert main(["eval", str(manifest), "--index", str(index)]) == 2
+        err = capsys.readouterr().err
+        assert old in err and "6a94aabf6674f1cc" in err and "re-run extract" in err
+
     def test_weights_built_index_needs_weights(self, indexed, capsys):
         manifest, index, weights = indexed
         assert main(["eval", str(manifest), "--index", str(index), *EVAL_FLAGS]) == 2
@@ -977,7 +1000,7 @@ class TestIndexRecord:
 
 
 class TestReparam:
-    def test_writes_both_forms_with_tiny_deviation(self, tmp_path, small_model):
+    def test_writes_the_fused_form_with_tiny_deviation(self, tmp_path, small_model):
         weights_in = tmp_path / "in.vprw"
         save_weights(weights_in, small_model)
         out = tmp_path / "out.vprw"
@@ -992,20 +1015,21 @@ class TestReparam:
         assert record["model_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest() == fused_sha256(weights_in)
         assert not [key for key in record if key.startswith(("params_", "flops_"))]  # bench --weights counts them
         fused = load_weights(out)
-        assert fused.backbone.blocks is not None and fused.backbone.fused is not None
+        assert fused.backbone.blocks is None and fused.backbone.fused is not None
 
     def test_same_check_as_selfcheck(self, tmp_path, small_model):
-        """reparam and selfcheck --weights run one fused-form check, so they report one deviation."""
+        """reparam and selfcheck --weights run one fused-form check on the same multibranch input, so they
+        report one deviation."""
         assert cli.check_fused_form is selfcheck.check_fused_form
         weights_in, out = tmp_path / "in.vprw", tmp_path / "out.vprw"
         save_weights(weights_in, small_model)
         reparam_report, check_report = tmp_path / "reparam.jsonl", tmp_path / "check.jsonl"
         assert main(["reparam", str(weights_in), "--out", str(out), "--report", str(reparam_report)]) == 0
-        assert main(["selfcheck", "--weights", str(out), "--report", str(check_report)]) == 0
+        assert main(["selfcheck", "--weights", str(weights_in), "--report", str(check_report)]) == 0
         (record,) = read_report(reparam_report)
         (checked,) = [r for r in read_report(check_report) if r.get("check") == "fused vs multibranch forms"]
         assert checked["detail"] == f"max rel dev {record['max_rel_deviation']:.2e}"
-        _, deviation, rel = selfcheck.check_fused_form(load_weights(out).backbone)
+        _, deviation, rel = selfcheck.check_fused_form(both_forms(load_weights(weights_in)).backbone)
         assert (record["max_abs_deviation"], record["max_rel_deviation"]) == (deviation, rel)
 
     def test_fault_in_the_fuse_exits_one_and_writes_nothing(self, tmp_path, small_model, monkeypatch, capsys):
@@ -1026,11 +1050,8 @@ class TestReparam:
         assert record["status"] == "failed" and record["max_rel_deviation"] > 1e-5
 
     def test_already_fused_is_noop(self, tmp_path, small_model, capsys):
-        fused_only = dataclasses.replace(
-            small_model, backbone=dataclasses.replace(small_model.with_fused().backbone, blocks=None)
-        )
         weights_in = tmp_path / "fused.vprw"
-        save_weights(weights_in, fused_only)
+        save_weights(weights_in, small_model.with_fused())
         out, report = tmp_path / "copy.vprw", tmp_path / "reparam.jsonl"
         assert main(["reparam", str(weights_in), "--out", str(out), "--report", str(report)]) == 0
         assert "already fused" in capsys.readouterr().out
@@ -1105,7 +1126,8 @@ class TestBench:
 
 
 def _tampered_weights(path, model):
-    both = model.with_fused()
+    """A file carrying both forms whose fused form is off by 0.5 in one tap."""
+    both = both_forms(model)
     fused = list(both.backbone.fused)
     bad_weight = fused[0].weight.copy()
     bad_weight[0, 0, 1, 1] += 0.5
@@ -1185,7 +1207,7 @@ class TestSelfcheck:
 
     def test_intact_weights_exit_zero(self, tmp_path, small_model):
         path = tmp_path / "ok.vprw"
-        save_weights(path, small_model.with_fused())
+        save_weights(path, both_forms(small_model))
         assert main(["selfcheck", "--weights", str(path)]) == 0
 
     def test_multibranch_only_weights_are_fused_and_checked(self, tmp_path, small_model):
@@ -1201,8 +1223,7 @@ class TestSelfcheck:
 
     def test_fused_only_weights_keep_their_single_form_row(self, tmp_path, small_model):
         path, report = tmp_path / "fused.vprw", tmp_path / "check.jsonl"
-        both = small_model.with_fused()
-        save_weights(path, dataclasses.replace(both, backbone=dataclasses.replace(both.backbone, blocks=None)))
+        save_weights(path, small_model.with_fused())
         assert main(["selfcheck", "--weights", str(path), "--report", str(report)]) == 0
         (row,) = [r for r in read_report(report) if r.get("check") == "fused vs multibranch forms"]
         assert row["detail"] == "file carries a single form; nothing to cross-check"

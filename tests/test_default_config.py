@@ -1,10 +1,11 @@
 """Extraction at the default configuration: golden descriptor values, the
 float32 projection against the float64 one it replaced, band sizes that
 leave the backbone's output unchanged and band halves that leave the
-extraction's bytes unchanged, and the traced memory of the first
-convolution, of patch extraction (whole bands and halves at once), of
-packing, saving and loading the model and of matching one default-size pair,
-and attention halves that leave that pair's bits and memory unchanged."""
+extraction's bytes unchanged, the deploy model's size, and the traced memory
+of loading an image, of the first convolution, of patch extraction (whole
+bands and halves at once), of packing, saving and loading the model and of
+matching one default-size pair, and attention halves that leave that pair's
+bits and memory unchanged."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from make_golden import GOLDEN_DESCRIPTORS, default_model, descriptor_values, no
 from oracles import float64_projection
 from vprkit import descriptor, matcher, tensor
 from vprkit.backbone import backbone_forward
+from vprkit.cli import main
 from vprkit.descriptor import extract_patch_descriptors, global_descriptor, make_patch_grid
 from vprkit.io_store import WEIGHTS_MAGIC, load_image, load_weights, model_to_tensors, pack_tensors, save_weights
 from vprkit.pipeline import ExtractionSettings, extract_from_tensor
@@ -89,6 +91,27 @@ def test_backbone_band_size_does_not_change_the_map(model, images, fmap, monkeyp
 PATCH_TRANSIENT_BOUND = 56e6
 
 
+# The seed-0 default model as save_weights writes it: the fused backbone alone.
+# With the multibranch blocks beside it, the file took 78,740,815 bytes.
+DEPLOY_BYTES = 57_160_578
+
+
+class TestDeployModel:
+    def test_holds_no_multibranch_array(self, model):
+        assert model.backbone.blocks is None and len(model.backbone.fused) == 21
+
+    def test_bench_reports_its_size_and_the_multibranch_tally(self, tmp_path):
+        """bench hashes and sizes the deploy model, and still counts the multibranch
+        form from the spec alone (acceptance c09's 5,371,680 parameters)."""
+        report = tmp_path / "bench.jsonl"
+        dims = ["--input-height", "64", "--input-width", "80"]
+        assert main(["bench", "--images", "1", "--queries", "1", *dims, "--report", str(report)]) == 0
+        (record,) = [json.loads(line) for line in report.read_text(encoding="utf-8").splitlines()]
+        assert record["model_size_bytes"] == DEPLOY_BYTES
+        assert record["model_sha256"].startswith("6a94aabf6674f1cc")
+        assert (record["params_multibranch"], record["params_fused"]) == (5_371_680, 4_815_264)
+
+
 class TestMemory:
     def extraction_transient(self, model, fmap):
         grid = make_patch_grid(fmap.shape[2], fmap.shape[3], 2, 2)
@@ -107,8 +130,16 @@ class TestMemory:
 
     def test_packing_holds_about_one_copy_of_the_model(self, model):
         packed, peak = traced_peak(lambda: pack_tensors(model_to_tensors(model), WEIGHTS_MAGIC))
-        assert len(packed) > 75e6
+        assert len(packed) == DEPLOY_BYTES
         assert peak <= 1.1 * len(packed)
+
+    def test_image_load_holds_under_four_tensors(self, images):
+        """load_image normalizes one float64 copy of the pixels in place. With a new
+        float64 image per step (scale, subtract, divide), a 480x640 load traced 6.5x
+        the tensor it returned."""
+        x, peak = traced_peak(lambda: load_image(str(images[0])))
+        assert x.shape == (1, 3, 480, 640) and x.dtype == np.float32
+        assert peak <= 4 * x.nbytes
 
     def test_weights_save_copies_no_payload(self, model, tmp_path):
         path = tmp_path / "model.vprw"

@@ -17,6 +17,7 @@ from numpy.testing import assert_array_equal
 
 from conftest import traced_peak
 from vprkit import io_store
+from vprkit.backbone import reparameterize_backbone
 from vprkit.errors import FormatError
 from vprkit.descriptor import GlobalDescriptor, PatchDescriptorSet, make_patch_grid
 from vprkit.io_store import (
@@ -224,7 +225,7 @@ class TestWeightsFile:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_both_forms_round_trip(self, small_model, tmp_path):
-        both = small_model.with_fused()
+        both = dataclasses.replace(small_model, backbone=reparameterize_backbone(small_model.backbone))
         path = tmp_path / "both.vprw"
         save_weights(path, both)
         back = load_weights(path)
@@ -235,11 +236,8 @@ class TestWeightsFile:
             assert_array_equal(a.bias, b.bias)
 
     def test_fused_only_round_trip(self, small_model, tmp_path):
-        fused_only = dataclasses.replace(
-            small_model, backbone=dataclasses.replace(small_model.with_fused().backbone, blocks=None)
-        )
         path = tmp_path / "fused.vprw"
-        save_weights(path, fused_only)
+        save_weights(path, small_model.with_fused())
         back = load_weights(path)
         assert back.backbone.blocks is None
         assert back.backbone.fused is not None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -66,7 +67,7 @@ class TestExtractFromTensor:
     def test_fused_model_close_to_multibranch(self, small_model):
         rng = np.random.default_rng(SEED + 4)
         x = rng.standard_normal((1, 3, 32, 32)).astype(np.float32)
-        both = small_model.with_fused()
+        both = dataclasses.replace(small_model, backbone=backbone.reparameterize_backbone(small_model.backbone))
         a, _ = extract_from_tensor(x, both, ExtractionSettings(fused=False))
         b, _ = extract_from_tensor(x, both, ExtractionSettings(fused=True))
         assert_allclose(a.values, b.values, atol=1e-4)
@@ -171,7 +172,8 @@ class TestExtractionAgainstOldKernels:
 
     @pytest.mark.parametrize("fused", [False, True])
     def test_same_index_and_rankings(self, tmp_path, monkeypatch, fused):
-        model = random_model(seed=0, spec=C08_SPEC, clusters=8, pca_dim=32).with_fused()
+        model = random_model(seed=0, spec=C08_SPEC, clusters=8, pca_dim=32)
+        model = dataclasses.replace(model, backbone=backbone.reparameterize_backbone(model.backbone))
         settings = ExtractionSettings(
             patch_size=2, patch_stride=1, input_dims=(120, 160), strict_dims=False, fused=fused
         )

@@ -3,13 +3,13 @@
 One sweep runs `cli.main` in-process under sys.setprofile and
 threading.setprofile, once for each flag path that selects code: extract with
 --save-weights, --report and --config; a PPM resized to the working dims and a
-.t4 query; eval with a weights file and with a config file; reparam;
-bench; selfcheck with a weights file. Each function the package defines (as
-module.qualname, nested defs included) must be called by some run, or be named
-in ALLOWED with its caller outside the unit tests: an acceptance criterion, a
-vprbench/ file, or a stated public-API need. A new function therefore needs a
-command that runs it or an ALLOWED entry; entries the sweep reaches, or that
-name nothing, fail too.
+.t4 query; eval with a weights file and with a config file; reparam of a
+multibranch weights file; bench; selfcheck with a weights file. Each function
+the package defines (as module.qualname, nested defs included) must be called
+by some run, or be named in ALLOWED with its caller outside the unit tests:
+an acceptance criterion, a vprbench/ file, or a stated public-API need. A new
+function therefore needs a command that runs it or an ALLOWED entry; entries
+the sweep reaches, or that name nothing, fail too.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import pytest
 
 import vprkit
 from vprkit import cli
-from vprkit.io_store import ManifestRecord, save_manifest, write_ppm
+from vprkit.io_store import ManifestRecord, save_manifest, save_weights, write_ppm
+from vprkit.model import random_model
 
 from conftest import build_corpus
 from test_io_store import save_t4
@@ -34,6 +35,7 @@ ALLOWED: dict[str, str] = {
     "descriptor.PatchDescriptorSet.count": "vprbench/workloads.py reads it to check patch counts",
     "retrieval.GeoTag.wgs84": "the wgs84 frame's constructor, which geo_distance's haversine branch and c10's geotags serve",
     "descriptor.vlad_aggregate": "acceptance c04 (VLAD against a double loop)",
+    "io_store._bn_tensors": "acceptance c10 writes multibranch weights; every command writes the fused form alone",
     "io_store.save_manifest": "acceptance c08 and c10 write manifests",
     "io_store.write_ppm": "acceptance c08 and c10 write images",
     "matcher._logsumexp": "acceptance c06, through nll_loss_from_scores",
@@ -90,6 +92,8 @@ def sweep(root: Path) -> set[tuple[str, int]]:
     save_manifest(mixed, records)
     config = root / "run.cfg"
     config.write_text("".join(f"{k} = {v}\n" for k, v in MODEL_SETTINGS.items()), encoding="utf-8")
+    multibranch = root / "multi.vprw"  # no command writes this form, so it is saved before the sweep starts
+    save_weights(multibranch, random_model(seed=0, clusters=MODEL_SETTINGS["clusters"], pca_dim=MODEL_SETTINGS["pca_dim"]))
 
     runs = [
         ["extract", str(manifest), "--out", str(index), "--save-weights", str(weights),
@@ -98,7 +102,7 @@ def sweep(root: Path) -> set[tuple[str, int]]:
         ["eval", str(manifest), "--index", str(index), "--weights", str(weights), "--report",
          str(root / "eval.jsonl"), "--sinkhorn-iters=1"],
         ["eval", str(mixed), "--index", str(root / "mixed.vpri"), "--config", str(config)],
-        ["reparam", str(weights), "--out", str(root / "fused.vprw")],
+        ["reparam", str(multibranch), "--out", str(root / "fused.vprw")],
         ["bench", "--report", str(root / "bench.jsonl"), "--images=2", "--queries=1", *MODEL_FLAGS],
         ["selfcheck", "--weights", str(weights)],
     ]
