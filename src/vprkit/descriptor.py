@@ -13,10 +13,14 @@ residuals at a time, in one band buffer per call, and rounds each band's
 normalized rows into float32. Without a projection those rows are the output,
 one (windows, K*D) matrix. With one, they go to a staging buffer of four bands,
 which the projection consumes a staged group at a time: it centres and projects
-the float32 rows in float32 and renormalizes each projected row in float64 into
-a (windows, out_dim) output. No (windows, K*D) matrix is built then, so the
-transient memory of a projected extraction is bounded by the band size, not
-the window count.
+the float32 rows in float32 and renormalizes each projected row in float64,
+rounding it into a float32 (windows, out_dim) output. No (windows, K*D) matrix
+is built then, so the transient memory of a projected extraction is bounded by
+the band size, not the window count.
+
+The seeded projection is orthonormalized in the buffer of its own Gaussian
+draw, a band of columns at a time, and rounded into its float32 rows as the
+last pass writes them (random_projection).
 """
 
 from __future__ import annotations
@@ -142,21 +146,28 @@ def random_projection(in_dim: int, out_dim: int, rng: np.random.Generator) -> Pc
     of every model not loaded from a weights file.
 
     The draw is rng.standard_normal((in_dim, out_dim)), whose transpose is
-    orthonormalized by _orthonormal_rows (shifted CholeskyQR3) and cast to
-    float32. Each row has a positive component along its own Gaussian row,
-    the sign convention of the Householder QR with positive diag(r) that this
-    replaces: the result is bit-equal to that QR's for the seed-0 default
-    model and within 1 float32 ulp of it in every other draw measured.
+    orthonormalized in place by _orthonormal_rows (shifted CholeskyQR3), the
+    last pass rounding straight into the float32 rows. Each row has a positive
+    component along its own Gaussian row, the sign convention of the
+    Householder QR with positive diag(r) that this replaces: the result is
+    bit-equal to that QR's for the seed-0 default model and within 1 float32
+    ulp of it in every other draw measured. The float64 draw is the only
+    full-size float64 buffer: at 12288 -> 512 the traced peak is about 83 MB,
+    the 50 MB draw, the 25 MB result and a few 2 MB temporaries, where a new
+    float64 matrix per pass took it to 107 MB.
     """
     if out_dim > in_dim:
         raise ShapeError(f"out_dim {out_dim} cannot exceed in_dim {in_dim}")
-    rows = _orthonormal_rows(rng.standard_normal((in_dim, out_dim)).T)
-    return PcaModel(projection=rows.astype(np.float32), mean=np.zeros(in_dim, dtype=np.float32))
+    rows = np.empty((out_dim, in_dim), dtype=np.float32)
+    _orthonormal_rows(rng.standard_normal((in_dim, out_dim)).T, out=rows)
+    return PcaModel(projection=rows, mean=np.zeros(in_dim, dtype=np.float32))
 
 
-def _orthonormal_rows(x: np.ndarray) -> np.ndarray:
+def _orthonormal_rows(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Orthonormalize the n rows of a full-rank float64 (n, m) matrix, n <= m,
-    by shifted CholeskyQR3 (Fukaya et al., SIAM J. Sci. Comput. 2020).
+    by shifted CholeskyQR3 (Fukaya et al., SIAM J. Sci. Comput. 2020); x is
+    overwritten, and the rows are written into out (x itself when None) and
+    returned.
 
     Each of three passes sets x = inv(cholesky(x @ x.T)) @ x. The first raises
     the Gram diagonal by 11 (mn + n(n+1)) eps trace(x @ x.T), the trace
@@ -165,32 +176,57 @@ def _orthonormal_rows(x: np.ndarray) -> np.ndarray:
     to rounding. The factors' diagonals are positive, so row i of the result
     has a positive component along row i of x. A rank-deficient x leaves a
     Gram matrix that is not positive definite, which is refused.
+
+    Each Gram matrix is whole, but a pass's product acts on each column of x
+    on its own, so it runs a 512-column band at a time, in place, the last
+    pass into out; on tensor.band_workers the bands may run in two halves at
+    once. On the OpenBLAS the tests run with, a band's product carried the
+    bits of the whole product's with bands starting at multiples of 32
+    columns, but not of 333 (the tests compare the passes with whole-matrix
+    ones).
     """
     n, m = x.shape
+    out = x if out is None else out
     shift = 11 * (m * n + n * (n + 1)) * np.finfo(np.float64).eps
-    for p in range(3):
+
+    def inverse_factor(p: int) -> np.ndarray:
+        """inv(cholesky(x @ x.T)) for pass p; the Gram matrix and factor go on return."""
         gram = x @ x.T
         if p == 0:
             gram[np.diag_indices(n)] += shift * np.trace(gram)
         try:
-            factor = np.linalg.cholesky(gram)
+            return np.linalg.inv(np.linalg.cholesky(gram))
         except np.linalg.LinAlgError:
             raise DegenerateInputError(f"the rows of a {n}x{m} matrix are not linearly independent") from None
-        x = np.linalg.inv(factor) @ x
-    return x
+
+    def multiply(inv: np.ndarray, dst: np.ndarray, lo: int, hi: int) -> None:
+        """Bands lo .. hi of inv @ x, into dst."""
+        for j in range(512 * lo, min(512 * hi, m), 512):
+            dst[:, j : j + 512] = inv @ x[:, j : j + 512]
+
+    with band_workers() as split:
+        for p in range(3):
+            split(partial(multiply, inverse_factor(p), out if p == 2 else x), -(-m // 512), 1)
+    return out
 
 
 def _project_rows(rows: np.ndarray, m: PcaModel) -> np.ndarray:
     """Center float32 rows in place and project them in float32, then L2-renormalize
-    each projected row in float64; returns float64 rows."""
+    each projected row in float64, in place; returns float64 rows. The squares
+    are summed 64 rows at a time, so only one (rows, out_dim) float64 array
+    is built."""
     if rows.shape[1] != m.in_dim:
         raise ShapeError(f"vectors of dim {rows.shape[1]} do not match projection input dim {m.in_dim}")
     rows -= m.mean
     projected = (rows @ m.projection.T).astype(np.float64)
-    norms = np.sqrt((projected**2).sum(axis=1))
+    norms = np.empty(len(projected))
+    for r0 in range(0, len(projected), 64):
+        norms[r0 : r0 + 64] = (projected[r0 : r0 + 64] ** 2).sum(axis=1)
+    np.sqrt(norms, out=norms)
     if np.any(norms == 0.0):
         raise DegenerateInputError("projection collapsed an input to zero (input equals the mean?)")
-    return projected / norms[:, None]
+    projected /= norms[:, None]
+    return projected
 
 
 @dataclass(frozen=True)
@@ -287,7 +323,7 @@ def extract_patch_descriptors(
     idx = np.arange(h * w).reshape(h, w)
     win = np.lib.stride_tricks.sliding_window_view(idx, (grid.d_y, grid.d_x))[:: grid.stride, :: grid.stride]
     flat = _vlad_head(x, soft_assign(x, vlad), win.reshape(grid.count, -1), vlad, pca)
-    return PatchDescriptorSet(descriptors=flat.astype(np.float32, copy=False), grid=grid)
+    return PatchDescriptorSet(descriptors=flat, grid=grid)
 
 
 def window_residuals(
@@ -296,14 +332,17 @@ def window_residuals(
     windows: np.ndarray,
     p: VladParams,
     out: Optional[np.ndarray] = None,
-    centre: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """(windows, K, D) float64 residual sums, one batched product over every row of
     indices into x in windows: block w is vlad_raw(x[windows[w]], assignments[windows[w]], p).T.
-    The product is written into out and the centre term into centre when given."""
+    The product is written into out when given; the centre term is subtracted
+    eight windows at a time, so no (windows, K, D) buffer is built for it."""
     aw = assignments[windows]
     raw = np.matmul(aw.transpose(0, 2, 1), x[windows].astype(np.float64), out=out)
-    raw -= np.multiply(aw.sum(axis=1)[:, :, None], p.centers.astype(np.float64), out=centre)
+    sums = aw.sum(axis=1)[:, :, None]
+    centers = p.centers.astype(np.float64)
+    for w0 in range(0, len(raw), 8):
+        raw[w0 : w0 + 8] -= sums[w0 : w0 + 8] * centers
     return raw
 
 
@@ -320,24 +359,28 @@ def _vlad_head(
     half for the projection). Every window's row is computed on its own, and
     on the OpenBLAS the tests run with, half of the projection GEMM's rows
     carries the bits of the whole GEMM's (the tests compare them). The calling
-    thread allocates the band, centre-term, staging and output buffers; the
-    pool thread allocates only the temporaries of its half (gathered window
-    rows, the projection's float32 products and their float64 copies), each
-    under 1 MB at the default size."""
+    thread allocates the band, staging and output buffers; the pool thread
+    allocates only the temporaries of its half (gathered window rows, eight
+    windows' centre terms, the projection's float32 products and their float64
+    copies), each under 1 MB at the default size. Projected rows are float32,
+    assigned from the float64 renormalized rows, which rounds them as a cast
+    would."""
     n = len(windows)
     k, d = p.centers.shape
     band = max(1, HEAD_BAND_BYTES // (k * d * 8))
     # Four bands per projection GEMM: with one, the GEMM re-packs the whole
     # projection for every band, about 70 ms more per default-size image.
     group = n if pca is None else 4 * band
+    # The projected rows outlive the band buffers, so they are allocated first:
+    # allocated between them, they kept the heap from shrinking once the
+    # buffers were freed, and a later 60 MB computation grew the process by 10 MB.
+    out = None if pca is None else np.empty((n, pca.out_dim), dtype=np.float32)
     stage = np.empty((min(group, n), k * d), dtype=np.float32)
-    out = stage if pca is None else np.empty((n, pca.out_dim))
     buf = np.empty((min(band, n), k, d))
-    centre = np.empty_like(buf)
 
     def normalize(w0: int, g0: int, lo: int, hi: int) -> None:
         """Windows w0 + lo .. w0 + hi, staged at their offset from g0."""
-        raw = window_residuals(x, assignments, windows[w0 + lo : w0 + hi], p, out=buf[lo:hi], centre=centre[lo:hi])
+        raw = window_residuals(x, assignments, windows[w0 + lo : w0 + hi], p, out=buf[lo:hi])
         norms = np.sqrt(np.einsum("pkd,pkd->pk", raw, raw))
         raw /= np.where(norms > 0.0, norms, 1.0)[:, :, None]
         flat = raw.reshape(len(raw), -1)
@@ -357,7 +400,7 @@ def _vlad_head(
                 split(partial(normalize, w0, g0), min(w0 + band, g1) - w0, 1)
             if pca is not None:
                 split(partial(project, g0), g1 - g0, 2)
-    return out
+    return stage if out is None else out
 
 
 def _as_assignments(assignments: np.ndarray, n: int, p: VladParams) -> np.ndarray:

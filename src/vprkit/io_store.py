@@ -554,10 +554,9 @@ def parse_ppm(data: bytes, path: str | Path = "<bytes>") -> np.ndarray:
         raise FormatError(f"{path}: bad image dims {width}x{height}")
     pos += 1  # single whitespace byte after maxval
     need = width * height * 3
-    pixels = data[pos : pos + need]
-    if len(pixels) != need:
-        raise FormatError(f"{path}: truncated pixel data ({len(pixels)} of {need} bytes)")
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, 3).copy()
+    if len(data) - pos < need:
+        raise FormatError(f"{path}: truncated pixel data ({max(len(data) - pos, 0)} of {need} bytes)")
+    return np.frombuffer(data, dtype=np.uint8, count=need, offset=pos).reshape(height, width, 3).copy()
 
 
 def write_ppm(path: str | Path, image: np.ndarray) -> None:
@@ -596,7 +595,9 @@ def load_image(path: str | Path, input_dims: Optional[tuple[int, int]] = None) -
     data = p.read_bytes()
     if data.startswith(b"P6"):
         rgb = parse_ppm(data, path)
+        del data
         arr = rgb.astype(np.float64)  # normalized in place: one float64 image, not one per step
+        del rgb
         arr /= 255.0
         arr -= np.asarray(IMAGE_MEAN, dtype=np.float64)
         arr /= np.asarray(IMAGE_STD, dtype=np.float64)

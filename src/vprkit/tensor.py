@@ -42,7 +42,9 @@ product cut by rows or by columns. So attention cuts only float32 calls,
 into halves of at least 64 rows whose GEMMs each do at least 2**20
 multiply-adds. Two halves is the cut measured to pay on two CPUs;
 more CPUs are not used. The calling thread allocates every buffer and the
-pool thread writes into them in place, so no multi-MB block lands in its heap.
+pool thread writes into them in place, so no multi-MB block lands in its heap;
+the one exception is the seeded projection, built once per model, whose
+column bands each leave a 2 MB product there for a moment.
 """
 
 from __future__ import annotations

@@ -132,6 +132,26 @@ def householder_rows(g: np.ndarray) -> np.ndarray:
     return q.T.astype(np.float32)
 
 
+def cholesky_qr3_rows(x: np.ndarray) -> np.ndarray:
+    """Float64 orthonormal rows of a full-rank (n, m) matrix x, n <= m, by shifted
+    CholeskyQR3: three passes of x = inv(cholesky(x @ x.T)) @ x over the whole
+    matrix, the first with the Gram diagonal raised by
+    11 (mn + n(n+1)) eps trace(x @ x.T).
+
+    The orthonormalization descriptor.random_projection ran before it worked
+    in the buffer of its draw a band of columns at a time, kept as a
+    reference. x is left as it is; a new (n, m) matrix is returned.
+    """
+    n, m = x.shape
+    shift = 11 * (m * n + n * (n + 1)) * np.finfo(np.float64).eps
+    for p in range(3):
+        gram = x @ x.T
+        if p == 0:
+            gram[np.diag_indices(n)] += shift * np.trace(gram)
+        x = np.linalg.inv(np.linalg.cholesky(gram)) @ x
+    return x
+
+
 def vlad_double_loop(x: np.ndarray, a: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Residual aggregation elementwise: V[j, k] = sum_i a[i, k] (x[i, j] - c[k, j])."""
     n, d = x.shape

@@ -87,8 +87,10 @@ def test_backbone_band_size_does_not_change_the_map(model, images, fmap, monkeyp
 
 # Bytes patch extraction may hold beyond its own output. The (1131, 12288)
 # float32 matrix of every normalized VLAD row is 55.6 MB at the default map on
-# its own, and building it before projecting took the traced peak to 82.7 MB.
-PATCH_TRANSIENT_BOUND = 56e6
+# its own, and building it before projecting took the traced peak to 82.7 MB;
+# a (band, K, D) float64 centre-term buffer beside the band's and a float64
+# output cast to float32 at the end held 40.3 MB beyond the output.
+PATCH_TRANSIENT_BOUND = 34e6
 
 
 # The seed-0 default model as save_weights writes it: the fused backbone alone.
@@ -134,12 +136,14 @@ class TestMemory:
         assert peak <= 1.1 * len(packed)
 
     def test_image_load_holds_under_four_tensors(self, images):
-        """load_image normalizes one float64 copy of the pixels in place. With a new
-        float64 image per step (scale, subtract, divide), a 480x640 load traced 6.5x
-        the tensor it returned."""
+        """load_image copies the pixels once out of the file's bytes, lets both go
+        before the float32 cast, and normalizes one float64 copy of the pixels in
+        place. With a new float64 image per step (scale, subtract, divide), a
+        480x640 load traced 6.5x the tensor it returned; with the bytes and the
+        pixels alive to the end, 3.5x."""
         x, peak = traced_peak(lambda: load_image(str(images[0])))
         assert x.shape == (1, 3, 480, 640) and x.dtype == np.float32
-        assert peak <= 4 * x.nbytes
+        assert peak <= 3.1 * x.nbytes
 
     def test_weights_save_copies_no_payload(self, model, tmp_path):
         path = tmp_path / "model.vprw"

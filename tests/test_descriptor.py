@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import (
+    cholesky_qr3_rows,
     float64_projection,
     householder_rows,
     normalized_vlad_reference,
@@ -201,16 +202,63 @@ class TestOrthonormalRows:
         with pytest.raises(DegenerateInputError, match="16x40"):
             descriptor._orthonormal_rows(x)
 
+    @pytest.mark.parametrize("in_dim, out_dim", [(12288, 512), (3000, 200)])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_bands_give_the_whole_passes_bits(self, in_dim, out_dim, order, band_halves):
+        """The in-place banded passes, whole and in halves at once, against the
+        whole-matrix passes, on the draw's transpose (F-ordered, as
+        random_projection hands it over) and on a C-ordered copy; 3000 columns
+        end in a 440-column band."""
+        draw = np.random.default_rng(SEED + 62).standard_normal((in_dim, out_dim)).T
+        x = np.asarray(draw, order=order)
+        want = cholesky_qr3_rows(x)
+        for at_once in (False, True):
+            band_halves(at_once)
+            got = descriptor._orthonormal_rows(x.copy(order="K"))
+            assert got.dtype == np.float64 and got.shape == (out_dim, in_dim)
+            assert_array_equal(got, want)
+
+    def test_projection_is_the_rounded_rows(self):
+        """random_projection's float32 rows, written by the last pass, are the
+        float64 rows cast."""
+        rows = random_projection(3000, 200, np.random.default_rng(SEED + 63)).projection
+        want = cholesky_qr3_rows(np.random.default_rng(SEED + 63).standard_normal((3000, 200)).T)
+        assert rows.dtype == np.float32 and rows.flags.c_contiguous
+        assert_array_equal(rows, want.astype(np.float32))
+
+    def test_refusal_after_a_pass_in_halves_reaches_the_caller(self, band_halves, monkeypatch):
+        """A zero row passes the shifted first pass, which runs its bands in halves
+        at once, and is refused by the second; the caller gets that refusal, and
+        the pool's thread has ended."""
+        x = np.random.default_rng(SEED + 64).standard_normal((16, 3000))
+        x[5] = 0.0
+        threads = set()
+        cholesky = np.linalg.cholesky
+
+        def recording(gram):
+            threads.update(t.name for t in threading.enumerate())
+            return cholesky(gram)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        band_halves(True)
+        before = set(threading.enumerate())
+        with pytest.raises(DegenerateInputError, match="16x3000"):
+            descriptor._orthonormal_rows(x)
+        assert any(name.startswith("vprkit-band") for name in threads)
+        assert set(threading.enumerate()) == before
+
     def test_default_shape_peak_memory(self):
-        """The 12288x512 default projection peaks at about 107 MB traced; the
-        Householder QR peaked at 154 MB."""
+        """The 12288x512 default projection holds its float64 draw, its float32 rows
+        and a few 2 MB temporaries, about 83 MB traced; a new float64 matrix per
+        pass and a float32 cast at the end peaked at 107 MB, and the Householder
+        QR at 154 MB."""
         tracemalloc.start()
         try:
             random_projection(12288, 512, np.random.default_rng(0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 115e6
+        assert peak <= 90e6
 
 
 class TestPatchGrid:
@@ -373,7 +421,7 @@ class TestHeadBands:
             got[band_bytes] = [descriptor._vlad_head(x, a, w, p, pca) for w in (windows, whole_map)]
         for rows, whole in got.values():
             assert rows.shape == (80, 6 if projected else 15) and whole.shape[0] == 1
-            assert rows.dtype == whole.dtype == (np.float64 if projected else np.float32)
+            assert rows.dtype == whole.dtype == np.float32
             assert_array_equal(rows, got[1 << 40][0])
             assert_array_equal(whole, got[1 << 40][1])
 

@@ -550,7 +550,7 @@ class TestPpm:
             parse_ppm(b"P6\n2 2\n65535\n" + bytes(24))
 
     def test_truncated_pixels_refused(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=r"truncated pixel data \(5 of 12 bytes\)"):
             parse_ppm(b"P6\n2 2\n255\n" + bytes(5))
 
 
