@@ -188,18 +188,17 @@ def _field(t: Mapping[str, np.ndarray], name: str, shape: tuple[int, ...] = ()) 
 
 def _refuse_non_finite(arr: np.ndarray, what: str) -> None:
     """Refuse arr, naming how many of its values are NaN or infinite and the first.
-    It is checked a block of rows (about a million values) at a time, so the
-    check's one mask stays small beside the tensor."""
-    rows = max(1, (1 << 20) // max(1, arr[:1].size))
-    mask = np.empty((min(rows, len(arr)), *arr.shape[1:]), dtype=bool)
+    It is checked 2**16 values at a time, so the check's one mask stays small
+    beside the tensor."""
+    flat = arr.reshape(-1)
+    mask = np.empty(min(len(flat), 1 << 16), dtype=bool)
     count, first = 0, None
-    for lo in range(0, len(arr), rows):
-        block = arr[lo : lo + rows]
+    for lo in range(0, len(flat), 1 << 16):
+        block = flat[lo : lo + (1 << 16)]
         finite = np.isfinite(block, out=mask[: len(block)])
         bad = finite.size - int(np.count_nonzero(finite))
         if bad and first is None:
-            at = np.argwhere(~finite)[0]
-            first = (lo + int(at[0]), *(int(i) for i in at[1:]))
+            first = tuple(int(i) for i in np.unravel_index(lo + int(np.flatnonzero(~finite)[0]), arr.shape))
         count += bad
     if count:
         raise FormatError(f"{what}: {count} non-finite values, the first at {first}")
@@ -568,17 +567,23 @@ def write_ppm(path: str | Path, image: np.ndarray) -> None:
 
 
 def load_t4(path: str | Path) -> Tensor4:
-    """A .t4 image tensor, refused unless it is one (1, C, H, W) item of finite values."""
-    data = Path(path).read_bytes()
-    if len(data) < 16:
-        raise FormatError(f"{path}: truncated tensor header")
-    dims = struct.unpack("<4I", data[:16])
-    need = math.prod(dims) * 4
-    if len(data) - 16 != need:
-        raise FormatError(f"{path}: payload is {len(data) - 16} bytes but dims {dims} require {need}")
-    if dims[0] != 1:
-        raise FormatError(f"{path}: dims {dims} hold a batch of {dims[0]} images; an image tensor holds one")
-    tensor = np.frombuffer(data, dtype="<f4", offset=16).reshape(dims).copy()
+    """A .t4 image tensor, refused unless it is one (1, C, H, W) item of finite values.
+    The payload size is checked against the file's before the tensor is
+    allocated, and the payload is read once, straight into it."""
+    with open(path, "rb") as f:
+        header = f.read(16)
+        if len(header) < 16:
+            raise FormatError(f"{path}: truncated tensor header")
+        dims = struct.unpack("<4I", header)
+        need = math.prod(dims) * 4
+        size = os.fstat(f.fileno()).st_size - 16
+        if size != need:
+            raise FormatError(f"{path}: payload is {size} bytes but dims {dims} require {need}")
+        if dims[0] != 1:
+            raise FormatError(f"{path}: dims {dims} hold a batch of {dims[0]} images; an image tensor holds one")
+        tensor = np.empty(dims, dtype="<f4")
+        if (got := f.readinto(tensor)) != need:
+            raise FormatError(f"{path}: short read of the payload: {got} of {need} bytes")
     _refuse_non_finite(tensor, str(path))
     return tensor
 
@@ -589,11 +594,16 @@ def load_image(path: str | Path, input_dims: Optional[tuple[int, int]] = None) -
     PPM files are scaled to [0, 1], normalized per channel with (x - mean)/std,
     then bilinearly resized to input_dims (height, width) when given. A .t4
     sidecar is treated as already preprocessed: loaded bit-exactly and only
-    resized if its spatial dims disagree with input_dims.
+    resized if its spatial dims disagree with input_dims. The first two bytes
+    pick the format: a PPM's magic, else a .t4 name.
     """
     p = Path(path)
-    data = p.read_bytes()
-    if data.startswith(b"P6"):
+    with open(p, "rb") as f:
+        data = None
+        if f.read(2) == b"P6":
+            f.seek(0)
+            data = f.read()
+    if data is not None:
         rgb = parse_ppm(data, path)
         del data
         arr = rgb.astype(np.float64)  # normalized in place: one float64 image, not one per step

@@ -81,3 +81,32 @@ def test_within_bound_reads_the_bound_as_a_share_of_the_parent_median(bench_pair
 def test_unpaired_runs_refused(bench_pairs):
     with pytest.raises(ValueError):
         bench_pairs.summarize([{"x": 1.0}], [], {"x": "lower"})
+
+
+def tree(root, run_py="print()\n", spec="{}\n", src="x = 1\n"):
+    """A minimal checkout: one src/vprkit module, vprbench/run.py and BENCHMARK.json."""
+    (root / "src" / "vprkit").mkdir(parents=True)
+    (root / "vprbench").mkdir()
+    (root / "src" / "vprkit" / "a.py").write_text(src)
+    (root / "vprbench" / "run.py").write_text(run_py)
+    (root / "BENCHMARK.json").write_text(spec)
+    return root
+
+
+@pytest.mark.parametrize(
+    "change, same",
+    [
+        ({}, True),
+        ({"src": "x = 2\n"}, True),
+        ({"run_py": "print(1)\n"}, False),
+        ({"spec": '{"run_seconds": 5}\n'}, False),
+    ],
+)
+def test_same_benchmark_follows_the_benchmark_files_alone(bench_pairs, tmp_path, capsys, change, same):
+    trees = {"parent": tree(tmp_path / "parent"), "change": tree(tmp_path / "change", **change)}
+    record = {"parent": {}, "change": {}}
+    bench_pairs.record_trees(record, trees)
+    assert record["same_benchmark"] is same
+    assert (record["parent"]["bench_sha256"] == record["change"]["bench_sha256"]) is same
+    assert (record["parent"]["src_sha256"] == record["change"]["src_sha256"]) is ("src" not in change)
+    assert ("warning" in capsys.readouterr().err) is not same

@@ -157,8 +157,8 @@ class TestTensorContainer:
             load(path)
 
     def test_non_finite_count_and_first_index_span_row_blocks(self):
-        """The check runs a block of about a million values at a time; the count and
-        the first index are those of the whole tensor."""
+        """The check runs a block of 2**16 values at a time; the count and the first
+        index are those of the whole tensor."""
         x = np.zeros((3000, 1000), dtype=np.float32)
         for at in [(2999, 999), (1200, 3), (2500, 7), (1200, 900)]:
             x[at] = np.nan
@@ -631,6 +631,17 @@ class TestLoadImage:
         path = tmp_path / "x.t4"
         save_t4(path, x)
         assert_array_equal(load_image(path), x)
+
+    def test_t4_load_holds_about_one_tensor(self, tmp_path):
+        """A 480x640 .t4 is read once, straight into its tensor, and checked for
+        non-finite values a block at a time. Read whole to test for the PPM magic,
+        then again by load_t4, it traced 3.25x the tensor."""
+        x = np.random.default_rng(SEED + 10).standard_normal((1, 3, 480, 640)).astype(np.float32)
+        path = tmp_path / "x.t4"
+        save_t4(path, x)
+        got, peak = traced_peak(lambda: load_image(path))
+        assert_array_equal(got, x)
+        assert peak <= 1.1 * x.nbytes
 
     def test_unknown_format_refused(self, tmp_path):
         path = tmp_path / "x.dat"

@@ -19,7 +19,12 @@ exceeds the parent's quartile distance) and within_bound (the change's median
 is worse than the parent's by no more than the metric's BENCHMARK.json bound,
 a share of the parent's median as vprbench/spread.py reads it). It also
 records every run's values, the machine (cores, BLAS, the thread pin), both
-revisions with a digest of their src/vprkit sources, and the seeds.
+revisions with a digest of their src/vprkit sources and one of their benchmark
+files (vprbench/*.py and BENCHMARK.json), and the seeds. Each side runs its own
+tree's benchmark, so when the two benchmark digests differ the file says
+same_benchmark: false and a warning is printed before the first run;
+"uncommitted" says whether the working tree's src, vprbench or BENCHMARK.json
+differ from HEAD.
 """
 
 from __future__ import annotations
@@ -97,12 +102,39 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
 
 
-def src_digest(tree: Path) -> str:
-    """sha256 over the names and bytes of tree/src/vprkit/*.py, in name order."""
+def digest(paths: list[Path]) -> str:
+    """sha256 over the names and bytes of paths, in the order given."""
     h = hashlib.sha256()
-    for path in sorted((tree / "src" / "vprkit").glob("*.py")):
+    for path in paths:
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
+
+
+def src_digest(tree: Path) -> str:
+    """sha256 over the names and bytes of tree/src/vprkit/*.py, in name order."""
+    return digest(sorted((tree / "src" / "vprkit").glob("*.py")))
+
+
+def bench_digest(tree: Path) -> str:
+    """sha256 over the names and bytes of tree/vprbench/*.py, in name order, then tree/BENCHMARK.json."""
+    return digest([*sorted((tree / "vprbench").glob("*.py")), tree / "BENCHMARK.json"])
+
+
+def record_trees(record: dict, trees: dict[str, Path]) -> None:
+    """Each side's src and benchmark digests, into record[side], and whether both
+    sides run the same benchmark, into record["same_benchmark"]; when they do
+    not, a warning on stderr, since each side runs its own tree's benchmark."""
+    for side, tree in trees.items():
+        record[side]["src_sha256"] = src_digest(tree)
+        record[side]["bench_sha256"] = bench_digest(tree)
+    record["same_benchmark"] = record["parent"]["bench_sha256"] == record["change"]["bench_sha256"]
+    if not record["same_benchmark"]:
+        print(
+            "warning: the parent's and the change's benchmark files (vprbench/*.py, BENCHMARK.json) differ, "
+            "so their pairs do not measure the same benchmark",
+            file=sys.stderr,
+            flush=True,
+        )
 
 
 def export(rev: str, dest: Path) -> None:
@@ -151,7 +183,10 @@ def main(argv: list[str] | None = None) -> int:
     seconds = spec["run_seconds"]
     record = {
         "parent": {"rev": git("rev-parse", f"{args.parent_rev}^{{commit}}")},
-        "change": {"rev": git("rev-parse", "HEAD"), "uncommitted": bool(git("status", "--porcelain", "--", "src"))},
+        "change": {
+            "rev": git("rev-parse", "HEAD"),
+            "uncommitted": bool(git("status", "--porcelain", "--", "src", "vprbench", "BENCHMARK.json")),
+        },
         "seeds": args.seeds,
         "pairs": args.pairs,
         "run_seconds": seconds,
@@ -161,9 +196,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_tree = Path(tmp)
         export(record["parent"]["rev"], parent_tree)
-        record["parent"]["src_sha256"] = src_digest(parent_tree)
-        record["change"]["src_sha256"] = src_digest(ROOT)
         trees = {"parent": parent_tree, "change": ROOT}
+        record_trees(record, trees)
         for workload in args.workload:
             runs = []
             for i in range(args.pairs):
