@@ -139,7 +139,8 @@ class TestPca:
         p = random_vlad_params(dim=2, clusters=2, rng=rng)
         x = rng.standard_normal((2, 2)).astype(np.float32)
         a, windows = soft_assign(x, p), np.array([[0, 1]])
-        m = PcaModel(projection=random_projection(4, 2, rng).projection, mean=descriptor._vlad_head(x, a, windows, p, None)[0])
+        row = descriptor._vlad_head(x, a, windows, p, None)[0]
+        m = PcaModel(projection=random_projection(4, 2, rng).projection, mean=row)
         with pytest.raises(DegenerateInputError, match="collapsed an input to zero"):
             descriptor._vlad_head(x, a, windows, p, m)
 
@@ -488,7 +489,8 @@ class TestHeadBands:
         two rows, and at 200 columns of six, do too few multiply-adds to cut."""
         rng = np.random.default_rng(SEED + 26)
         p = random_vlad_params(dim=24, clusters=32, rng=rng)
-        pca = PcaModel(random_projection(768, out_dim, rng).projection, (0.01 * rng.standard_normal(768)).astype(np.float32))
+        mean = (0.01 * rng.standard_normal(768)).astype(np.float32)
+        pca = PcaModel(random_projection(768, out_dim, rng).projection, mean)
         x = feature_map_descriptors(rng.standard_normal((1, 24, 9, 11)).astype(np.float32))
         a = soft_assign(x, p)
         idx = np.arange(99).reshape(9, 11)
