@@ -11,13 +11,12 @@ the single window that covers the whole map.
 The head works in float64 over bands of windows, about HEAD_BAND_BYTES of
 residuals at a time, in one band buffer per call, and rounds each band's
 normalized rows into float32. Without a projection those rows are the output,
-one (windows, K*D) matrix. With one, they are centred in float32 into a staging
-buffer of two bands, which the projection consumes a staged group at a time: a
-float32 GEMM writes the group's products into the float32 (windows, out_dim)
-output, in two halves of its columns where they run at once, and each product
-row is renormalized in float64 and rounded back in place. No (windows, K*D)
-matrix is built then, so the transient memory of a projected extraction is
-bounded by the band size, not the window count.
+one (windows, K*D) matrix. With one, they go to a staging buffer of four bands,
+which the projection consumes a staged group at a time: it centres and projects
+the float32 rows in float32 and renormalizes each projected row in float64,
+rounding it into a float32 (windows, out_dim) output. No (windows, K*D) matrix
+is built then, so the transient memory of a projected extraction is bounded by
+the band size, not the window count.
 
 The seeded projection is orthonormalized in the buffer of its own Gaussian
 draw, a band of columns at a time, and rounded into its float32 rows as the
@@ -211,11 +210,15 @@ def _orthonormal_rows(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.nda
     return out
 
 
-def _renormalize(rows: np.ndarray) -> None:
-    """L2-renormalize float32 projected rows in float64, rounding each result back
-    into its row. The squares are summed 64 rows at a time, so only one float64
-    copy of the rows is built."""
-    projected = rows.astype(np.float64)
+def _project_rows(rows: np.ndarray, m: PcaModel) -> np.ndarray:
+    """Center float32 rows in place and project them in float32, then L2-renormalize
+    each projected row in float64, in place; returns float64 rows. The squares
+    are summed 64 rows at a time, so only one (rows, out_dim) float64 array
+    is built."""
+    if rows.shape[1] != m.in_dim:
+        raise ShapeError(f"vectors of dim {rows.shape[1]} do not match projection input dim {m.in_dim}")
+    rows -= m.mean
+    projected = (rows @ m.projection.T).astype(np.float64)
     norms = np.empty(len(projected))
     for r0 in range(0, len(projected), 64):
         norms[r0 : r0 + 64] = (projected[r0 : r0 + 64] ** 2).sum(axis=1)
@@ -223,7 +226,7 @@ def _renormalize(rows: np.ndarray) -> None:
     if np.any(norms == 0.0):
         raise DegenerateInputError("projection collapsed an input to zero (input equals the mean?)")
     projected /= norms[:, None]
-    rows[...] = projected
+    return projected
 
 
 @dataclass(frozen=True)
@@ -349,32 +352,25 @@ def _vlad_head(
     """The VLAD head, one row per window: residual sums, L2 per cluster (a zero block
     stays zero) and L2 of the whole (a zero whole is refused) in float64, a band of
     windows at a time, rounded into float32 rows; then the projection, if any, one
-    staged group of two bands at a time: the staged rows, centred in float32 as
-    they are staged, times the float32 projection into the output, then each
-    output row renormalized in float64 and rounded back into it.
+    staged group of bands at a time.
 
     On tensor.band_workers, each band's windows may be normalized, and each
-    group's projection GEMM run, in two halves at once. The GEMM is cut by output
-    columns, between 64-column blocks, so each thread packs half of the
-    projection: only when each half is a GEMM of at least two rows and at least
-    2**20 multiply-adds, so a group of one row (the global descriptor) is
-    projected whole. Every window's row is computed on its own, and on the
-    OpenBLAS the tests run with, a column half of the projection GEMM carries the
-    bits of the whole GEMM's (the tests compare them). The calling thread
-    allocates the band, staging and output buffers and renormalizes the output
-    rows; a pool thread allocates only the temporaries of its half of a band
-    (gathered window rows, eight windows' centre terms), each under 1 MB at the
-    default size."""
+    group's staged rows projected, in two halves at once (at least two rows a
+    half for the projection). Every window's row is computed on its own, and
+    on the OpenBLAS the tests run with, half of the projection GEMM's rows
+    carries the bits of the whole GEMM's (the tests compare them). The calling
+    thread allocates the band, staging and output buffers; the pool thread
+    allocates only the temporaries of its half (gathered window rows, eight
+    windows' centre terms, the projection's float32 products and their float64
+    copies), each under 1 MB at the default size. Projected rows are float32,
+    assigned from the float64 renormalized rows, which rounds them as a cast
+    would."""
     n = len(windows)
     k, d = p.centers.shape
-    if pca is not None and pca.in_dim != k * d:
-        raise ShapeError(f"vectors of dim {k * d} do not match projection input dim {pca.in_dim}")
     band = max(1, HEAD_BAND_BYTES // (k * d * 8))
-    # Two bands per projection GEMM: a GEMM packs its share of the 25 MB default
-    # projection whatever its row count, and with one band per GEMM that cost
-    # about 70 ms more per default-size image. Column halves pack half each, so
-    # two bands a group cost what four did when halves took rows.
-    group = n if pca is None else 2 * band
+    # Four bands per projection GEMM: with one, the GEMM re-packs the whole
+    # projection for every band, about 70 ms more per default-size image.
+    group = n if pca is None else 4 * band
     # The projected rows outlive the band buffers, so they are allocated first:
     # allocated between them, they kept the heap from shrinking once the
     # buffers were freed, and a later 60 MB computation grew the process by 10 MB.
@@ -382,47 +378,28 @@ def _vlad_head(
     stage = np.empty((min(group, n), k * d), dtype=np.float32)
     buf = np.empty((min(band, n), k, d))
 
-    def normalize(g0: int, g1: int, lo: int, hi: int) -> None:
-        """Windows lo .. hi of the first band of windows g0 .. g1, and the same share
-        of each later one, staged at their offset from g0; their residuals go to
-        rows lo .. of buf, so a shorter band's halves stay apart."""
-        first = min(band, g1 - g0)
-        for w0 in range(g0, g1, band):
-            size = min(band, g1 - w0)
-            b0, b1 = w0 + size * lo // first, w0 + size * hi // first
-            if b0 == b1:
-                continue
-            raw = window_residuals(x, assignments, windows[b0:b1], p, out=buf[lo : lo + b1 - b0])
-            norms = np.sqrt(np.einsum("pkd,pkd->pk", raw, raw))
-            raw /= np.where(norms > 0.0, norms, 1.0)[:, :, None]
-            flat = raw.reshape(len(raw), -1)
-            totals = np.sqrt(np.einsum("pj,pj->p", flat, flat))
-            if np.any(totals == 0.0):
-                raise DegenerateInputError("a window produced an identically zero descriptor")
-            flat /= totals[:, None]
-            rows = stage[b0 - g0 : b1 - g0]
-            rows[...] = flat
-            if pca is not None:
-                rows -= pca.mean
+    def normalize(w0: int, g0: int, lo: int, hi: int) -> None:
+        """Windows w0 + lo .. w0 + hi, staged at their offset from g0."""
+        raw = window_residuals(x, assignments, windows[w0 + lo : w0 + hi], p, out=buf[lo:hi])
+        norms = np.sqrt(np.einsum("pkd,pkd->pk", raw, raw))
+        raw /= np.where(norms > 0.0, norms, 1.0)[:, :, None]
+        flat = raw.reshape(len(raw), -1)
+        totals = np.sqrt(np.einsum("pj,pj->p", flat, flat))
+        if np.any(totals == 0.0):
+            raise DegenerateInputError("a window produced an identically zero descriptor")
+        flat /= totals[:, None]
+        stage[w0 - g0 + lo : w0 - g0 + hi] = flat
 
-    def project(g0: int, g1: int, lo: int, hi: int) -> None:
-        """Output columns 64 * lo .. 64 * hi of the staged rows' projection; the last
-        half also takes the columns past the last whole 64-column block."""
-        c0, c1 = 64 * lo, pca.out_dim if hi == pca.out_dim // 64 else 64 * hi
-        np.matmul(stage[: g1 - g0], pca.projection[c0:c1].T, out=out[g0:g1, c0:c1])
+    def project(g0: int, lo: int, hi: int) -> None:
+        out[g0 + lo : g0 + hi] = _project_rows(stage[lo:hi], pca)
 
     with band_workers() as split:
         for g0 in range(0, n, group):
             g1 = min(g0 + group, n)
-            split(partial(normalize, g0, g1), min(band, g1 - g0), 1)
-            if pca is None:
-                continue
-            if g1 - g0 > 1:
-                least = -(-(1 << 20) // ((g1 - g0) * 64 * pca.in_dim))
-                split(partial(project, g0, g1), pca.out_dim // 64, max(1, least))
-            else:
-                project(g0, g1, 0, pca.out_dim // 64)
-            _renormalize(out[g0:g1])
+            for w0 in range(g0, g1, band):
+                split(partial(normalize, w0, g0), min(w0 + band, g1) - w0, 1)
+            if pca is not None:
+                split(partial(project, g0), g1 - g0, 2)
     return stage if out is None else out
 
 

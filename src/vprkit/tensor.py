@@ -5,8 +5,7 @@ row-major. Precision policy:
 - the backbone's convolution GEMMs, batch norm and resizing compute in float64
   before results are cast back to float32;
 - the VLAD head (residual sums, per-cluster and whole-vector L2) is float64;
-- the VLAD projection is a float32 GEMM, run in halves of its output columns
-  (below), whose rows are renormalized in float64;
+- the VLAD projection is a float32 GEMM whose rows are renormalized in float64;
 - attention runs in the dtype of its inputs, float32 for stored patch sets,
   and only float32 attention runs in halves (below);
 - the score matrix, Sinkhorn, the loss and its gradient, and anything an
@@ -25,9 +24,7 @@ When BLAS runs each call on one thread and the process may use two CPUs,
 each band's column fill and GEMM run in two halves at once (band_workers),
 one on the calling thread and one on a pool thread: the fill by output rows,
 the GEMM by output channels; a float32 attention call runs its source rows,
-then its destination rows, in two halves the same way when they are large, and
-the VLAD head its windows, then each staged group's projection, by output
-columns, so that each thread packs half of the projection.
+then its destination rows, in two halves the same way when they are large.
 Otherwise the calling thread runs each step whole, as before, and a
 multi-threaded BLAS spreads each GEMM over the CPUs itself (halves at once
 beside BLAS's own threads measured slower than either). The vprkit command
@@ -43,11 +40,7 @@ halves with such products, on sets of under about 60 rows or at key or value
 dims of 16, was measured not to keep its bits, nor was a float64 logits
 product cut by rows or by columns. So attention cuts only float32 calls,
 into halves of at least 64 rows whose GEMMs each do at least 2**20
-multiply-adds, and the projection cuts between 64-column blocks, into halves
-of at least two rows whose GEMMs each do at least 2**20 multiply-adds: a
-float32 product cut that way kept its bits at each of 458 shapes tried (2 to
-340 rows, 128 to 700 columns, 15 to 12288 inputs), while one whose second half
-was a single column, or under a million multiply-adds, did not. Two halves is the cut measured to pay on two CPUs;
+multiply-adds. Two halves is the cut measured to pay on two CPUs;
 more CPUs are not used. The calling thread allocates every buffer and the
 pool thread writes into them in place, so no multi-MB block lands in its heap;
 the one exception is the seeded projection, built once per model, whose

@@ -113,27 +113,11 @@ def float64_projection(rows: np.ndarray, m) -> np.ndarray:
     each, all in float64.
 
     The projection the package ran before it projected float32 rows in
-    float32, kept as a reference. Returns float64 rows.
+    float32, kept as a reference with descriptor._project_rows's signature.
+    Returns float64 rows.
     """
     projected = (rows.astype(np.float64) - m.mean.astype(np.float64)) @ m.projection.astype(np.float64).T
     return projected / np.sqrt((projected**2).sum(axis=1))[:, None]
-
-
-def float64_projected_head(head: Callable) -> Callable:
-    """descriptor._vlad_head, given as head, with float64_projection in place of
-    its own projection: the head's unprojected float32 rows are projected 256
-    rows at a time and rounded into float32 rows. Tests install it with
-    monkeypatch.setattr(descriptor, "_vlad_head", float64_projected_head(descriptor._vlad_head))."""
-
-    def run(x, assignments, windows, p, pca):
-        rows = head(x, assignments, windows, p, None)
-        if pca is None:
-            return rows
-        return np.concatenate([float64_projection(rows[r : r + 256], pca) for r in range(0, len(rows), 256)]).astype(
-            np.float32
-        )
-
-    return run
 
 
 def householder_rows(g: np.ndarray) -> np.ndarray:

