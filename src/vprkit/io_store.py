@@ -599,11 +599,11 @@ def load_image(path: str | Path, input_dims: Optional[tuple[int, int]] = None) -
     """
     p = Path(path)
     with open(p, "rb") as f:
-        data = None
-        if f.read(2) == b"P6":
-            f.seek(0)
-            data = f.read()
-    if data is not None:
+        magic = f.read(2)
+    if magic == b"P6":
+        # Read afresh: a buffered f.read() after the magic joins its buffer to the
+        # rest of the file, holding the file's bytes twice.
+        data = p.read_bytes()
         rgb = parse_ppm(data, path)
         del data
         arr = rgb.astype(np.float64)  # normalized in place: one float64 image, not one per step

@@ -643,6 +643,22 @@ class TestLoadImage:
         assert_array_equal(got, x)
         assert peak <= 1.1 * x.nbytes
 
+    def test_ppm_bytes_are_held_once(self, tmp_path, monkeypatch):
+        """Up to parsing, a 480x640 PPM load holds the file's bytes once. Read on
+        after its two-byte magic through the same buffered file, they were joined
+        to the buffer: 2x the file."""
+        path = tmp_path / "x.ppm"
+        write_ppm(path, np.random.default_rng(SEED + 11).integers(0, 256, (480, 640, 3), dtype=np.uint8))
+        parse, at_parse = io_store.parse_ppm, []
+
+        def recording(data, where):
+            at_parse.append(tracemalloc.get_traced_memory()[1])
+            return parse(data, where)
+
+        monkeypatch.setattr(io_store, "parse_ppm", recording)
+        traced_peak(lambda: load_image(path))
+        assert at_parse[0] <= 1.1 * path.stat().st_size
+
     def test_unknown_format_refused(self, tmp_path):
         path = tmp_path / "x.dat"
         path.write_bytes(b"\x00\x01\x02\x03" * 10)
