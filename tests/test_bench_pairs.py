@@ -110,3 +110,18 @@ def test_same_benchmark_follows_the_benchmark_files_alone(bench_pairs, tmp_path,
     assert (record["parent"]["bench_sha256"] == record["change"]["bench_sha256"]) is same
     assert (record["parent"]["src_sha256"] == record["change"]["src_sha256"]) is ("src" not in change)
     assert ("warning" in capsys.readouterr().err) is not same
+
+
+def test_change_side_is_a_copy_of_the_working_tree(bench_pairs, tmp_path, monkeypatch):
+    """The change side runs from a fresh copy of src, vprbench and BENCHMARK.json,
+    digested alike, with no bytecode carried over."""
+    root = tree(tmp_path / "checkout")
+    (root / "src" / "vprkit" / "__pycache__").mkdir()
+    (root / "src" / "vprkit" / "__pycache__" / "a.cpython.pyc").write_bytes(b"\0")
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    bench_pairs.copy_working_tree(copy)
+    assert bench_pairs.src_digest(copy) == bench_pairs.src_digest(root)
+    assert bench_pairs.bench_digest(copy) == bench_pairs.bench_digest(root)
+    assert not list(copy.rglob("__pycache__"))
