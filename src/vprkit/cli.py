@@ -43,7 +43,7 @@ from .retrieval import CandidateList, DescriptorIndex, GeoTag, global_retrieve, 
 from .selfcheck import check_fused_form, run_all
 from .tensor import conv_output_size
 
-REPORT_SCHEMA_VERSION = 6
+REPORT_SCHEMA_VERSION = 7
 RECALL_KS = (1, 5, 10)
 
 
@@ -359,6 +359,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             reranked=[[i, round(s, 6)] for i, s in reranked.ranked[:10]],
             missing_patches=list(reranked.missing_patches),
             unconverged=list(reranked.unconverged),
+            transport=reranked.transport,
         )
     initial_lists, reranked_lists, seconds = zip(*searched)
     pairs, unconverged_pairs = _pair_counts(reranked_lists)

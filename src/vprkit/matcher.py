@@ -5,9 +5,14 @@ cross-attention rounds, inner products of the enhanced descriptors form the
 score matrix (deliberately left un-normalized), and entropy-regularized
 optimal transport with a dustbin row/column turns scores into a soft
 assignment. Attention keeps float32 pairs in float32; the rest runs in float64.
-With BLAS on one thread and two usable CPUs, float32 attention runs in two
-halves at once, with the whole call's bits; the vprkit command leaves BLAS's
-threads unset, so there each call runs whole on a two-thread BLAS, as before.
+The score matrix is built in fixed 128-row float64 bands of the query set, so
+no whole float64 copy of it is held. The transport's scaling updates are
+over-relaxed after a plain warm-up, so sharp pairs (reg 0.02) converge inside
+the default cap of 100 iterations; the plain loop stays for the loss.
+With BLAS on one thread and two usable CPUs, float32 attention and the score
+matrix's bands run in two halves at once, with the bits they have run whole;
+the vprkit command leaves BLAS's threads unset, so there each step runs whole
+on a two-thread BLAS, as before.
 """
 
 from __future__ import annotations
@@ -170,14 +175,37 @@ def enhance_descriptors(q: np.ndarray, d: np.ndarray, params: MatcherParams) -> 
     return yq, yd
 
 
+# Rows of yq in one float64 band of the score matrix. A band's products round
+# as a GEMM of this height, not as the whole product, so the height is fixed.
+SCORE_BAND_ROWS = 128
+
+
 def score_matrix(yq: np.ndarray, yd: np.ndarray) -> np.ndarray:
-    """Pairwise inner products, (M, N). No re-normalization on purpose: the
-    transport layer consumes raw similarities."""
-    yq = np.asarray(yq, dtype=np.float64)
-    yd = np.asarray(yd, dtype=np.float64)
+    """Pairwise inner products, (M, N), in float64. No re-normalization on
+    purpose: the transport layer consumes raw similarities.
+
+    yd is cast to float64 once; yq is cast and multiplied SCORE_BAND_ROWS rows
+    at a time into the one output, so no whole float64 copy of yq is held. On
+    band_workers the bands run in two halves of whole bands, each band the
+    same GEMM on either thread, so the halves carry the bits of the bands run
+    in turn. Those bits differ from one whole GEMM's by rounding (3.6e-14 at
+    most at 1131x1131x512 on the tested OpenBLAS).
+    """
+    yq = np.asarray(yq)
+    yd = np.asarray(yd)
     if yq.ndim != 2 or yd.ndim != 2 or yq.shape[1] != yd.shape[1]:
         raise ShapeError(f"descriptor sets disagree: {yq.shape} vs {yd.shape}")
-    return yq @ yd.T
+    yd_t = yd.astype(np.float64, copy=False).T
+    out = np.empty((len(yq), len(yd)))
+
+    def bands(lo: int, hi: int) -> None:
+        for start in range(lo * SCORE_BAND_ROWS, min(hi * SCORE_BAND_ROWS, len(yq)), SCORE_BAND_ROWS):
+            rows = slice(start, start + SCORE_BAND_ROWS)
+            np.matmul(yq[rows].astype(np.float64, copy=False), yd_t, out=out[rows])
+
+    with band_workers() as split:
+        split(bands, -(-len(yq) // SCORE_BAND_ROWS), 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -225,6 +253,12 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 # underflows to zero drops less than 1e-200 of it, and nothing overflows.
 _SCALING_RANGE = 1e50
 
+# Over-relaxation: plain iterations before it starts, its largest factor, and
+# the growth of the marginal error over the best so far that stops it.
+_WARM_UP = 12
+_OMEGA_CAP = 1.9
+_GROWTH_LIMIT = 10.0
+
 
 def sinkhorn_assign(
     scores: np.ndarray,
@@ -232,6 +266,7 @@ def sinkhorn_assign(
     reg: float = 1.0,
     tol: float = 1e-6,
     max_iters: int = 100,
+    relax: bool = True,
 ) -> AssignmentMatrix:
     """Entropy-regularized transport of scores to a soft assignment.
 
@@ -260,6 +295,20 @@ def sinkhorn_assign(
     v * (K^T u). tol=0 disables the early exit and always runs max_iters
     iterations. Non-convergence is reported through the flag, never raised.
     The plan is u[:, None] * K * v[None, :].
+
+    With relax (the default), the updates are over-relaxed once 12 plain
+    iterations have run (Thibault et al., arXiv 1711.01851):
+    u <- u * (r / (u * K v))^w, and v likewise, with w = min(1.9,
+    2 / (1 + sqrt(1 - rho))), the classical SOR factor for the contraction
+    rate rho that the marginal error showed over the last four plain
+    iterations. An error that is not finite or exceeds 10x the best so far
+    puts the loop back on its last iterate within that bound, and it goes on
+    plain. A pair that converges within the 12 plain iterations, as pairs at
+    reg 1.0 do, gets the plain loop's bits. At reg 0.02 the default-size pairs
+    measured converge in 51-54 iterations where the plain loop needs about
+    150. Sets whose mass all goes to the dustbin converge no faster either
+    way. relax=False runs the plain loop throughout, whose iterates are those
+    of the log-domain loop; the fixed-iteration loss uses it.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or 0 in scores.shape:
@@ -285,20 +334,35 @@ def sinkhorn_assign(
     f = np.log(row_scale) - hi
     g = np.zeros(n + 1)
     u = np.ones(m + 1)
+    v = np.ones(n + 1)
 
     iterations = 0
     converged = False
     kv = None
+    omega = 1.0
+    best = early = np.inf
     for _ in range(max_iters):
+        kept = u, v, kv
         if kv is not None:
-            u = r / kv
+            u = r / kv if omega == 1.0 else u * (r / (u * kv)) ** omega
         ktu = kernel.T @ u
-        v = c / ktu
+        v = c / ktu if omega == 1.0 else v * (c / (v * ktu)) ** omega
         iterations += 1
         kv = kernel @ v
-        if tol > 0 and max(np.abs(u * kv - r).max(), np.abs(v * ktu - c).max()) <= tol:
+        error = max(np.abs(u * kv - r).max(), np.abs(v * ktu - c).max())
+        if tol > 0 and error <= tol:
             converged = True
             break
+        if omega != 1.0 and not error <= _GROWTH_LIMIT * best:  # also a NaN or inf error
+            u, v, kv = kept
+            omega = 1.0
+            continue
+        best = min(best, error)
+        if relax and iterations == _WARM_UP - 4:
+            early = error
+        elif relax and iterations == _WARM_UP and 0.0 < early < np.inf:
+            rho = min(1.0, (error / early) ** 0.25)
+            omega = min(_OMEGA_CAP, 2.0 / (1.0 + np.sqrt(1.0 - rho)))
         if _out_of_range(u) or _out_of_range(v):
             f += np.log(u)
             g += np.log(v)
@@ -378,7 +442,8 @@ def nll_loss_from_scores(
 ) -> float:
     """Fixed-iteration forward used for gradient work; no early stopping, so the
     value is a smooth function of the scores."""
-    assignment = sinkhorn_assign(scores, dustbin_score, reg=reg, tol=0.0, max_iters=iters)
+    # The plain loop, whose unrolled iterations loss_gradient differentiates.
+    assignment = sinkhorn_assign(scores, dustbin_score, reg=reg, tol=0.0, max_iters=iters, relax=False)
     return nll_loss(assignment, matches)
 
 

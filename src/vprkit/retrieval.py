@@ -106,12 +106,16 @@ class DescriptorIndex:
 
 @dataclass(frozen=True)
 class CandidateList:
-    """Ranked (image_id, score) pairs for one query, from stage-one search or from re-ranking."""
+    """Ranked (image_id, score) pairs for one query, from stage-one search or from re-ranking.
+
+    After re-ranking, transport holds (image_id, iterations, converged) for each
+    matched candidate, in stage-one order.
+    """
 
     query_id: str
     ranked: tuple[tuple[str, float], ...]
     missing_patches: tuple[str, ...] = ()
-    unconverged: tuple[str, ...] = ()
+    transport: tuple[tuple[str, int, bool], ...] = ()
 
     def __post_init__(self) -> None:
         ids = [i for i, _ in self.ranked]
@@ -123,6 +127,11 @@ class CandidateList:
 
     def ids(self) -> list[str]:
         return [i for i, _ in self.ranked]
+
+    @property
+    def unconverged(self) -> tuple[str, ...]:
+        """The matched candidates whose transport did not converge, in stage-one order."""
+        return tuple(image_id for image_id, _, converged in self.transport if not converged)
 
 
 def global_retrieve(query: GlobalDescriptor, index: DescriptorIndex, query_id: str, k: int) -> CandidateList:
@@ -152,13 +161,13 @@ def rerank(
     """Re-score candidates with the patch matcher and sort by match score.
 
     Candidates without stored patch descriptors keep their stage-one score and
-    are listed in missing_patches; candidates whose transport stopped at
-    max_iters without meeting tol are listed in unconverged, in stage-one
-    order. Ties keep the stage-one order.
+    are listed in missing_patches; every other candidate's transport outcome
+    (its iterations and whether it met tol within max_iters) is listed in
+    transport, in stage-one order. Ties keep the stage-one order.
     """
     rescored: list[tuple[str, float]] = []
     missing: list[str] = []
-    unconverged: list[str] = []
+    transport: list[tuple[str, int, bool]] = []
     for image_id, score in candidates.ranked:
         patches = patch_store.get(image_id)
         if patches is None:
@@ -173,12 +182,11 @@ def rerank(
                 tol=tol,
                 max_iters=max_iters,
             )
-            if not value.converged:
-                unconverged.append(image_id)
+            transport.append((image_id, value.iterations, value.converged))
             rescored.append((image_id, float(value)))
     order = sorted(range(len(rescored)), key=lambda i: (-rescored[i][1], i))  # stable in initial rank
     ranked = tuple(rescored[i] for i in order)
-    return CandidateList(candidates.query_id, ranked, missing_patches=tuple(missing), unconverged=tuple(unconverged))
+    return CandidateList(candidates.query_id, ranked, missing_patches=tuple(missing), transport=tuple(transport))
 
 
 def recall_at_k(

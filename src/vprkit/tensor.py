@@ -9,7 +9,9 @@ row-major. Precision policy:
 - attention runs in the dtype of its inputs, float32 for stored patch sets,
   and only float32 attention runs in halves (below);
 - the score matrix, Sinkhorn, the loss and its gradient, and anything an
-  oracle checks at 1e-6 run in float64.
+  oracle checks at 1e-6 run in float64; the score matrix casts its query set
+  to float64 one fixed 128-row band at a time, so its products round as
+  128-row GEMMs, not as one whole GEMM.
 float32 convolution GEMMs and a float32 VLAD head were both measured and miss
 the oracle tolerances, so those stages stay float64.
 
@@ -20,11 +22,13 @@ flattened weight comes out in (out_channels, rows, out_w) order, so no
 transpose follows. A band's float64 columns and float64 products together
 hold about CONV_BAND_BYTES; the result does not depend on the band size.
 
-When BLAS runs each call on one thread and the process may use two CPUs,
-each band's column fill and GEMM run in two halves at once (band_workers),
-one on the calling thread and one on a pool thread: the fill by output rows,
-the GEMM by output channels; a float32 attention call runs its source rows,
-then its destination rows, in two halves the same way when they are large.
+When BLAS runs each call on one thread and the process may use two CPUs (its
+affinity mask holds two and no cgroup CPU quota allows fewer), each band's
+column fill and GEMM run in two halves at once (band_workers), one on the
+calling thread and one on a pool thread: the fill by output rows, the GEMM by
+output channels; a float32 attention call runs its source rows, then its
+destination rows, in two halves the same way when they are large, and the
+score matrix runs its 128-row float64 bands in two halves of whole bands.
 Otherwise the calling thread runs each step whole, as before, and a
 multi-threaded BLAS spreads each GEMM over the CPUs itself (halves at once
 beside BLAS's own threads measured slower than either). The vprkit command
@@ -40,7 +44,8 @@ halves with such products, on sets of under about 60 rows or at key or value
 dims of 16, was measured not to keep its bits, nor was a float64 logits
 product cut by rows or by columns. So attention cuts only float32 calls,
 into halves of at least 64 rows whose GEMMs each do at least 2**20
-multiply-adds. Two halves is the cut measured to pay on two CPUs;
+multiply-adds. The score matrix is the same fixed bands on either thread,
+so its halves carry the bits of its bands run in turn. Two halves is the cut measured to pay on two CPUs;
 more CPUs are not used. The calling thread allocates every buffer and the
 pool thread writes into them in place, so no multi-MB block lands in its heap;
 the one exception is the seeded projection, built once per model, whose
@@ -49,11 +54,13 @@ column bands each leave a 2 MB product there for a moment.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
@@ -91,6 +98,30 @@ def blas_threads() -> int:
     return usable_cpus()
 
 
+# Where the cgroup CPU controller's files are mounted: v2's cpu.max, or v1's cpu/ directory.
+CGROUP_ROOT = Path("/sys/fs/cgroup")
+
+
+def quota_cpus() -> float:
+    """The CPUs a cgroup CPU quota lets this process use, inf when none is set or
+    none can be read: cgroup v2's cpu.max ("<quota> <period>", or "max ..." for
+    none), else cgroup v1's cpu.cfs_quota_us over cpu.cfs_period_us (a quota of
+    -1 for none). OpenBLAS sizes its threads by the affinity mask alone, so
+    blas_threads does not read this."""
+    try:
+        quota, period = (CGROUP_ROOT / "cpu.max").read_text().split()
+    except (OSError, ValueError):
+        try:
+            quota, period = ((CGROUP_ROOT / "cpu" / f"cpu.cfs_{name}_us").read_text() for name in ("quota", "period"))
+        except OSError:
+            return math.inf
+    try:
+        quota, period = int(quota), int(period)
+    except ValueError:
+        return math.inf
+    return quota / period if quota > 0 and period > 0 else math.inf
+
+
 Split = Callable[[Callable[[int, int], None], int, int], None]
 
 
@@ -98,11 +129,12 @@ Split = Callable[[Callable[[int, int], None], int, int], None]
 def band_workers() -> Iterator[Split]:
     """Yield split(fn, n, least), which covers [0, n) with calls fn(lo, hi) and
     returns when they are done, re-raising the first exception they raised.
-    When BLAS runs each call on one thread, the process may use two CPUs and
-    each half of [0, n) holds at least least items, the calling thread runs the
-    first half while one pool thread runs the second; otherwise the calling
-    thread runs fn(0, n). The pool thread ends with the block."""
-    at_once = blas_threads() == 1 and usable_cpus() > 1
+    When BLAS runs each call on one thread, the process may use two CPUs (by
+    its affinity mask and by any cgroup CPU quota) and each half of [0, n)
+    holds at least least items, the calling thread runs the first half while
+    one pool thread runs the second; otherwise the calling thread runs
+    fn(0, n). The pool thread ends with the block."""
+    at_once = quota_cpus() >= 2 and blas_threads() == 1 and usable_cpus() > 1
     pool = ThreadPoolExecutor(1, thread_name_prefix="vprkit-band") if at_once else None
 
     def split(fn: Callable[[int, int], None], n: int, least: int) -> None:

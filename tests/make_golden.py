@@ -36,7 +36,7 @@ It exits 1 when any of these differs at all, and 0 otherwise.
 
 Run as a script, it pins OpenBLAS to 2 threads before numpy loads it, the count
 the committed files were written at: at 1 thread c08's re-ranked scores round
-differently, by at most 6.9e-17 with every order unchanged, and --diff would
+differently, by at most 1.1e-16 with every order unchanged, and --diff would
 exit 1. So its output does not depend on OPENBLAS_NUM_THREADS on a host with at
 least 2 cores (OpenBLAS uses no more threads than there are cores).
 """

@@ -125,3 +125,13 @@ def test_change_side_is_a_copy_of_the_working_tree(bench_pairs, tmp_path, monkey
     assert bench_pairs.src_digest(copy) == bench_pairs.src_digest(root)
     assert bench_pairs.bench_digest(copy) == bench_pairs.bench_digest(root)
     assert not list(copy.rglob("__pycache__"))
+
+
+def test_side_trees_have_paths_of_equal_length(bench_pairs):
+    """Both sides start from fresh directories whose paths are equally long, so
+    that a metric that moves with the path's length moves alike on both."""
+    with bench_pairs.side_trees() as trees:
+        assert set(trees) == {"parent", "change"}
+        assert trees["parent"] != trees["change"] and all(t.is_dir() for t in trees.values())
+        assert len(str(trees["parent"])) == len(str(trees["change"]))
+    assert not any(t.exists() for t in trees.values())

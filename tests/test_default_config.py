@@ -191,6 +191,69 @@ def patch_set(model, fmap):
     return extract_patch_descriptors(fmap, grid, model.vlad, model.pca).descriptors
 
 
+@pytest.fixture(scope="module")
+def other_set(patch_set):
+    x = np.random.default_rng(26).standard_normal(patch_set.shape)
+    return (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32)
+
+
+@pytest.fixture(scope="module")
+def enhanced(model, images, patch_set):
+    """The enhanced sets of a self pair and of a pair of the two noise images, as
+    the benchmark's queries pair with their candidates."""
+    fmap = backbone_forward(load_image(str(images[1])), model.backbone, fused=True)
+    grid = make_patch_grid(fmap.shape[2], fmap.shape[3], 2, 2)
+    other = extract_patch_descriptors(fmap, grid, model.vlad, model.pca).descriptors
+    return [matcher.enhance_descriptors(patch_set, d, model.matcher) for d in (patch_set, other)]
+
+
+class TestScoreMatrixBands:
+    """The banded float64 score matrix of default-size enhanced pairs."""
+
+    def test_halves_give_the_bands_bits(self, enhanced, band_halves):
+        for yq, yd in enhanced:
+            results = []
+            for at_once in (False, True):
+                band_halves(at_once)
+                results.append(matcher.score_matrix(yq, yd))
+            assert_array_equal(results[1], results[0])
+
+    def test_within_rounding_of_the_whole_product(self, enhanced):
+        """Within 8 eps * sum_k |q_k d_k| of one whole float64 GEMM; measured: up to
+        4.1 eps of it (8.9e-16) on the self pair."""
+        for yq, yd in enhanced:
+            q64, d64 = yq.astype(np.float64), yd.astype(np.float64)
+            bound = 8 * np.finfo(np.float64).eps * (np.abs(q64) @ np.abs(d64).T)
+            assert np.all(np.abs(matcher.score_matrix(yq, yd) - q64 @ d64.T) <= bound)
+
+    def test_holds_its_output_and_one_float64_set(self, enhanced, band_halves):
+        """The (1131, 1131) output, yd in float64 and one 128-row float64 band per
+        half: 15.9 MB traced with halves at once, 15.4 MB whole. Casting both
+        whole sets traced 19.5 MB."""
+        yq, yd = enhanced[1]
+        band_halves(True)
+        scores, peak = traced_peak(lambda: matcher.score_matrix(yq, yd))
+        assert scores.shape == (1131, 1131)
+        assert peak <= 16.2e6
+
+
+class TestRelaxedTransport:
+    """Default-size pairs at reg 0.02, where the plain loop needs about 150
+    iterations and stops at the default cap of 100 unconverged."""
+
+    def test_converges_inside_the_cap_near_a_tight_reference(self, model, enhanced):
+        """Measured: 51-54 iterations, scores within 7e-10 of a tol-1e-12 reference."""
+        for yq, yd in enhanced:
+            scores = matcher.score_matrix(yq, yd)
+            dustbin = model.matcher.dustbin_score
+            got = matcher.sinkhorn_assign(scores, dustbin, reg=0.02)
+            plain = matcher.sinkhorn_assign(scores, dustbin, reg=0.02, max_iters=1000, relax=False)
+            want = matcher.sinkhorn_assign(scores, dustbin, reg=0.02, tol=1e-12, max_iters=10_000, relax=False)
+            assert got.converged and plain.converged and got.iterations <= plain.iterations
+            assert not matcher.sinkhorn_assign(scores, dustbin, reg=0.02, relax=False).converged
+            assert abs(matcher.match_score(got) - matcher.match_score(want)) <= 1e-9
+
+
 class TestPairMemory:
     """One default-size pair, 1131x512 float32 sets, at reg 0.02, where Sinkhorn
     absorbs its drifting duals."""
@@ -216,11 +279,6 @@ class TestPairMemory:
 class TestAttentionHalves:
     """Attention on one default-size float32 pair, with BLAS on one thread and
     two usable CPUs (halves at once) against one CPU (each step whole)."""
-
-    @pytest.fixture(scope="class")
-    def other_set(self, patch_set):
-        x = np.random.default_rng(26).standard_normal(patch_set.shape)
-        return (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32)
 
     def test_halves_give_the_whole_bits(self, model, patch_set, other_set, band_halves):
         runs = {

@@ -191,6 +191,56 @@ class TestBandWorkers:
         monkeypatch.setattr(tensor, "usable_cpus", lambda: 4)
         assert tensor.blas_threads() == want
 
+    @pytest.mark.parametrize(
+        "files, cpus",
+        [
+            ({}, float("inf")),
+            ({"cpu.max": "max 100000\n"}, float("inf")),
+            ({"cpu.max": "150000 100000\n"}, 1.5),
+            ({"cpu.max": "200000 100000\n"}, 2.0),
+            ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, float("inf")),
+            ({"cpu/cpu.cfs_quota_us": "150000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1.5),
+            ({"cpu/cpu.cfs_quota_us": "50000\n"}, float("inf")),
+        ],
+        ids=["none", "v2-max", "v2-1.5", "v2-2", "v1-unset", "v1-1.5", "v1-no-period"],
+    )
+    def test_cgroup_quota_read_as_v2_then_v1(self, files, cpus, tmp_path, monkeypatch):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        monkeypatch.setattr(tensor, "CGROUP_ROOT", tmp_path)
+        assert tensor.quota_cpus() == cpus
+
+    @pytest.mark.parametrize(
+        "files, at_once",
+        [
+            ({"cpu.max": "150000 100000\n"}, False),
+            ({"cpu/cpu.cfs_quota_us": "150000\n", "cpu/cpu.cfs_period_us": "100000\n"}, False),
+            ({"cpu.max": "max 100000\n"}, True),
+            ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, True),
+        ],
+        ids=["v2-1.5", "v1-1.5", "v2-max", "v1-unset"],
+    )
+    def test_halves_only_under_a_quota_of_two_cpus(self, files, at_once, tmp_path, monkeypatch):
+        """A 1.5-CPU quota runs each step whole on the calling thread, with two CPUs
+        in the mask and BLAS on one thread; no quota changes nothing. BLAS's own
+        count still follows the mask, as OpenBLAS's does."""
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        monkeypatch.setattr(tensor, "CGROUP_ROOT", tmp_path)
+        monkeypatch.setattr(tensor, "usable_cpus", lambda: 2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        seen = []
+        with tensor.band_workers() as split:
+            split(lambda lo, hi: seen.append((lo, hi, threading.current_thread().name)), 8, 1)
+        assert sorted((lo, hi) for lo, hi, _ in seen) == ([(0, 4), (4, 8)] if at_once else [(0, 8)])
+        assert {name.startswith("vprkit-band") for *_, name in seen} == ({False, True} if at_once else {False})
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        for name in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        assert tensor.blas_threads() == 2
+
     def test_no_halves_beside_a_multithreaded_blas(self, monkeypatch):
         """With BLAS on two threads of two CPUs, the calling thread runs the whole."""
         monkeypatch.setattr(tensor, "usable_cpus", lambda: 2)

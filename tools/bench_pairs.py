@@ -33,6 +33,7 @@ differ from HEAD.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -45,6 +46,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -155,6 +157,19 @@ def copy_working_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "BENCHMARK.json", dest / "BENCHMARK.json")
 
 
+@contextlib.contextmanager
+def side_trees() -> Iterator[dict[str, Path]]:
+    """A fresh temporary directory for each side, removed afterwards. Their paths
+    have equal lengths (prefixes of equal length, the same parent directory and
+    suffixes of equal length), since identical code has read index-build
+    peak_rss_mb 6.7 MB apart from checkouts whose paths differed by one
+    character."""
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent, tempfile.TemporaryDirectory(
+        prefix="bench-change-"
+    ) as change:
+        yield {"parent": Path(parent), "change": Path(change)}
+
+
 def machine() -> dict:
     import numpy
 
@@ -204,10 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": machine(),
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp, tempfile.TemporaryDirectory(
-        prefix="bench-change-"
-    ) as tmp_change:
-        trees = {"parent": Path(tmp), "change": Path(tmp_change)}
+    with side_trees() as trees:
         export(record["parent"]["rev"], trees["parent"])
         copy_working_tree(trees["change"])
         record_trees(record, trees)
