@@ -227,9 +227,9 @@ class TestScoreMatrixBands:
             assert np.all(np.abs(matcher.score_matrix(yq, yd) - q64 @ d64.T) <= bound)
 
     def test_holds_its_output_and_one_float64_set(self, enhanced, band_halves):
-        """The (1131, 1131) output, yd in float64 and one 128-row float64 band per
-        half: 15.9 MB traced with halves at once, 15.4 MB whole. Casting both
-        whole sets traced 19.5 MB."""
+        """The (1131, 1131) output, yd in float64 and a 128-row float64 band buffer
+        for each half: 15.9 MB traced, halves at once or not. Casting both whole
+        sets traced 19.5 MB."""
         yq, yd = enhanced[1]
         band_halves(True)
         scores, peak = traced_peak(lambda: matcher.score_matrix(yq, yd))

@@ -205,10 +205,7 @@ class TestBandWorkers:
         ids=["none", "v2-max", "v2-1.5", "v2-2", "v1-unset", "v1-1.5", "v1-no-period"],
     )
     def test_cgroup_quota_read_as_v2_then_v1(self, files, cpus, tmp_path, monkeypatch):
-        for name, text in files.items():
-            (tmp_path / name).parent.mkdir(exist_ok=True)
-            (tmp_path / name).write_text(text)
-        monkeypatch.setattr(tensor, "CGROUP_ROOT", tmp_path)
+        cgroup_files(tmp_path, files, monkeypatch)
         assert tensor.quota_cpus() == cpus
 
     @pytest.mark.parametrize(
@@ -225,10 +222,7 @@ class TestBandWorkers:
         """A 1.5-CPU quota runs each step whole on the calling thread, with two CPUs
         in the mask and BLAS on one thread; no quota changes nothing. BLAS's own
         count still follows the mask, as OpenBLAS's does."""
-        for name, text in files.items():
-            (tmp_path / name).parent.mkdir(exist_ok=True)
-            (tmp_path / name).write_text(text)
-        monkeypatch.setattr(tensor, "CGROUP_ROOT", tmp_path)
+        cgroup_files(tmp_path, files, monkeypatch)
         monkeypatch.setattr(tensor, "usable_cpus", lambda: 2)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         seen = []
@@ -249,6 +243,14 @@ class TestBandWorkers:
         with tensor.band_workers() as split:
             split(lambda lo, hi: seen.append((lo, hi, threading.current_thread().name)), 8, 1)
         assert seen == [(0, 8, threading.current_thread().name)]
+
+
+def cgroup_files(root, files, monkeypatch):
+    """Write {relative path: text} under root and point tensor's cgroup reads there."""
+    for name, text in files.items():
+        (root / name).parent.mkdir(exist_ok=True)
+        (root / name).write_text(text)
+    monkeypatch.setattr(tensor, "CGROUP_ROOT", root)
 
 
 class TestConvOutputSize:
