@@ -45,9 +45,11 @@ dims of 16, was measured not to keep its bits, nor was a float64 logits
 product cut by rows or by columns. So attention cuts only float32 calls,
 into halves of at least 64 rows whose GEMMs each do at least 2**20
 multiply-adds. The score matrix is the same fixed bands on either thread,
-so its halves carry the bits of its bands run in turn. Two halves is the cut measured to pay on two CPUs;
-more CPUs are not used. The calling thread allocates every buffer and the
-pool thread writes into them in place, so no multi-MB block lands in its heap;
+so its halves carry the bits of its bands run in turn. Two halves is the cut
+measured to pay on two CPUs; more CPUs are not used. The calling thread
+allocates every buffer and the pool thread writes into them in place, so no
+multi-MB block lands in its heap (a score matrix whose pool thread cast its own
+bands raised the benchmark's query-rerank peak RSS by up to 4.5 MB);
 the one exception is the seeded projection, built once per model, whose
 column bands each leave a 2 MB product there for a moment.
 """
