@@ -364,7 +364,16 @@ def _vlad_head(
     windows' centre terms, the projection's float32 products and their float64
     copies), each under 1 MB at the default size. Projected rows are float32,
     assigned from the float64 renormalized rows, which rounds them as a cast
-    would."""
+    would.
+
+    A staged group's projection GEMM that is small can round differently from
+    a larger one, so then the rows depend on HEAD_BAND_BYTES: at 768 -> 512
+    (24-dim features, 32 clusters), with BLAS on one thread and halves at
+    once, one-window bands (four-row groups, run as two-row halves) gave rows
+    that differ from 80-window bands' in over 90% of their elements, by up
+    to about 1.4e-7. At the default dimensions (12288 -> 512) every group is
+    a large GEMM, and the tests find the same rows at half and twice the
+    default."""
     n = len(windows)
     k, d = p.centers.shape
     band = max(1, HEAD_BAND_BYTES // (k * d * 8))

@@ -23,20 +23,22 @@ transpose follows. A band's float64 columns and float64 products together
 hold about CONV_BAND_BYTES; the result does not depend on the band size.
 
 When BLAS runs each call on one thread and the process may use two CPUs (its
-affinity mask holds two and no cgroup CPU quota allows fewer), each band's
-column fill and GEMM run in two halves at once (band_workers), one on the
-calling thread and one on a pool thread: the fill by output rows, the GEMM by
-output channels; a float32 attention call runs its source rows, then its
-destination rows, in two halves the same way when they are large, and the
-score matrix runs its 128-row float64 bands in two halves of whole bands.
-Otherwise the calling thread runs each step whole, as before, and a
-multi-threaded BLAS spreads each GEMM over the CPUs itself (halves at once
-beside BLAS's own threads measured slower than either). The vprkit command
-leaves BLAS's threads unset, so on two CPUs it runs every step whole on a
-two-thread BLAS. Filling copies values, and half of a GEMM's output rows is a
-smaller GEMM over the same operand rows and columns; on the OpenBLAS the tests
-run with, its products carry the bits of the whole GEMM's, which the tests
-compare at the default backbone's and matcher's shapes. A BLAS that picks
+affinity mask holds two and no cgroup CPU quota allows fewer), each image's
+convolution runs in two halves of its output rows at once (band_workers), one
+on the calling thread and one on a pool thread, each filling and multiplying
+the bands of its own rows in its half of the band block; a float32 attention
+call runs its source rows, then its destination rows, in two halves the same
+way when they are large, and the score matrix runs its 128-row float64 bands
+in two halves of whole bands. Otherwise the calling thread runs each step
+whole, as before, and a multi-threaded BLAS spreads each GEMM over the CPUs
+itself (halves at once beside BLAS's own threads measured slower than
+either). The vprkit command leaves BLAS's threads unset, so on two CPUs it
+runs every step whole on a two-thread BLAS. Filling copies values; a
+convolution band is a GEMM of its own over whole output rows, whose height
+does not change its bits, and half of a GEMM's output rows is a smaller GEMM
+over the same operand rows and columns; on the OpenBLAS the tests run with,
+their products carry the bits of the whole GEMM's, which the tests compare at
+the default backbone's and matcher's shapes. A BLAS that picks
 its kernel by shape need not, just as OpenBLAS already picks its kernels by
 the host's CPU, and OpenBLAS itself may send a small product (up to about a
 million multiply-adds) to a small-matrix kernel: float32 attention cut into
@@ -72,8 +74,8 @@ from .errors import ShapeError
 # A Tensor4 is a plain ndarray; the alias marks the (B, C, H, W) float32 contract.
 Tensor4 = np.ndarray
 
-# Bytes of float64 columns plus float64 products conv2d holds per GEMM; a band
-# is at least one output row.
+# Bytes of float64 columns plus float64 products in the block conv2d allocates
+# per call, whose halves each take half; a band is at least one output row.
 CONV_BAND_BYTES = 8 << 20
 
 
@@ -257,11 +259,13 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     per tap, with zeros where a tap reads padding; then
     weight.reshape(out, in*kh*kw) @ columns is one GEMM whose float64 products
     are already in (out, rows, out_w) order. A band's columns and products
-    together hold about CONV_BAND_BYTES. On band_workers, the columns may be
-    filled in two halves of the band's rows and the GEMM run in two halves of
-    the output channels, each at least two (a one-row half would be a
-    matrix-vector product, not a GEMM). Products accumulate in float64; the
-    output is a fresh contiguous float32 array.
+    together hold about CONV_BAND_BYTES, in one block the calling thread
+    allocates. On band_workers, each image's output rows may run in two halves
+    at once, each filling and multiplying near-equal bands of its own rows in
+    its half of the block. Each half holds at least two output positions, and
+    so does each band of an output that has two, so no GEMM becomes a
+    matrix-vector product. Products accumulate in float64; the output is a
+    fresh contiguous float32 array.
     """
     x = as_tensor4(x)
     b, c, h, w = x.shape
@@ -282,21 +286,26 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
         first = lo * stride + tap - pad
         return slice(lo - start, hi - start), slice(first, first + (hi - lo - 1) * stride + 1, stride)
 
-    depth = c * kh * kw
-    band = max(1, min(oh, CONV_BAND_BYTES // ((depth + p.out_channels) * ow * 8)))  # output rows per band
-    col_buf = np.empty(depth * band * ow, dtype=np.float64)
-    prod_buf = np.empty(p.out_channels * band * ow, dtype=np.float64)
+    depth, cout = c * kh * kw, p.out_channels
+    least = -(-2 // ow)  # output rows that hold two positions: a GEMM over one is a matrix-vector product
+    row = (depth + cout) * ow  # float64 columns and products of one output row
+    budget = CONV_BAND_BYTES // (8 * row)  # output rows the block holds
+    # The most output rows per band of a whole call and of a half. Near-equal bands
+    # of at most 2 * least - 1 rows or more each hold at least least rows.
+    whole = max(2 * least - 1, min(oh, budget))
+    half = max(2 * least - 1, min(oh - oh // 2, budget // 2))
+    block = np.empty(max(whole, 2 * half) * row, dtype=np.float64)
     col_spans = [span(v, w, 0, ow) for v in range(kw)]
-    flat_w = p.weight.reshape(p.out_channels, depth).astype(np.float64)
+    flat_w = p.weight.reshape(cout, depth).astype(np.float64)
     bias = p.bias.astype(np.float64)[:, None]
-    out = np.empty((b, p.out_channels, oh, ow), dtype=np.float32)
+    out = np.empty((b, cout, oh, ow), dtype=np.float32)
 
-    def fill(n: int, r0: int, cols: np.ndarray, lo: int, hi: int) -> None:
-        """Columns of output rows r0 + lo .. r0 + hi of image n."""
+    def fill(n: int, r0: int, r1: int, cols: np.ndarray) -> None:
+        """Columns of output rows r0 .. r1 of image n."""
         for u in range(kh):
-            out_rows, in_rows = span(u, h, r0 + lo, r0 + hi)
+            out_rows, in_rows = span(u, h, r0, r1)
             for v, (out_cols, in_cols) in enumerate(col_spans):
-                tap = cols[:, u, v, lo:hi]
+                tap = cols[:, u, v]
                 tap[:, : out_rows.start] = 0.0
                 tap[:, out_rows.stop :] = 0.0
                 tap[:, :, : out_cols.start] = 0.0
@@ -304,20 +313,24 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
                 if out_rows.stop > out_rows.start and out_cols.stop > out_cols.start:
                     tap[:, out_rows, out_cols] = x[n, :, in_rows, in_cols]
 
-    def multiply(n: int, r0: int, rows: int, cols: np.ndarray, prod: np.ndarray, lo: int, hi: int) -> None:
-        """Output channels lo .. hi of output rows r0 .. r0 + rows of image n."""
-        np.matmul(flat_w[lo:hi], cols.reshape(depth, rows * ow), out=prod[lo:hi])
-        prod[lo:hi] += bias[lo:hi]
-        out[n, lo:hi, r0 : r0 + rows] = prod[lo:hi].reshape(hi - lo, rows, ow)
+    def rows_of(n: int, lo: int, hi: int) -> None:
+        """Output rows lo .. hi of image n, in near-equal bands: a whole call and the
+        first half work at the front of the block, the second half at its back."""
+        most = whole if hi - lo == oh else half
+        buf = block[: most * row] if lo == 0 else block[len(block) - most * row :]
+        count = -(-(hi - lo) // most)
+        for i in range(count):
+            r0, r1 = lo + (hi - lo) * i // count, lo + (hi - lo) * (i + 1) // count
+            cols = buf[: depth * (r1 - r0) * ow]
+            prod = buf[cols.size : (depth + cout) * (r1 - r0) * ow].reshape(cout, -1)
+            fill(n, r0, r1, cols.reshape(c, kh, kw, r1 - r0, ow))
+            np.matmul(flat_w, cols.reshape(depth, -1), out=prod)
+            prod += bias
+            out[n, :, r0:r1] = prod.reshape(cout, r1 - r0, ow)
 
     with band_workers() as split:
         for n in range(b):
-            for r0 in range(0, oh, band):
-                rows = min(band, oh - r0)
-                cols = col_buf[: depth * rows * ow].reshape(c, kh, kw, rows, ow)
-                prod = prod_buf[: p.out_channels * rows * ow].reshape(p.out_channels, rows * ow)
-                split(partial(fill, n, r0, cols), rows, 1)
-                split(partial(multiply, n, r0, rows, cols, prod), p.out_channels, 2)
+            split(partial(rows_of, n), oh, least)
     return out
 
 

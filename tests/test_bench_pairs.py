@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,3 +137,39 @@ def test_side_trees_have_paths_of_equal_length(bench_pairs):
         assert trees["parent"] != trees["change"] and all(t.is_dir() for t in trees.values())
         assert len(str(trees["parent"])) == len(str(trees["change"]))
     assert not any(t.exists() for t in trees.values())
+
+
+RUN_PY = """import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed == {fail_seed}:
+    sys.exit(1)
+print(json.dumps({{"failed": 0, "attempted": 1, "metrics": {{"op_p50_s": {{"value": {value}}}}}}}))
+"""
+
+
+def test_a_run_that_exits_non_zero_is_left_out(bench_pairs, tmp_path, capsys):
+    """The change's run at seed 3 exits 1: its pair records that exit code and no
+    metrics, the summary covers the three other pairs, which the change all won
+    by more than the parent's spread, and the pair left out keeps claim_met false."""
+    trees = {
+        "parent": tree(tmp_path / "parent", run_py=RUN_PY.format(fail_seed=-1, value=2.0)),
+        "change": tree(tmp_path / "change", run_py=RUN_PY.format(fail_seed=3, value=1.0)),
+    }
+    command = [sys.executable, "vprbench/run.py"]
+    w = bench_pairs.run_pairs(trees, command, "wl", 4, [1, 2, 3, 4], 1, {"op_p50_s": "lower"}, {"op_p50_s": 0.25})
+    assert [r["change"]["exit_code"] for r in w["runs"]] == [0, 0, 1, 0]
+    assert "metrics" not in w["runs"][2]["change"] and w["runs"][2]["parent"]["exit_code"] == 0
+    assert w["pairs_left_out"] == 1
+    assert (w["attempted"], w["failed"]) == ({"parent": 3, "change": 3}, {"parent": 0, "change": 0})
+    s = w["summary"]["op_p50_s"]
+    assert (s["pairs"], s["wins"], s["pairs_left_out"]) == (3, 3, 1)
+    assert s["gain_exceeds_parent_spread"] and not s["claim_met"] and s["within_bound"]
+    assert "exit 1" in capsys.readouterr().err
+    json.dumps(w)
+
+
+def test_no_pair_left_gives_an_empty_summary(bench_pairs, tmp_path):
+    trees = {side: tree(tmp_path / side, run_py=RUN_PY.format(fail_seed=1, value=1.0)) for side in ("parent", "change")}
+    w = bench_pairs.run_pairs(trees, [sys.executable, "vprbench/run.py"], "wl", 2, [1], 1, {"op_p50_s": "lower"}, {})
+    assert (w["summary"], w["pairs_left_out"]) == ({}, 2)
+    assert [r["parent"]["exit_code"] for r in w["runs"]] == [1, 1]

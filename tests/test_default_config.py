@@ -85,6 +85,24 @@ def test_backbone_band_size_does_not_change_the_map(model, images, fmap, monkeyp
     assert_array_equal(backbone_forward(load_image(str(images[0])), model.backbone, fused=True), fmap)
 
 
+@pytest.mark.parametrize("at_once", [False, True], ids=["whole", "halves"])
+def test_head_band_size_does_not_change_the_patch_rows(model, fmap, at_once, band_halves, monkeypatch):
+    """At the default dimensions (K=64, D=192, 12288 -> 512) the patch rows keep their
+    bits at the default HEAD_BAND_BYTES, at half of it and at twice it: staged
+    groups of 340, 168 and 680 rows, the last of 111, 123 and 451, are large
+    projection GEMMs alike (small groups need not be; see _vlad_head)."""
+    band_halves(at_once)
+    grid = make_patch_grid(fmap.shape[2], fmap.shape[3], 2, 2)
+    default = descriptor.HEAD_BAND_BYTES
+    got = []
+    for band_bytes in (default, default // 2, 2 * default):
+        monkeypatch.setattr(descriptor, "HEAD_BAND_BYTES", band_bytes)
+        got.append(extract_patch_descriptors(fmap, grid, model.vlad, model.pca).descriptors)
+    assert got[0].shape == (1131, 512)
+    assert_array_equal(got[1], got[0])
+    assert_array_equal(got[2], got[0])
+
+
 # Bytes patch extraction may hold beyond its own output. The (1131, 12288)
 # float32 matrix of every normalized VLAD row is 55.6 MB at the default map on
 # its own, and building it before projecting took the traced peak to 82.7 MB;

@@ -116,24 +116,89 @@ class TestConv2d:
 class TestBandWorkers:
     """A band's halves, run at once, give the bits of the whole band."""
 
-    @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("padding", [0, 1])
-    @pytest.mark.parametrize("height", [3, 11], ids=["one-or-two-rows", "rows-across-bands"])
-    def test_conv2d_halves_give_the_whole_bands_bits(self, k, stride, padding, height, band_halves, monkeypatch):
-        """At height 3 the output has one or two rows; at height 11 the two-row bands
-        leave a shorter last band. Seven output channels halve into 3 and 4."""
-        rng = np.random.default_rng(SEED + 11)
-        x = rng.standard_normal((2, 6, height, 9)).astype(np.float32)
-        p = random_conv(rng, 6, 7, k, stride, padding)
-        ow = conv_output_size(9, k, stride, padding)
-        monkeypatch.setattr(tensor, "CONV_BAND_BYTES", 2 * (6 * k * k + 7) * ow * 8)
+    @staticmethod
+    def gemm_columns(monkeypatch):
+        """The column count of every np.matmul call from now on, as a list."""
+        seen = []
+        matmul = np.matmul
+
+        def recording(a, b, out):
+            seen.append(b.shape[1])
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        return seen
+
+    @staticmethod
+    def halves_and_whole(x, p, band_halves):
         got = {}
         for at_once in (False, True):
             band_halves(at_once)
             got[at_once] = conv2d(x, p)
-        assert got[False].shape[2] == conv_output_size(height, k, stride, padding)
-        assert_array_equal(got[True], got[False])
+        return got[True], got[False]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("height", [3, 11], ids=["one-or-two-rows", "rows-across-bands"])
+    @pytest.mark.parametrize("width", [9, 13, 37])
+    def test_conv2d_halves_give_the_whole_bands_bits(self, k, stride, padding, height, width, band_halves, monkeypatch):
+        """At height 3 the output has one or two rows; at height 11 the two-row bands
+        leave a shorter last band. At widths 13 and 37 the output rows are odd,
+        and no multiple of 8, wide."""
+        rng = np.random.default_rng(SEED + 11)
+        x = rng.standard_normal((2, 6, height, width)).astype(np.float32)
+        p = random_conv(rng, 6, 7, k, stride, padding)
+        ow = conv_output_size(width, k, stride, padding)
+        monkeypatch.setattr(tensor, "CONV_BAND_BYTES", 2 * (6 * k * k + 7) * ow * 8)
+        halves, whole = self.halves_and_whole(x, p, band_halves)
+        assert whole.shape[2:] == (conv_output_size(height, k, stride, padding), ow)
+        assert_array_equal(halves, whole)
+
+    @pytest.mark.parametrize("height", [4, 5, 6, 7, 13])
+    @pytest.mark.parametrize("band_rows", [1, 2, 4, None], ids=["1-row", "2-row", "4-row", "whole"])
+    def test_conv2d_halves_of_a_one_column_output(self, height, band_rows, band_halves, monkeypatch):
+        """A one-column output: each half and each band must hold two rows to be a
+        GEMM, not a matrix-vector product, at every band budget. Two or three rows
+        of output run whole, since halves of three would leave one row in the first."""
+        rng = np.random.default_rng(SEED + 13)
+        x = rng.standard_normal((1, 5, height, 3)).astype(np.float32)
+        p = random_conv(rng, 5, 6, 3, 1, 0)
+        if band_rows is not None:
+            monkeypatch.setattr(tensor, "CONV_BAND_BYTES", band_rows * (5 * 9 + 6) * 8)
+        columns = self.gemm_columns(monkeypatch)
+        halves, whole = self.halves_and_whole(x, p, band_halves)
+        assert whole.shape == (1, 6, height - 2, 1)
+        assert min(columns) >= 2
+        assert_array_equal(halves, whole)
+
+    def test_conv2d_split_inside_a_band(self, band_halves, monkeypatch):
+        """Eleven output rows in four-row bands run whole as bands of 3, 4 and 4 rows;
+        the halves split at row 5, inside the second band, and run the rows in
+        two-row bands of their own."""
+        rng = np.random.default_rng(SEED + 14)
+        x = rng.standard_normal((1, 4, 11, 13)).astype(np.float32)
+        p = random_conv(rng, 4, 5, 3, 1, 1)
+        monkeypatch.setattr(tensor, "CONV_BAND_BYTES", 4 * (4 * 9 + 5) * 13 * 8)
+        columns = self.gemm_columns(monkeypatch)
+        halves, whole = self.halves_and_whole(x, p, band_halves)
+        assert sorted(n // 13 for n in columns) == [1, 2, 2, 2, 2, 2, 3, 4, 4]
+        assert_array_equal(halves, whole)
+
+    def test_conv2d_halves_on_small_shapes(self, band_halves, monkeypatch):
+        """A seeded sweep of 50 small convolutions (1 to 24 channels each way, 1 to 40
+        pixels each way, kernel 1 or 3, stride 1 or 2, padding 0 or 1, batch 1 or
+        2), each as one band run whole and in halves at once."""
+        rng = np.random.default_rng(SEED + 15)
+        monkeypatch.setattr(tensor, "CONV_BAND_BYTES", 1 << 40)
+        for _ in range(50):
+            k, stride, padding = int(rng.choice([1, 3])), int(rng.integers(1, 3)), int(rng.integers(0, 2))
+            h, w = (int(v) for v in rng.integers(max(1, k - 2 * padding), 41, size=2))
+            cin, cout, batch = int(rng.integers(1, 25)), int(rng.integers(1, 25)), int(rng.integers(1, 3))
+            x = rng.standard_normal((batch, cin, h, w)).astype(np.float32)
+            p = random_conv(rng, cin, cout, k, stride, padding)
+            halves, whole = self.halves_and_whole(x, p, band_halves)
+            assert_array_equal(halves, whole, err_msg=f"{x.shape} {p.weight.shape} stride {stride} padding {padding}")
 
     @pytest.mark.parametrize("channels", [48, 96, 192])
     def test_conv2d_halves_give_the_whole_bands_bits_on_deep_layers(self, channels, band_halves):

@@ -17,8 +17,8 @@ and median, computed as vprbench/spread.py computes them
 (statistics.quantiles(values, n=4)); how many pairs the change won; the
 change's median gain in the metric's better direction; whether that gain
 exceeds the distance between the parent's quartiles; and two verdicts:
-claim_met (the change won at least 9 in 10 of the pairs and its median gain
-exceeds the parent's quartile distance) and within_bound (the change's median
+claim_met (no pair was left out, the change won at least 9 in 10 of the
+pairs and its median gain exceeds the parent's quartile distance) and within_bound (the change's median
 is worse than the parent's by no more than the metric's BENCHMARK.json bound,
 a share of the parent's median as vprbench/spread.py reads it). It also
 records every run's values, the machine (cores, BLAS, the thread pin), both
@@ -28,6 +28,10 @@ tree's benchmark, so when the two benchmark digests differ the file says
 same_benchmark: false and a warning is printed before the first run;
 "uncommitted" says whether the working tree's src, vprbench or BENCHMARK.json
 differ from HEAD.
+
+A run that exits non-zero does not stop the others: its pair records the exit
+code, stays out of the summary and is counted in pairs_left_out, and the file
+is written all the same.
 """
 
 from __future__ import annotations
@@ -71,12 +75,14 @@ def summarize(
     change: list[dict[str, float]],
     better: dict[str, str],
     bounds: dict[str, float] | None = None,
+    left_out: int = 0,
 ) -> dict:
     """Per metric of better (name -> "lower" or "higher"): both sides' quartiles over
     the paired runs (parent[i] pairs with change[i]), the change's wins, its median
     gain in the better direction, whether that gain exceeds the parent's quartile
-    distance, whether a claim of it is met, and whether the change's median is
-    within the metric's bound of the parent's (None for a metric bounds lacks)."""
+    distance, whether a claim of it is met (never with left_out pairs left out of
+    the runs given), and whether the change's median is within the metric's bound
+    of the parent's (None for a metric bounds lacks)."""
     if len(parent) != len(change) or not parent:
         raise ValueError(f"need equal, nonzero numbers of runs; got {len(parent)} and {len(change)}")
     out = {}
@@ -95,10 +101,11 @@ def summarize(
             "change": cq,
             "wins": wins,
             "pairs": len(p),
+            "pairs_left_out": left_out,
             "median_gain": gain,
             "parent_quartile_distance": spread,
             "gain_exceeds_parent_spread": gain > spread,
-            "claim_met": wins >= CLAIM_WIN_SHARE * len(p) and gain > spread,
+            "claim_met": left_out == 0 and wins >= CLAIM_WIN_SHARE * len(p) and gain > spread,
             "within_bound": None if bound is None else -gain <= bound * abs(pq["median"]),
         }
     return out
@@ -184,13 +191,52 @@ def machine() -> dict:
 
 
 def run_bench(tree: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run in tree; its failed/attempted counts and end-to-end metric values."""
+    """One untraced run in tree: its exit code and, when that is 0, its
+    failed/attempted counts and end-to-end metric values."""
     cmd = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     env = dict(os.environ, **THREAD_PIN)
-    out = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True).stdout
-    result = json.loads(out.strip().splitlines()[-1])
+    done = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
+    if done.returncode != 0:
+        return {"exit_code": done.returncode}
+    result = json.loads(done.stdout.strip().splitlines()[-1])
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    return {"failed": result["failed"], "attempted": result["attempted"], "metrics": metrics}
+    return {"exit_code": 0, "failed": result["failed"], "attempted": result["attempted"], "metrics": metrics}
+
+
+def run_pairs(
+    trees: dict[str, Path],
+    command: list[str],
+    workload: str,
+    pairs: int,
+    seeds: list[int],
+    seconds: float,
+    better: dict[str, str],
+    bounds: dict[str, float],
+) -> dict:
+    """pairs alternated runs of workload on each side and their summary, over the
+    pairs whose runs both exited 0; pairs_left_out counts the others."""
+    runs = []
+    for i in range(pairs):
+        seed = seeds[i % len(seeds)]
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"pair": i, "seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_bench(trees[side], command, workload, seed, seconds)
+            shown = {k: round(v, 4) for k, v in pair[side].get("metrics", {}).items()}
+            code = pair[side]["exit_code"]
+            print(f"{workload} pair {i} seed {seed} {side}: exit {code} {shown}", file=sys.stderr, flush=True)
+        runs.append(pair)
+    kept = [r for r in runs if r["parent"]["exit_code"] == 0 and r["change"]["exit_code"] == 0]
+    left_out = len(runs) - len(kept)
+    sides = [[r[side]["metrics"] for r in kept] for side in ("parent", "change")]
+    summary = summarize(*sides, better, bounds, left_out) if kept else {}
+    return {
+        "summary": summary,
+        "pairs_left_out": left_out,
+        "failed": {side: sum(r[side]["failed"] for r in kept) for side in trees},
+        "attempted": {side: sum(r[side]["attempted"] for r in kept) for side in trees},
+        "runs": runs,
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -224,25 +270,13 @@ def main(argv: list[str] | None = None) -> int:
         copy_working_tree(trees["change"])
         record_trees(record, trees)
         for workload in args.workload:
-            runs = []
-            for i in range(args.pairs):
-                seed = args.seeds[i % len(args.seeds)]
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                pair = {"pair": i, "seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = run_bench(trees[side], spec["command"], workload, seed, seconds)
-                    shown = {k: round(v, 4) for k, v in pair[side]["metrics"].items()}
-                    print(f"{workload} pair {i} seed {seed} {side}: {shown}", file=sys.stderr, flush=True)
-                runs.append(pair)
-            parent_metrics = [r["parent"]["metrics"] for r in runs]
-            record["workloads"][workload] = {
-                "summary": summarize(parent_metrics, [r["change"]["metrics"] for r in runs], better, bounds),
-                "failed": {side: sum(r[side]["failed"] for r in runs) for side in trees},
-                "attempted": {side: sum(r[side]["attempted"] for r in runs) for side in trees},
-                "runs": runs,
-            }
+            record["workloads"][workload] = run_pairs(
+                trees, spec["command"], workload, args.pairs, args.seeds, seconds, better, bounds
+            )
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for workload, w in record["workloads"].items():
+        if w["pairs_left_out"]:
+            print(f"{workload}: {w['pairs_left_out']} of {args.pairs} pairs left out (a run exited non-zero)")
         for name, s in w["summary"].items():
             print(
                 f"{workload} {name}: parent {s['parent']['median']:.6g} change {s['change']['median']:.6g} "
