@@ -355,25 +355,20 @@ def _vlad_head(
     staged group of bands at a time.
 
     On tensor.band_workers, each band's windows may be normalized, and each
-    group's staged rows projected, in two halves at once (at least two rows a
-    half for the projection). Every window's row is computed on its own, and
-    on the OpenBLAS the tests run with, half of the projection GEMM's rows
-    carries the bits of the whole GEMM's (the tests compare them). The calling
-    thread allocates the band, staging and output buffers; the pool thread
+    group's staged rows projected, in two halves at once (at least two rows a half
+    for the projection). Every window's row is computed on its own, and on the
+    OpenBLAS the tests run with, half of a large projection GEMM's rows carries
+    the bits of the whole GEMM's (the tests compare them, and default-size rows at
+    half and twice the default band). A small GEMM can round differently, so small
+    groups' rows depend on HEAD_BAND_BYTES: at 768 -> 512 dims (24-dim features,
+    32 clusters) in halves at once, one-window bands (four-row groups) changed
+    over 90% of the elements of 80-window bands' rows, by up to 1.4e-7. The
+    calling thread allocates the band, staging and output buffers; the pool thread
     allocates only the temporaries of its half (gathered window rows, eight
     windows' centre terms, the projection's float32 products and their float64
     copies), each under 1 MB at the default size. Projected rows are float32,
     assigned from the float64 renormalized rows, which rounds them as a cast
-    would.
-
-    A staged group's projection GEMM that is small can round differently from
-    a larger one, so then the rows depend on HEAD_BAND_BYTES: at 768 -> 512
-    (24-dim features, 32 clusters), with BLAS on one thread and halves at
-    once, one-window bands (four-row groups, run as two-row halves) gave rows
-    that differ from 80-window bands' in over 90% of their elements, by up
-    to about 1.4e-7. At the default dimensions (12288 -> 512) every group is
-    a large GEMM, and the tests find the same rows at half and twice the
-    default."""
+    would."""
     n = len(windows)
     k, d = p.centers.shape
     band = max(1, HEAD_BAND_BYTES // (k * d * 8))

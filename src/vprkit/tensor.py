@@ -15,45 +15,38 @@ row-major. Precision policy:
 float32 convolution GEMMs and a float32 VLAD head were both measured and miss
 the oracle tolerances, so those stages stay float64.
 
-A convolution is one float64 GEMM per band of output rows: the taps are
-copied, cast to float64 on the way, into a (channels, kh, kw, rows, out_w)
-column buffer straight from the unpadded input, and the product with the
-flattened weight comes out in (out_channels, rows, out_w) order, so no
-transpose follows. A band's float64 columns and float64 products together
-hold about CONV_BAND_BYTES; the result does not depend on the band size.
+A convolution is one float64 GEMM per band of output rows, over columns
+copied straight from the unpadded input (conv2d); the result does not depend
+on the band size.
 
 When BLAS runs each call on one thread and the process may use two CPUs (its
-affinity mask holds two and no cgroup CPU quota allows fewer), each image's
-convolution runs in two halves of its output rows at once (band_workers), one
-on the calling thread and one on a pool thread, each filling and multiplying
-the bands of its own rows in its half of the band block; a float32 attention
-call runs its source rows, then its destination rows, in two halves the same
-way when they are large, and the score matrix runs its 128-row float64 bands
-in two halves of whole bands. Otherwise the calling thread runs each step
-whole, as before, and a multi-threaded BLAS spreads each GEMM over the CPUs
-itself (halves at once beside BLAS's own threads measured slower than
-either). The vprkit command leaves BLAS's threads unset, so on two CPUs it
-runs every step whole on a two-thread BLAS. Filling copies values; a
-convolution band is a GEMM of its own over whole output rows, whose height
-does not change its bits, and half of a GEMM's output rows is a smaller GEMM
-over the same operand rows and columns; on the OpenBLAS the tests run with,
-their products carry the bits of the whole GEMM's, which the tests compare at
-the default backbone's and matcher's shapes. A BLAS that picks
-its kernel by shape need not, just as OpenBLAS already picks its kernels by
-the host's CPU, and OpenBLAS itself may send a small product (up to about a
-million multiply-adds) to a small-matrix kernel: float32 attention cut into
-halves with such products, on sets of under about 60 rows or at key or value
-dims of 16, was measured not to keep its bits, nor was a float64 logits
-product cut by rows or by columns. So attention cuts only float32 calls,
-into halves of at least 64 rows whose GEMMs each do at least 2**20
-multiply-adds. The score matrix is the same fixed bands on either thread,
-so its halves carry the bits of its bands run in turn. Two halves is the cut
-measured to pay on two CPUs; more CPUs are not used. The calling thread
-allocates every buffer and the pool thread writes into them in place, so no
-multi-MB block lands in its heap (a score matrix whose pool thread cast its own
-bands raised the benchmark's query-rerank peak RSS by up to 4.5 MB);
-the one exception is the seeded projection, built once per model, whose
-column bands each leave a 2 MB product there for a moment.
+affinity mask holds two and no cgroup CPU quota allows fewer), steps run in
+two halves at once (band_workers), one on the calling thread and one on a pool
+thread: a convolution splits each image's output rows, each half filling and
+multiplying bands of its own rows; a large float32 attention call splits its
+source rows, then its destination rows; the score matrix splits its 128-row
+float64 bands. Otherwise the calling thread runs each step whole and a
+multi-threaded BLAS spreads each GEMM (halves beside BLAS's own threads
+measured slower than either); the vprkit command leaves BLAS's threads unset,
+so on two CPUs it runs every step whole on a two-thread BLAS. Filling copies
+values, and neither a convolution band's height nor a cut of a GEMM's output
+rows changes the bits of its products on the OpenBLAS the tests run with,
+which the tests compare at the default backbone's and matcher's shapes. A BLAS
+that picks its kernel by shape need not, just as OpenBLAS already picks its
+kernels by the host's CPU, and OpenBLAS itself may send a small product (up to
+about a million multiply-adds) to a small-matrix kernel: float32 attention cut
+into halves with such products, on sets of under about 60 rows or at key or
+value dims of 16, was measured not to keep its bits, nor was a float64 logits
+product cut by rows or by columns. So attention cuts only float32 calls, into
+halves of at least 64 rows whose GEMMs each do at least 2**20 multiply-adds.
+The score matrix is the same fixed bands on either thread, so its halves carry
+the bits of its bands run in turn. Two halves is the cut measured to pay on
+two CPUs; more CPUs are not used. The calling thread allocates every buffer
+and the pool thread writes into them in place, so no multi-MB block lands in
+its heap (a score matrix whose pool thread cast its own bands raised the
+benchmark's query-rerank peak RSS by up to 4.5 MB); the one exception is the
+seeded projection, built once per model, whose column bands each leave a 2 MB
+product there for a moment.
 """
 
 from __future__ import annotations
@@ -259,13 +252,12 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     per tap, with zeros where a tap reads padding; then
     weight.reshape(out, in*kh*kw) @ columns is one GEMM whose float64 products
     are already in (out, rows, out_w) order. A band's columns and products
-    together hold about CONV_BAND_BYTES, in one block the calling thread
-    allocates. On band_workers, each image's output rows may run in two halves
-    at once, each filling and multiplying near-equal bands of its own rows in
-    its half of the block. Each half holds at least two output positions, and
-    so does each band of an output that has two, so no GEMM becomes a
-    matrix-vector product. Products accumulate in float64; the output is a
-    fresh contiguous float32 array.
+    together hold about CONV_BAND_BYTES. On band_workers, each image's output
+    rows may run in two halves at once, each in near-equal bands of its own
+    rows in its half of that block. Each half, and each band of an output with
+    two positions, holds at least two, so no GEMM becomes a matrix-vector
+    product. Products accumulate in float64; the output is a fresh contiguous
+    float32 array.
     """
     x = as_tensor4(x)
     b, c, h, w = x.shape
@@ -273,10 +265,8 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
         raise ShapeError(
             f"input channels {x.shape} do not match conv weight {p.weight.shape} (expected {p.in_channels} channels)"
         )
-    kh, kw = p.kernel_size
-    oh = conv_output_size(h, kh, p.stride, p.padding)
-    ow = conv_output_size(w, kw, p.stride, p.padding)
-    stride, pad = p.stride, p.padding
+    (kh, kw), stride, pad = p.kernel_size, p.stride, p.padding
+    oh, ow = conv_output_size(h, kh, stride, pad), conv_output_size(w, kw, stride, pad)
 
     def span(tap: int, size: int, start: int, stop: int) -> tuple[slice, slice]:
         """The outputs o in [start, stop) whose input index o*stride + tap - pad lies in
@@ -289,9 +279,8 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     depth, cout = c * kh * kw, p.out_channels
     least = -(-2 // ow)  # output rows that hold two positions: a GEMM over one is a matrix-vector product
     row = (depth + cout) * ow  # float64 columns and products of one output row
-    budget = CONV_BAND_BYTES // (8 * row)  # output rows the block holds
-    # The most output rows per band of a whole call and of a half. Near-equal bands
-    # of at most 2 * least - 1 rows or more each hold at least least rows.
+    budget = CONV_BAND_BYTES // (8 * row)
+    # Most rows per band, whole and in a half; near-equal bands of 2 * least - 1 or more hold least.
     whole = max(2 * least - 1, min(oh, budget))
     half = max(2 * least - 1, min(oh - oh // 2, budget // 2))
     block = np.empty(max(whole, 2 * half) * row, dtype=np.float64)
@@ -299,19 +288,6 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     flat_w = p.weight.reshape(cout, depth).astype(np.float64)
     bias = p.bias.astype(np.float64)[:, None]
     out = np.empty((b, cout, oh, ow), dtype=np.float32)
-
-    def fill(n: int, r0: int, r1: int, cols: np.ndarray) -> None:
-        """Columns of output rows r0 .. r1 of image n."""
-        for u in range(kh):
-            out_rows, in_rows = span(u, h, r0, r1)
-            for v, (out_cols, in_cols) in enumerate(col_spans):
-                tap = cols[:, u, v]
-                tap[:, : out_rows.start] = 0.0
-                tap[:, out_rows.stop :] = 0.0
-                tap[:, :, : out_cols.start] = 0.0
-                tap[:, :, out_cols.stop :] = 0.0
-                if out_rows.stop > out_rows.start and out_cols.stop > out_cols.start:
-                    tap[:, out_rows, out_cols] = x[n, :, in_rows, in_cols]
 
     def rows_of(n: int, lo: int, hi: int) -> None:
         """Output rows lo .. hi of image n, in near-equal bands: a whole call and the
@@ -321,9 +297,16 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
         count = -(-(hi - lo) // most)
         for i in range(count):
             r0, r1 = lo + (hi - lo) * i // count, lo + (hi - lo) * (i + 1) // count
-            cols = buf[: depth * (r1 - r0) * ow]
-            prod = buf[cols.size : (depth + cout) * (r1 - r0) * ow].reshape(cout, -1)
-            fill(n, r0, r1, cols.reshape(c, kh, kw, r1 - r0, ow))
+            cols = buf[: depth * (r1 - r0) * ow].reshape(c, kh, kw, r1 - r0, ow)
+            for u in range(kh):
+                out_rows, in_rows = span(u, h, r0, r1)
+                for v, (out_cols, in_cols) in enumerate(col_spans):
+                    tap = cols[:, u, v]
+                    tap[:, : out_rows.start] = tap[:, out_rows.stop :] = 0.0
+                    tap[:, :, : out_cols.start] = tap[:, :, out_cols.stop :] = 0.0
+                    if out_rows.stop > out_rows.start and out_cols.stop > out_cols.start:
+                        tap[:, out_rows, out_cols] = x[n, :, in_rows, in_cols]
+            prod = buf[cols.size : row * (r1 - r0)].reshape(cout, -1)
             np.matmul(flat_w, cols.reshape(depth, -1), out=prod)
             prod += bias
             out[n, :, r0:r1] = prod.reshape(cout, r1 - r0, ow)
