@@ -74,11 +74,11 @@ class RunConfig:
         need(self.patch_size >= 1, f"patch_size must be >= 1, got {self.patch_size}")
         need(self.patch_stride >= 1, f"patch_stride must be >= 1, got {self.patch_stride}")
         need(self.pca_dim >= 1, f"pca_dim must be >= 1, got {self.pca_dim}")
-        need(self.sinkhorn_reg > 0, f"sinkhorn_reg must be > 0, got {self.sinkhorn_reg}")
-        need(self.sinkhorn_tol >= 0, f"sinkhorn_tol must be >= 0, got {self.sinkhorn_tol}")
+        need(0 < self.sinkhorn_reg < np.inf, f"sinkhorn_reg must be > 0 and finite, got {self.sinkhorn_reg}")
+        need(0 <= self.sinkhorn_tol < np.inf, f"sinkhorn_tol must be >= 0 and finite, got {self.sinkhorn_tol}")
         need(self.sinkhorn_iters >= 1, f"sinkhorn_iters must be >= 1, got {self.sinkhorn_iters}")
         need(self.candidates >= 1, f"candidates must be >= 1, got {self.candidates}")
-        need(self.radius_m >= 0, f"radius_m must be >= 0, got {self.radius_m}")
+        need(0 <= self.radius_m < np.inf, f"radius_m must be >= 0 and finite, got {self.radius_m}")
         need(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         need(self.input_height >= 16 and self.input_width >= 16, "input dims must be at least 16 per axis")
         return self

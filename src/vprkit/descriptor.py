@@ -8,7 +8,7 @@ its final dimension. One head does this for any set of windows of positions:
 patch descriptors are the windows of a dense grid, and the global descriptor is
 the single window that covers the whole map.
 
-The head works in float64 over bands of windows, about HEAD_BAND_BYTES of
+The head works in float64 over bands of windows, about tensor.BAND_BYTES of
 residuals at a time, in one band buffer per call, and rounds each band's
 normalized rows into float32. Without a projection those rows are the output,
 one (windows, K*D) matrix. With one, they go to a staging buffer of four bands,
@@ -32,10 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
-from .tensor import Tensor4, as_tensor4, band_workers, softmax_rows
-
-# Bytes of float64 residual sums the VLAD head holds per band; a band is at least one window.
-HEAD_BAND_BYTES = 8 << 20
+from . import tensor
+from .tensor import Tensor4, as_tensor4, softmax_rows, split_halves
 
 
 @dataclass(frozen=True)
@@ -177,13 +175,12 @@ def _orthonormal_rows(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.nda
     has a positive component along row i of x. A rank-deficient x leaves a
     Gram matrix that is not positive definite, which is refused.
 
-    Each Gram matrix is whole, but a pass's product acts on each column of x
-    on its own, so it runs a 512-column band at a time, in place, the last
-    pass into out; on tensor.band_workers the bands may run in two halves at
-    once. On the OpenBLAS the tests run with, a band's product carried the
-    bits of the whole product's with bands starting at multiples of 32
-    columns, but not of 333 (the tests compare the passes with whole-matrix
-    ones).
+    Each Gram matrix is whole, but a pass's product acts on each column of x on
+    its own, so it runs a 512-column band at a time, in place, the last pass
+    into out, each pass one split_halves call over the bands. On the OpenBLAS
+    the tests run with, a band's product carried the bits of the whole product's
+    with bands starting at multiples of 32 columns, but not of 333 (the tests
+    compare the passes with whole-matrix ones).
     """
     n, m = x.shape
     out = x if out is None else out
@@ -204,9 +201,8 @@ def _orthonormal_rows(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.nda
         for j in range(512 * lo, min(512 * hi, m), 512):
             dst[:, j : j + 512] = inv @ x[:, j : j + 512]
 
-    with band_workers() as split:
-        for p in range(3):
-            split(partial(multiply, inverse_factor(p), out if p == 2 else x), -(-m // 512), 1)
+    for p in range(3):
+        split_halves(partial(multiply, inverse_factor(p), out if p == 2 else x), -(-m // 512), 1)
     return out
 
 
@@ -354,24 +350,23 @@ def _vlad_head(
     windows at a time, rounded into float32 rows; then the projection, if any, one
     staged group of bands at a time.
 
-    On tensor.band_workers, each band's windows may be normalized, and each
-    group's staged rows projected, in two halves at once (at least two rows a half
-    for the projection). Every window's row is computed on its own, and on the
-    OpenBLAS the tests run with, half of a large projection GEMM's rows carries
-    the bits of the whole GEMM's (the tests compare them, and default-size rows at
-    half and twice the default band). A small GEMM can round differently, so small
-    groups' rows depend on HEAD_BAND_BYTES: at 768 -> 512 dims (24-dim features,
-    32 clusters) in halves at once, one-window bands (four-row groups) changed
-    over 90% of the elements of 80-window bands' rows, by up to 1.4e-7. The
-    calling thread allocates the band, staging and output buffers; the pool thread
-    allocates only the temporaries of its half (gathered window rows, eight
-    windows' centre terms, the projection's float32 products and their float64
-    copies), each under 1 MB at the default size. Projected rows are float32,
-    assigned from the float64 renormalized rows, which rounds them as a cast
-    would."""
+    Each band's windows are normalized, and each group's staged rows projected, in
+    one split_halves call each (at least two rows a half for the projection). Every
+    window's row is computed on its own, and on the OpenBLAS the tests run with,
+    half of a large projection GEMM's rows carries the bits of the whole GEMM's (the
+    tests compare them, and default-size rows at half and twice the default band). A
+    small GEMM can round differently, so small groups' rows depend on BAND_BYTES: at
+    768 -> 512 dims (24-dim features, 32 clusters) in halves at once, one-window
+    bands (four-row groups) changed over 90% of the elements of 80-window bands'
+    rows, by up to 1.4e-7. The calling thread allocates the band, staging and output
+    buffers; the pool thread allocates only the temporaries of its half (gathered
+    window rows, eight windows' centre terms, the projection's float32 products and
+    their float64 copies), each under 1 MB at the default size. Projected rows are
+    float32, assigned from the float64 renormalized rows, which rounds them as a
+    cast would."""
     n = len(windows)
     k, d = p.centers.shape
-    band = max(1, HEAD_BAND_BYTES // (k * d * 8))
+    band = max(1, tensor.BAND_BYTES // (k * d * 8))
     # Four bands per projection GEMM: with one, the GEMM re-packs the whole
     # projection for every band, about 70 ms more per default-size image.
     group = n if pca is None else 4 * band
@@ -397,13 +392,12 @@ def _vlad_head(
     def project(g0: int, lo: int, hi: int) -> None:
         out[g0 + lo : g0 + hi] = _project_rows(stage[lo:hi], pca)
 
-    with band_workers() as split:
-        for g0 in range(0, n, group):
-            g1 = min(g0 + group, n)
-            for w0 in range(g0, g1, band):
-                split(partial(normalize, w0, g0), min(w0 + band, g1) - w0, 1)
-            if pca is not None:
-                split(partial(project, g0), g1 - g0, 2)
+    for g0 in range(0, n, group):
+        g1 = min(g0 + group, n)
+        for w0 in range(g0, g1, band):
+            split_halves(partial(normalize, w0, g0), min(w0 + band, g1) - w0, 1)
+        if pca is not None:
+            split_halves(partial(project, g0), g1 - g0, 2)
     return stage if out is None else out
 
 

@@ -24,7 +24,7 @@ from typing import Iterable, Literal, Optional
 import numpy as np
 
 from .errors import EmptyGroundTruthWarning, ShapeError
-from .tensor import band_workers
+from .tensor import split_halves
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,10 @@ def attention_forward(x_src: np.ndarray, x_dst: np.ndarray, layer: AttentionLaye
 
     Source rows are projected into keys and values; then each destination row
     j gets its query, column j of the logits, their softmax and output row j,
-    all in buffers the calling thread allocates. A float32 call may run each
-    of the two steps in two halves at once, each of at least 64 rows and each
-    of whose GEMMs does at least 2**20 multiply-adds; tensor's docstring says
-    why float64 and smaller halves do not.
+    all in buffers the calling thread allocates. A float32 call runs each of
+    the two steps as one split_halves call, whose halves hold at least 64 rows
+    and whose GEMMs each do at least 2**20 multiply-adds; tensor's docstring
+    says why float64 and smaller halves do not split.
     """
     dtype = _pair_dtype(x_src, x_dst)
     xs = _as_rows(x_src, layer.dim, "source", dtype)
@@ -146,9 +146,8 @@ def attention_forward(x_src: np.ndarray, x_dst: np.ndarray, layer: AttentionLaye
 
     if dtype == np.float32:
         k, d = len(w_f), layer.dim
-        with band_workers() as split:
-            split(project, len(xs), least(k * d, d * d))
-            split(attend, len(xd), least(k * d, k * len(xs), d * len(xs)))
+        split_halves(project, len(xs), least(k * d, d * d))
+        split_halves(attend, len(xd), least(k * d, k * len(xs), d * len(xs)))
     else:
         project(0, len(xs))
         attend(0, len(xd))
@@ -185,13 +184,13 @@ def score_matrix(yq: np.ndarray, yd: np.ndarray) -> np.ndarray:
     purpose: the transport layer consumes raw similarities.
 
     yd is cast to float64 once; yq is cast and multiplied SCORE_BAND_ROWS rows
-    at a time into the one output, so no whole float64 copy of yq is held. On
-    band_workers the bands run in two halves of whole bands, each band the
-    same GEMM on either thread, so the halves carry the bits of the bands run
-    in turn; each half casts its bands into its own buffer, which the calling
-    thread allocates. Those bits differ from one whole GEMM's by rounding: under
-    8 eps * sum_k |yq_ik yd_jk| in the tests, and up to 6.4e-14 on Gaussian
-    1131x512 sets on the tested OpenBLAS.
+    at a time into the one output, so no whole float64 copy of yq is held. One
+    split_halves call runs the bands, in two halves of whole bands if at once,
+    each band the same GEMM on either thread, so the halves carry the bits of
+    the bands run in turn; each half casts its bands into its own buffer, which
+    the calling thread allocates. Those bits differ from one whole GEMM's by
+    rounding: under 8 eps * sum_k |yq_ik yd_jk| in the tests, and up to 6.4e-14
+    on Gaussian 1131x512 sets on the tested OpenBLAS.
     """
     yq = np.asarray(yq)
     yd = np.asarray(yd)
@@ -209,8 +208,7 @@ def score_matrix(yq: np.ndarray, yd: np.ndarray) -> np.ndarray:
             band[...] = yq[start:stop]
             np.matmul(band, yd_t, out=out[start:stop])
 
-    with band_workers() as split:
-        split(bands, -(-len(yq) // SCORE_BAND_ROWS), 1)
+    split_halves(bands, -(-len(yq) // SCORE_BAND_ROWS), 1)
     return out
 
 
@@ -321,8 +319,8 @@ def sinkhorn_assign(
         raise ShapeError(f"scores must be a non-empty (M, N) matrix, got shape {scores.shape}")
     if not np.all(np.isfinite(scores)) or not np.isfinite(dustbin_score):
         raise ShapeError("scores and dustbin score must be finite")
-    if reg <= 0:
-        raise ShapeError(f"regularization must be > 0, got {reg}")
+    if not 0 < reg < np.inf:
+        raise ShapeError(f"regularization must be > 0 and finite, got {reg}")
     if max_iters < 1:
         raise ShapeError(f"max_iters must be >= 1, got {max_iters}")
 

@@ -60,7 +60,7 @@ def extract_index(
 
     Entries are ordered by image_id no matter the manifest order, so the same
     inputs always produce the same bytes. Images are extracted one after
-    another; tensor.band_workers decides how each uses the CPUs. threads
+    another; tensor.split_halves decides how each uses the CPUs. threads
     accepts only 1.
     """
     # vprbench passes threads=1; a benchmark change drops the argument there, then here.

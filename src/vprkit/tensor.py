@@ -17,36 +17,41 @@ the oracle tolerances, so those stages stay float64.
 
 A convolution is one float64 GEMM per band of output rows, over columns
 copied straight from the unpadded input (conv2d); the result does not depend
-on the band size.
+on the band size. BAND_BYTES bounds the float64 scratch of one band, for
+convolutions (columns plus products) and the VLAD head (residual sums) alike.
 
-When BLAS runs each call on one thread and the process may use two CPUs (its
-affinity mask holds two and no cgroup CPU quota allows fewer), steps run in
-two halves at once (band_workers), one on the calling thread and one on a pool
-thread: a convolution splits each image's output rows, each half filling and
+The halves rule, which split_halves applies on every call: a step over items
+[0, n) runs in two halves at once, [0, n // 2) on the calling thread and the
+rest on a one-thread pool that has ended when the call returns, when BLAS runs
+each call on one thread (blas_threads() == 1), the process may use two CPUs
+(its affinity mask holds two and no cgroup CPU quota allows fewer) and each
+half holds at least the step's least items. Otherwise the calling thread runs
+the step whole and a multi-threaded BLAS spreads each GEMM (halves beside
+BLAS's own threads measured slower than either); the vprkit command leaves
+BLAS's threads unset, so on two CPUs it runs every step whole on a two-thread
+BLAS. A convolution splits each image's output rows, each half filling and
 multiplying bands of its own rows; a large float32 attention call splits its
 source rows, then its destination rows; the score matrix splits its 128-row
-float64 bands. Otherwise the calling thread runs each step whole and a
-multi-threaded BLAS spreads each GEMM (halves beside BLAS's own threads
-measured slower than either); the vprkit command leaves BLAS's threads unset,
-so on two CPUs it runs every step whole on a two-thread BLAS. Filling copies
-values, and neither a convolution band's height nor a cut of a GEMM's output
-rows changes the bits of its products on the OpenBLAS the tests run with,
-which the tests compare at the default backbone's and matcher's shapes. A BLAS
-that picks its kernel by shape need not, just as OpenBLAS already picks its
-kernels by the host's CPU, and OpenBLAS itself may send a small product (up to
-about a million multiply-adds) to a small-matrix kernel: float32 attention cut
-into halves with such products, on sets of under about 60 rows or at key or
-value dims of 16, was measured not to keep its bits, nor was a float64 logits
-product cut by rows or by columns. So attention cuts only float32 calls, into
-halves of at least 64 rows whose GEMMs each do at least 2**20 multiply-adds.
-The score matrix is the same fixed bands on either thread, so its halves carry
-the bits of its bands run in turn. Two halves is the cut measured to pay on
-two CPUs; more CPUs are not used. The calling thread allocates every buffer
-and the pool thread writes into them in place, so no multi-MB block lands in
-its heap (a score matrix whose pool thread cast its own bands raised the
-benchmark's query-rerank peak RSS by up to 4.5 MB); the one exception is the
-seeded projection, built once per model, whose column bands each leave a 2 MB
-product there for a moment.
+float64 bands; the VLAD head splits each band's windows and each staged
+group's rows; the seeded projection's passes split their 512-column bands.
+Filling copies values, and neither a convolution band's height nor a cut of a
+GEMM's output rows changes the bits of its products on the OpenBLAS the tests
+run with, which the tests compare at the default backbone's and matcher's
+shapes. A BLAS that picks its kernel by shape need not, just as OpenBLAS
+already picks its kernels by the host's CPU, and OpenBLAS itself may send a
+small product (up to about a million multiply-adds) to a small-matrix kernel:
+float32 attention cut into halves with such products, on sets of under about
+60 rows or at key or value dims of 16, was measured not to keep its bits, nor
+was a float64 logits product cut by rows or by columns. So attention cuts only
+float32 calls, into halves of at least 64 rows whose GEMMs each do at least
+2**20 multiply-adds. The score matrix is the same fixed bands on either
+thread, so its halves carry the bits of its bands run in turn. Two halves is
+the cut measured to pay on two CPUs; more CPUs are not used. The calling
+thread allocates every buffer and the pool thread writes into them in place,
+so no multi-MB block lands in its heap (a score matrix whose pool thread cast
+its own bands raised the benchmark's query-rerank peak RSS by up to 4.5 MB);
+the one exception is the seeded projection, built once per model, whose column
+bands each leave a 2 MB product there for a moment.
 """
 
 from __future__ import annotations
@@ -54,11 +59,10 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -67,9 +71,9 @@ from .errors import ShapeError
 # A Tensor4 is a plain ndarray; the alias marks the (B, C, H, W) float32 contract.
 Tensor4 = np.ndarray
 
-# Bytes of float64 columns plus float64 products in the block conv2d allocates
-# per call, whose halves each take half; a band is at least one output row.
-CONV_BAND_BYTES = 8 << 20
+# Bytes of float64 scratch per band: conv2d's columns plus products, in a block
+# whose halves each take half, and the VLAD head's residual sums.
+BAND_BYTES = 8 << 20
 
 
 def usable_cpus() -> int:
@@ -119,38 +123,23 @@ def quota_cpus() -> float:
     return quota / period if quota > 0 and period > 0 else math.inf
 
 
-Split = Callable[[Callable[[int, int], None], int, int], None]
-
-
-@contextmanager
-def band_workers() -> Iterator[Split]:
-    """Yield split(fn, n, least), which covers [0, n) with calls fn(lo, hi) and
-    returns when they are done, re-raising the first exception they raised.
-    When BLAS runs each call on one thread, the process may use two CPUs (by
-    its affinity mask and by any cgroup CPU quota) and each half of [0, n)
-    holds at least least items, the calling thread runs the first half while
-    one pool thread runs the second; otherwise the calling thread runs
-    fn(0, n). The pool thread ends with the block."""
-    at_once = quota_cpus() >= 2 and blas_threads() == 1 and usable_cpus() > 1
-    pool = ThreadPoolExecutor(1, thread_name_prefix="vprkit-band") if at_once else None
-
-    def split(fn: Callable[[int, int], None], n: int, least: int) -> None:
-        if pool is None or n < 2 * least:
-            fn(0, n)
-            return
+def split_halves(fn: Callable[[int, int], None], n: int, least: int) -> None:
+    """Cover [0, n) with calls fn(lo, hi) and return when they are done. Where the
+    halves rule (module docstring) allows, the calling thread runs [0, n // 2)
+    while a one-thread pool, ended on return, runs [n // 2, n); otherwise the
+    calling thread runs fn(0, n). An exception from the first half is raised,
+    else one from the second."""
+    if n < 2 * least or not (quota_cpus() >= 2 and blas_threads() == 1 and usable_cpus() > 1):
+        fn(0, n)
+        return
+    with ThreadPoolExecutor(1, thread_name_prefix="vprkit-band") as pool:
         second = pool.submit(fn, n // 2, n)
         try:
             fn(0, n // 2)
         finally:
             error = second.exception()
-        if error is not None:
-            raise error
-
-    try:
-        yield split
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    if error is not None:
+        raise error
 
 
 def as_tensor4(x: np.ndarray) -> Tensor4:
@@ -252,12 +241,11 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     per tap, with zeros where a tap reads padding; then
     weight.reshape(out, in*kh*kw) @ columns is one GEMM whose float64 products
     are already in (out, rows, out_w) order. A band's columns and products
-    together hold about CONV_BAND_BYTES. On band_workers, each image's output
-    rows may run in two halves at once, each in near-equal bands of its own
-    rows in its half of that block. Each half, and each band of an output with
-    two positions, holds at least two, so no GEMM becomes a matrix-vector
-    product. Products accumulate in float64; the output is a fresh contiguous
-    float32 array.
+    together hold about BAND_BYTES. Each image's output rows go through one
+    split_halves call, each half in near-equal bands of its own rows in its half
+    of the band block. Each half, and each band of an output with two positions,
+    holds at least two, so no GEMM becomes a matrix-vector product. Products
+    accumulate in float64; the output is a fresh contiguous float32 array.
     """
     x = as_tensor4(x)
     b, c, h, w = x.shape
@@ -279,7 +267,7 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     depth, cout = c * kh * kw, p.out_channels
     least = -(-2 // ow)  # output rows that hold two positions: a GEMM over one is a matrix-vector product
     row = (depth + cout) * ow  # float64 columns and products of one output row
-    budget = CONV_BAND_BYTES // (8 * row)
+    budget = BAND_BYTES // (8 * row)
     # Most rows per band, whole and in a half; near-equal bands of 2 * least - 1 or more hold least.
     whole = max(2 * least - 1, min(oh, budget))
     half = max(2 * least - 1, min(oh - oh // 2, budget // 2))
@@ -311,9 +299,8 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
             prod += bias
             out[n, :, r0:r1] = prod.reshape(cout, r1 - r0, ow)
 
-    with band_workers() as split:
-        for n in range(b):
-            split(partial(rows_of, n), oh, least)
+    for n in range(b):
+        split_halves(partial(rows_of, n), oh, least)
     return out
 
 

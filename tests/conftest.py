@@ -54,9 +54,9 @@ def build_corpus(root, count: int, dims=(48, 64), seed: int = 0, query_offset_m:
 
 @pytest.fixture
 def band_halves(monkeypatch):
-    """set(at_once) makes tensor.band_workers run each step whole (False) or in two
-    halves at once (True), as with BLAS on one thread of one or of two CPUs and
-    no cgroup CPU quota."""
+    """set(at_once) makes each later tensor.split_halves call run its step whole
+    (False) or in two halves at once (True), as with BLAS on one thread of one
+    or of two CPUs and no cgroup CPU quota."""
 
     def set_at_once(at_once: bool) -> None:
         monkeypatch.setattr(tensor, "quota_cpus", lambda: float("inf"))

@@ -202,9 +202,12 @@ class TestConfigResolution:
         for field, bad in [
             ("clusters", 0),
             ("sinkhorn_reg", 0.0),
+            ("sinkhorn_reg", float("inf")),
+            ("sinkhorn_tol", float("inf")),
             ("sinkhorn_iters", 0),
             ("candidates", 0),
             ("radius_m", -1.0),
+            ("radius_m", float("inf")),
             ("input_height", 8),
             ("seed", -1),
         ]:

@@ -81,22 +81,22 @@ def test_extraction_bits_do_not_depend_on_the_band_halves(model, images, band_ha
 
 
 def test_backbone_band_size_does_not_change_the_map(model, images, fmap, monkeypatch):
-    monkeypatch.setattr(tensor, "CONV_BAND_BYTES", 1 << 40)
+    monkeypatch.setattr(tensor, "BAND_BYTES", 1 << 40)
     assert_array_equal(backbone_forward(load_image(str(images[0])), model.backbone, fused=True), fmap)
 
 
 @pytest.mark.parametrize("at_once", [False, True], ids=["whole", "halves"])
 def test_head_band_size_does_not_change_the_patch_rows(model, fmap, at_once, band_halves, monkeypatch):
     """At the default dimensions (K=64, D=192, 12288 -> 512) the patch rows keep their
-    bits at the default HEAD_BAND_BYTES, at half of it and at twice it: staged
+    bits at the default BAND_BYTES, at half of it and at twice it: staged
     groups of 340, 168 and 680 rows, the last of 111, 123 and 451, are large
     projection GEMMs alike (small groups need not be; see _vlad_head)."""
     band_halves(at_once)
     grid = make_patch_grid(fmap.shape[2], fmap.shape[3], 2, 2)
-    default = descriptor.HEAD_BAND_BYTES
+    default = tensor.BAND_BYTES
     got = []
     for band_bytes in (default, default // 2, 2 * default):
-        monkeypatch.setattr(descriptor, "HEAD_BAND_BYTES", band_bytes)
+        monkeypatch.setattr(tensor, "BAND_BYTES", band_bytes)
         got.append(extract_patch_descriptors(fmap, grid, model.vlad, model.pca).descriptors)
     assert got[0].shape == (1131, 512)
     assert_array_equal(got[1], got[0])
@@ -178,13 +178,13 @@ class TestMemory:
         assert peak <= 1.02 * path.stat().st_size
 
     def test_first_convolution_holds_one_band_beyond_its_output(self, model, images):
-        """A band's float64 columns and products together fit CONV_BAND_BYTES. When
+        """A band's float64 columns and products together fit BAND_BYTES. When
         the budget counted the columns alone, a 14.9 MB product buffer sat beside
         them and the traced peak was 38.0 MB."""
         x = tensor.as_tensor4(load_image(str(images[0])))  # contiguous, as backbone_forward hands it on
         out, peak = traced_peak(lambda: tensor.conv2d(x, model.backbone.fused[0]))
         assert out.shape == (1, 48, 240, 320)
-        assert peak <= out.nbytes + tensor.CONV_BAND_BYTES + 1e6
+        assert peak <= out.nbytes + tensor.BAND_BYTES + 1e6
 
     def test_band_halves_at_once_hold_what_whole_bands_hold(self, model, images, fmap, band_halves):
         """The calling thread allocates every band buffer and the pool thread writes

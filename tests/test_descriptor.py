@@ -21,7 +21,7 @@ from oracles import (
     patch_placements,
     vlad_double_loop,
 )
-from vprkit import descriptor, model
+from vprkit import descriptor, model, tensor
 from vprkit.descriptor import (
     PcaModel,
     VladParams,
@@ -227,24 +227,27 @@ class TestOrthonormalRows:
         assert_array_equal(rows, want.astype(np.float32))
 
     def test_refusal_after_a_pass_in_halves_reaches_the_caller(self, band_halves, monkeypatch):
-        """A zero row passes the shifted first pass, which runs its bands in halves
-        at once, and is refused by the second; the caller gets that refusal, and
-        the pool's thread has ended."""
+        """A zero row passes the shifted first pass, whose bands run in halves at
+        once, one on a pool thread, and is refused by the second before its bands
+        run; the caller gets that refusal, and the pool's thread has ended."""
         x = np.random.default_rng(SEED + 64).standard_normal((16, 3000))
         x[5] = 0.0
-        threads = set()
-        cholesky = np.linalg.cholesky
+        threads = []
+        split_halves = descriptor.split_halves
 
-        def recording(gram):
-            threads.update(t.name for t in threading.enumerate())
-            return cholesky(gram)
+        def recording(fn, n, least):
+            def run(lo, hi):
+                threads.append(threading.current_thread().name)
+                fn(lo, hi)
 
-        monkeypatch.setattr(np.linalg, "cholesky", recording)
+            split_halves(run, n, least)
+
+        monkeypatch.setattr(descriptor, "split_halves", recording)
         band_halves(True)
         before = set(threading.enumerate())
         with pytest.raises(DegenerateInputError, match="16x3000"):
             descriptor._orthonormal_rows(x)
-        assert any(name.startswith("vprkit-band") for name in threads)
+        assert sorted(name.startswith("vprkit-band") for name in threads) == [False, True]
         assert set(threading.enumerate()) == before
 
     def test_default_shape_peak_memory(self):
@@ -417,7 +420,7 @@ class TestHeadBands:
         whole_map = idx.reshape(1, -1)
         got = {}
         for band_bytes in (1 << 40, 1, 3 * 3 * 5 * 8):
-            monkeypatch.setattr(descriptor, "HEAD_BAND_BYTES", band_bytes)
+            monkeypatch.setattr(tensor, "BAND_BYTES", band_bytes)
             got[band_bytes] = [descriptor._vlad_head(x, a, w, p, pca) for w in (windows, whole_map)]
         for rows, whole in got.values():
             assert rows.shape == (80, 6 if projected else 15) and whole.shape[0] == 1
@@ -435,7 +438,7 @@ class TestHeadBands:
         a = soft_assign(x, p)
         windows = np.lib.stride_tricks.sliding_window_view(np.arange(99).reshape(9, 11), (2, 2)).reshape(-1, 4)
         pca = _centred_projection(rng) if projected else None
-        monkeypatch.setattr(descriptor, "HEAD_BAND_BYTES", 3 * 3 * 5 * 8)
+        monkeypatch.setattr(tensor, "BAND_BYTES", 3 * 3 * 5 * 8)
         got = {}
         for at_once in (False, True):
             band_halves(at_once)

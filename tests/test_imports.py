@@ -47,18 +47,21 @@ def test_scan_sees_unused_and_used_names():
     assert unused_imports(source) == ["line 1: os", "line 3: Sequence"]
 
 
-def foreign_imports(source: str) -> list[str]:
-    """Absolute imports whose top-level module is neither the standard library nor numpy."""
+def absolute_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) for each module an absolute import statement names."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            found += [(node.lineno, alias.name) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        found += [(node.lineno, n) for n in names if n.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
-    return [f"line {line}: {name}" for line, name in sorted(found)]
+            found.append((node.lineno, node.module))
+    return sorted(found)
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Absolute imports whose top-level module is neither the standard library nor numpy."""
+    allowed = sys.stdlib_module_names | {"numpy"}
+    return [f"line {line}: {name}" for line, name in absolute_imports(source) if name.split(".")[0] not in allowed]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
@@ -72,3 +75,25 @@ def test_scan_sees_foreign_imports():
         "import pytest\nfrom hypothesis import given\nfrom tests import oracles\nimport oracles\n"
     )
     assert foreign_imports(source) == ["line 5: pytest", "line 6: hypothesis", "line 7: tests", "line 8: oracles"]
+
+
+# Modules that start threads or processes; tensor.split_halves is the package's one use of them.
+CONCURRENCY = {"threading", "concurrent", "multiprocessing"}
+
+
+def concurrency_imports(source: str) -> list[str]:
+    return [f"line {line}: {name}" for line, name in absolute_imports(source) if name.split(".")[0] in CONCURRENCY]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "tensor.py"], ids=lambda p: p.name)
+def test_only_tensor_starts_threads(path):
+    assert concurrency_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_sees_concurrency_imports():
+    source = (
+        "import os, threading\nfrom concurrent.futures import ThreadPoolExecutor\nimport multiprocessing.pool\n"
+        "from .tensor import split_halves\nimport concurrency\n"
+    )
+    want = ["line 1: threading", "line 2: concurrent.futures", "line 3: multiprocessing.pool"]
+    assert concurrency_imports(source) == want

@@ -368,6 +368,8 @@ class TestSinkhorn:
             sinkhorn_assign(np.array([[np.inf]]), dustbin_score=0.0)
         with pytest.raises(ShapeError):
             sinkhorn_assign(np.zeros((2, 2)), dustbin_score=0.0, reg=0.0)
+        with pytest.raises(ShapeError, match="> 0 and finite"):
+            sinkhorn_assign(np.zeros((2, 2)), dustbin_score=0.0, reg=np.inf)
         with pytest.raises(ShapeError):
             sinkhorn_assign(np.zeros((2, 2)), dustbin_score=0.0, max_iters=0)
 

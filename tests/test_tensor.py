@@ -87,11 +87,11 @@ class TestConv2d:
         rng = np.random.default_rng(SEED + 9)
         x = rng.standard_normal((batch, 3, 9, 7)).astype(np.float32)
         p = random_conv(rng, 3, 5, k, stride, padding)
-        monkeypatch.setattr(tensor, "CONV_BAND_BYTES", 1 << 40)
+        monkeypatch.setattr(tensor, "BAND_BYTES", 1 << 40)
         whole = conv2d(x, p)
         row_bytes = 3 * k * k * conv_output_size(7, k, stride, padding) * 8
         for band_bytes in (1, 2 * row_bytes, 3 * row_bytes):
-            monkeypatch.setattr(tensor, "CONV_BAND_BYTES", band_bytes)
+            monkeypatch.setattr(tensor, "BAND_BYTES", band_bytes)
             assert_array_equal(conv2d(x, p), whole)
 
     def test_tap_entirely_in_padding(self):
@@ -150,7 +150,7 @@ class TestBandWorkers:
             x = rng.standard_normal((2, 6, height, width)).astype(np.float32)
             p = random_conv(rng, 6, 7, k, stride, padding)
             ow = conv_output_size(width, k, stride, padding)
-            monkeypatch.setattr(tensor, "CONV_BAND_BYTES", 2 * (6 * k * k + 7) * ow * 8)
+            monkeypatch.setattr(tensor, "BAND_BYTES", 2 * (6 * k * k + 7) * ow * 8)
             halves, whole = self.halves_and_whole(x, p, band_halves)
             assert whole.shape[2:] == (conv_output_size(height, k, stride, padding), ow)
             assert_array_equal(halves, whole)
@@ -165,7 +165,7 @@ class TestBandWorkers:
         x = rng.standard_normal((1, 5, height, 3)).astype(np.float32)
         p = random_conv(rng, 5, 6, 3, 1, 0)
         if band_rows is not None:
-            monkeypatch.setattr(tensor, "CONV_BAND_BYTES", band_rows * (5 * 9 + 6) * 8)
+            monkeypatch.setattr(tensor, "BAND_BYTES", band_rows * (5 * 9 + 6) * 8)
         columns = self.gemm_columns(monkeypatch)
         halves, whole = self.halves_and_whole(x, p, band_halves)
         assert whole.shape == (1, 6, height - 2, 1)
@@ -179,7 +179,7 @@ class TestBandWorkers:
         rng = np.random.default_rng(SEED + 14)
         x = rng.standard_normal((1, 4, 11, 13)).astype(np.float32)
         p = random_conv(rng, 4, 5, 3, 1, 1)
-        monkeypatch.setattr(tensor, "CONV_BAND_BYTES", 4 * (4 * 9 + 5) * 13 * 8)
+        monkeypatch.setattr(tensor, "BAND_BYTES", 4 * (4 * 9 + 5) * 13 * 8)
         columns = self.gemm_columns(monkeypatch)
         halves, whole = self.halves_and_whole(x, p, band_halves)
         assert sorted(n // 13 for n in columns) == [1, 2, 2, 2, 2, 2, 3, 4, 4]
@@ -190,7 +190,7 @@ class TestBandWorkers:
         pixels each way, kernel 1 or 3, stride 1 or 2, padding 0 or 1, batch 1 or
         2), each as one band run whole and in halves at once."""
         rng = np.random.default_rng(SEED + 15)
-        monkeypatch.setattr(tensor, "CONV_BAND_BYTES", 1 << 40)
+        monkeypatch.setattr(tensor, "BAND_BYTES", 1 << 40)
         for _ in range(50):
             k, stride, padding = int(rng.choice([1, 3])), int(rng.integers(1, 3)), int(rng.integers(0, 2))
             h, w = (int(v) for v in rng.integers(max(1, k - 2 * padding), 41, size=2))
@@ -229,9 +229,8 @@ class TestBandWorkers:
             def record(lo, hi):
                 seen.append((lo, hi, threading.current_thread().name))
 
-            with tensor.band_workers() as split:
-                split(record, 11, 1)
-                split(record, 3, 2)
+            tensor.split_halves(record, 11, 1)
+            tensor.split_halves(record, 3, 2)
             assert sorted((lo, hi) for lo, hi, _ in seen) == ranges
             assert {name.startswith("vprkit-band") for *_, name in seen} == {False, at_once}
             assert set(threading.enumerate()) == before
@@ -291,8 +290,7 @@ class TestBandWorkers:
         monkeypatch.setattr(tensor, "usable_cpus", lambda: 2)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         seen = []
-        with tensor.band_workers() as split:
-            split(lambda lo, hi: seen.append((lo, hi, threading.current_thread().name)), 8, 1)
+        tensor.split_halves(lambda lo, hi: seen.append((lo, hi, threading.current_thread().name)), 8, 1)
         assert sorted((lo, hi) for lo, hi, _ in seen) == ([(0, 4), (4, 8)] if at_once else [(0, 8)])
         assert {name.startswith("vprkit-band") for *_, name in seen} == ({False, True} if at_once else {False})
         monkeypatch.delenv("OPENBLAS_NUM_THREADS")
@@ -305,9 +303,42 @@ class TestBandWorkers:
         monkeypatch.setattr(tensor, "usable_cpus", lambda: 2)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         seen = []
-        with tensor.band_workers() as split:
-            split(lambda lo, hi: seen.append((lo, hi, threading.current_thread().name)), 8, 1)
+        tensor.split_halves(lambda lo, hi: seen.append((lo, hi, threading.current_thread().name)), 8, 1)
         assert seen == [(0, 8, threading.current_thread().name)]
+
+    def test_each_call_follows_the_setting_it_finds(self, band_halves):
+        """The halves decision is made per call: a switch between two calls moves
+        the second one, in either direction, and no pool thread outlives a call."""
+        before = set(threading.enumerate())
+        for first, second in ((True, False), (False, True)):
+            names = []
+            for at_once in (first, second):
+                band_halves(at_once)
+                seen = []
+                tensor.split_halves(lambda lo, hi: seen.append(threading.current_thread().name), 8, 1)
+                names.append(sorted(name.startswith("vprkit-band") for name in seen))
+                assert set(threading.enumerate()) == before
+            assert names == [[False, True] if at_once else [False] for at_once in (first, second)]
+
+    def test_first_error_reaches_the_caller(self, band_halves):
+        """An error in either half is raised to the caller after both halves are
+        done; when both raise, the calling thread's half wins."""
+        band_halves(True)
+        done = []
+
+        def failing(bad):
+            def fn(lo, hi):
+                done.append(lo)
+                if lo in bad:
+                    raise ValueError(f"half at {lo}")
+
+            return fn
+
+        for bad, want in (({4}, "half at 4"), ({0}, "half at 0"), ({0, 4}, "half at 0")):
+            done.clear()
+            with pytest.raises(ValueError, match=want):
+                tensor.split_halves(failing(bad), 8, 1)
+            assert sorted(done) == [0, 4]
 
 
 def cgroup_files(root, files, monkeypatch):
