@@ -132,14 +132,11 @@ def split_halves(fn: Callable[[int, int], None], n: int, least: int) -> None:
     if n < 2 * least or not (quota_cpus() >= 2 and blas_threads() == 1 and usable_cpus() > 1):
         fn(0, n)
         return
+    # Leaving the block waits for the pool thread, also when the first half raises.
     with ThreadPoolExecutor(1, thread_name_prefix="vprkit-band") as pool:
         second = pool.submit(fn, n // 2, n)
-        try:
-            fn(0, n // 2)
-        finally:
-            error = second.exception()
-    if error is not None:
-        raise error
+        fn(0, n // 2)
+    second.result()
 
 
 def as_tensor4(x: np.ndarray) -> Tensor4:
