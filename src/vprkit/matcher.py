@@ -321,6 +321,8 @@ def sinkhorn_assign(
         raise ShapeError("scores and dustbin score must be finite")
     if not 0 < reg < np.inf:
         raise ShapeError(f"regularization must be > 0 and finite, got {reg}")
+    if not 0 <= tol < np.inf:
+        raise ShapeError(f"tol must be >= 0 and finite, got {tol}")
     if max_iters < 1:
         raise ShapeError(f"max_iters must be >= 1, got {max_iters}")
 

@@ -201,8 +201,8 @@ def recall_at_k(
         raise DegenerateInputError("recall over zero queries is undefined")
     if k < 1:
         raise ShapeError(f"k must be >= 1, got {k}")
-    if radius_m < 0:
-        raise ShapeError(f"radius must be >= 0, got {radius_m}")
+    if not 0 <= radius_m < np.inf:
+        raise ShapeError(f"radius must be >= 0 and finite, got {radius_m}")
     hits = 0
     for result in results:
         q = query_geotags[result.query_id]

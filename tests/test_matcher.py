@@ -370,6 +370,9 @@ class TestSinkhorn:
             sinkhorn_assign(np.zeros((2, 2)), dustbin_score=0.0, reg=0.0)
         with pytest.raises(ShapeError, match="> 0 and finite"):
             sinkhorn_assign(np.zeros((2, 2)), dustbin_score=0.0, reg=np.inf)
+        for tol in (-1e-6, np.inf):
+            with pytest.raises(ShapeError, match="tol must be >= 0 and finite"):
+                sinkhorn_assign(np.zeros((2, 2)), dustbin_score=0.0, tol=tol)
         with pytest.raises(ShapeError):
             sinkhorn_assign(np.zeros((2, 2)), dustbin_score=0.0, max_iters=0)
 

@@ -312,3 +312,10 @@ class TestRecall:
     def test_no_queries_refused(self):
         with pytest.raises(DegenerateInputError):
             recall_at_k([], {}, {}, k=1, radius_m=10.0)
+
+    def test_negative_or_infinite_radius_refused(self):
+        """An infinite radius would count every query a hit."""
+        db, queries = {"a": GeoTag.utm(0.0, 0.0)}, {"q0": GeoTag.utm(1e6, 0.0)}
+        for radius in (-1.0, np.inf, np.nan):
+            with pytest.raises(ShapeError, match="radius must be >= 0 and finite"):
+                recall_at_k(self.make_results([["a"]]), queries, db, k=1, radius_m=radius)
