@@ -279,14 +279,8 @@ def form_deviation(net: Backbone, probe: Tensor4) -> tuple[float, float]:
     return deviation, deviation / max(1.0, float(np.abs(multi).max()))
 
 
-def random_backbone(
-    spec: NetworkSpec = DEFAULT_SPEC,
-    rng: np.random.Generator | None = None,
-    bn: str = "neutral",
-) -> Backbone:
+def random_backbone(spec: NetworkSpec, rng: np.random.Generator, bn: str = "neutral") -> Backbone:
     """Draw conv weights from a fan-in-scaled Gaussian; bn is "neutral" or "random"."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     if bn not in ("neutral", "random"):
         raise ValueError(f"bn must be 'neutral' or 'random', got {bn!r}")
 

@@ -17,7 +17,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -51,19 +51,21 @@ RECALL_KS = (1, 5, 10)
 class RunConfig:
     """Everything a run needs besides the dataset: weights source and knobs."""
 
-    weights: Optional[str] = None
-    clusters: int = 64
-    patch_size: int = 2
-    patch_stride: int = 1
-    pca_dim: int = 512
-    sinkhorn_reg: float = 1.0
-    sinkhorn_tol: float = 1e-6
-    sinkhorn_iters: int = 100
-    candidates: int = 100
-    radius_m: float = 25.0
-    seed: int = 0
-    input_height: int = 480
-    input_width: int = 640
+    weights: Optional[str] = field(
+        default=None, metadata={"help": "weights container; omitted means seeded random weights"}
+    )
+    clusters: int = field(default=64, metadata={"help": "codebook size K"})
+    patch_size: int = field(default=2, metadata={"help": "square patch side on the feature map"})
+    patch_stride: int = field(default=1, metadata={"help": "patch grid stride"})
+    pca_dim: int = field(default=512, metadata={"help": "final descriptor dimension"})
+    sinkhorn_reg: float = field(default=1.0, metadata={"help": "transport regularization"})
+    sinkhorn_tol: float = field(default=1e-6, metadata={"help": "marginal tolerance"})
+    sinkhorn_iters: int = field(default=100, metadata={"help": "max scaling iterations"})
+    candidates: int = field(default=100, metadata={"help": "stage-one candidate depth"})
+    radius_m: float = field(default=25.0, metadata={"help": "localization radius in meters"})
+    seed: int = field(default=0, metadata={"help": "seed for random weights and probes"})
+    input_height: int = field(default=480, metadata={"help": "working image height"})
+    input_width: int = field(default=640, metadata={"help": "working image width"})
 
     def validate(self) -> "RunConfig":
         def need(cond: bool, msg: str) -> None:
@@ -127,22 +129,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**layers).validate()  # type: ignore[arg-type]
 
 
-_KEY_HELP = {
-    "weights": "weights container; omitted means seeded random weights",
-    "clusters": "codebook size K",
-    "patch_size": "square patch side on the feature map",
-    "patch_stride": "patch grid stride",
-    "pca_dim": "final descriptor dimension",
-    "sinkhorn_reg": "transport regularization",
-    "sinkhorn_tol": "marginal tolerance",
-    "sinkhorn_iters": "max scaling iterations",
-    "candidates": "stage-one candidate depth",
-    "radius_m": "localization radius in meters",
-    "seed": "seed for random weights and probes",
-    "input_height": "working image height",
-    "input_width": "working image width",
-}
-
 # What _resolve_model and _settings read; extract and bench take them all, eval weights (its index records the rest).
 _MODEL_KEYS = ("weights", "clusters", "pca_dim", "seed", "patch_size", "patch_stride", "input_height", "input_width")
 
@@ -151,8 +137,10 @@ def add_config_flags(parser: argparse.ArgumentParser, keys: Sequence[str] = tupl
     """--config and --report, plus one flag per setting in keys: --pca-dim sets pca_dim, parsed as its config key is."""
     parser.add_argument("--config", metavar="FILE", help="key = value settings file")
     parser.add_argument("--report", metavar="FILE", help="write JSON-lines report here")
+    by_name = {f.name: f for f in fields(RunConfig)}
     for key in keys:
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=_KEY_TYPES[key], help=_KEY_HELP[key])
+        flag = "--" + key.replace("_", "-")
+        parser.add_argument(flag, dest=key, type=_KEY_TYPES[key], help=by_name[key].metadata["help"])
 
 
 def _resolve_model(cfg: RunConfig) -> ModelParams:
@@ -199,13 +187,7 @@ def _settings(cfg: RunConfig, model: ModelParams, grid: PatchGrid | None = None,
             f"patch_size {patch_size} does not fit the {fh}x{fw} feature map of a "
             f"{cfg.input_height}x{cfg.input_width} input"
         )
-    return ExtractionSettings(
-        patch_size=patch_size,
-        patch_stride=patch_stride,
-        input_dims=cfg.input_dims(),
-        fused=True,
-        strict_dims=False,
-    )
+    return ExtractionSettings(patch_size=patch_size, patch_stride=patch_stride, input_dims=cfg.input_dims(), fused=True)
 
 
 class _Report:
@@ -299,7 +281,7 @@ def _search(
 def _pair_counts(lists: Sequence[CandidateList]) -> tuple[int, int]:
     """matched_pairs and unconverged_pairs of re-ranked lists: the candidate pairs that stage two matched, and those
     of them whose transport did not converge."""
-    return sum(len(c.ranked) - len(c.missing_patches) for c in lists), sum(len(c.unconverged) for c in lists)
+    return sum(len(c.transport) for c in lists), sum(len(c.unconverged) for c in lists)
 
 
 def _recorded_build(path: str, index: DescriptorIndex, weights: Optional[str]) -> tuple[RunConfig, str]:
@@ -541,10 +523,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VprError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (VprError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -46,7 +46,7 @@ _DTYPE_CODES: dict[int, np.dtype] = {
     2: np.dtype("<i4"),
     3: np.dtype("u1"),
 }
-_CODE_FOR_KIND = {("f", 4): 0, ("f", 8): 1, ("i", 4): 2, ("u", 1): 3}
+_CODE_FOR_KIND = {(dtype.kind, dtype.itemsize): code for code, dtype in _DTYPE_CODES.items()}
 
 
 def _atomic_write(path: str | Path, parts: Iterable[Any]) -> None:
@@ -393,6 +393,10 @@ def index_to_tensors(index: DescriptorIndex, patch_store: Mapping[str, PatchDesc
 def index_from_tensors(t: Mapping[str, np.ndarray]) -> tuple[DescriptorIndex, dict[str, PatchDescriptorSet]]:
     try:
         count = int(_field(t, "meta.count", (1,))[0])
+        if count < 0:
+            raise FormatError(f"tensor 'meta.count' holds {count}; an entry count is >= 0")
+        if f"entry{count:05d}.id" in t:
+            raise FormatError(f"tensor 'meta.count' holds {count}, but the file holds an entry{count:05d} too")
         dim = int(_field(t, "meta.dimension", (1,))[0])
         entries = []
         patch_store: dict[str, PatchDescriptorSet] = {}
@@ -404,6 +408,7 @@ def index_from_tensors(t: Mapping[str, np.ndarray]) -> tuple[DescriptorIndex, di
                 raise FormatError(
                     f"entry {image_id!r} has descriptor shape {values.shape} but the index declares dimension {dim}"
                 )
+            _refuse_non_finite(values, f"tensor {pre + 'descriptor'!r}")
             descriptor = GlobalDescriptor(values=values, pca_applied=bool(int(_field(t, pre + "flags", (1,))[0])))
             frame = _field(t, pre + "geo.frame")
             coords = _field(t, pre + "geo.coords", (2,))
@@ -419,7 +424,9 @@ def index_from_tensors(t: Mapping[str, np.ndarray]) -> tuple[DescriptorIndex, di
                 grid = make_patch_grid(
                     height=int(g[3]), width=int(g[4]), d_x=int(g[0]), d_y=int(g[1]), stride=int(g[2])
                 )
-                patch_store[image_id] = PatchDescriptorSet(descriptors=t[pre + "patches.descriptors"], grid=grid)
+                patches = t[pre + "patches.descriptors"]
+                _refuse_non_finite(patches, f"tensor {pre + 'patches.descriptors'!r}")
+                patch_store[image_id] = PatchDescriptorSet(descriptors=patches, grid=grid)
     except KeyError as missing:
         raise FormatError(f"index file is missing tensor {missing}") from None
     record = _field(t, "meta.record") if "meta.record" in t else ""
@@ -567,7 +574,7 @@ def write_ppm(path: str | Path, image: np.ndarray) -> None:
 
 
 def load_t4(path: str | Path) -> Tensor4:
-    """A .t4 image tensor, refused unless it is one (1, C, H, W) item of finite values.
+    """A .t4 image tensor, refused unless it is one (1, C, H, W) item of finite values with no zero dim.
     The payload size is checked against the file's before the tensor is
     allocated, and the payload is read once, straight into it."""
     with open(path, "rb") as f:
@@ -579,6 +586,8 @@ def load_t4(path: str | Path) -> Tensor4:
         size = os.fstat(f.fileno()).st_size - 16
         if size != need:
             raise FormatError(f"{path}: payload is {size} bytes but dims {dims} require {need}")
+        if 0 in dims:
+            raise FormatError(f"{path}: dims {dims} include a zero; an image tensor holds at least one value per axis")
         if dims[0] != 1:
             raise FormatError(f"{path}: dims {dims} hold a batch of {dims[0]} images; an image tensor holds one")
         tensor = np.empty(dims, dtype="<f4")

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import backbone as bb
 from . import descriptor as dsc
+from . import io_store
 from . import matcher as mt
 
 
@@ -93,8 +94,6 @@ def check_matcher(rng: np.random.Generator) -> list[CheckResult]:
 
 
 def check_io_store(rng: np.random.Generator) -> list[CheckResult]:
-    from . import io_store as io
-
     ok = True
     for _ in range(20):
         tensors = {}
@@ -109,11 +108,11 @@ def check_io_store(rng: np.random.Generator) -> list[CheckResult]:
             else:
                 arr = rng.standard_normal(shape).astype(dtype)
             tensors[f"t{t}"] = arr
-        blob = io.pack_tensors(tensors, io.WEIGHTS_MAGIC)
-        back = io.unpack_tensors(BytesIO(blob), io.WEIGHTS_MAGIC)
+        blob = io_store.pack_tensors(tensors, io_store.WEIGHTS_MAGIC)
+        back = io_store.unpack_tensors(BytesIO(blob), io_store.WEIGHTS_MAGIC)
         ok &= set(back) == set(tensors)
         ok &= all(np.array_equal(back[k], tensors[k]) and back[k].dtype == tensors[k].dtype for k in tensors)
-        ok &= io.pack_tensors(back, io.WEIGHTS_MAGIC) == blob
+        ok &= io_store.pack_tensors(back, io_store.WEIGHTS_MAGIC) == blob
     return [CheckResult("io_store", "container round-trip", ok, "20 random tables")]
 
 
@@ -128,9 +127,7 @@ def check_fused_form(net: bb.Backbone) -> tuple[CheckResult, float, float]:
 def check_weights_file(path: str) -> list[CheckResult]:
     """Cross-verify a weights file's fused form against its multibranch form. A
     multibranch-only file is fused first, as every command fuses it at load."""
-    from .io_store import load_weights
-
-    net = load_weights(path).backbone
+    net = io_store.load_weights(path).backbone
     if net.blocks is None:
         single = "file carries a single form; nothing to cross-check"
         return [CheckResult("weights", "fused vs multibranch forms", True, single)]

@@ -487,6 +487,17 @@ class TestExtract:
         assert str(bad) in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_dim_t4_refused_before_an_index_is_written(self, tmp_path, capsys):
+        """Read as is, a (1, 3, 0, 5) tensor reached bilinear_resize and ended in an IndexError."""
+        manifest = write_corpus(tmp_path, twins=[0], query_positions=[0.0])
+        bad = tmp_path / "db5.t4"
+        save_t4(bad, np.zeros((1, 3, 0, 5), dtype=np.float32))
+        save_manifest(manifest, [*load_manifest(manifest), ManifestRecord("db5", str(bad), 5000.0, 0.0, "database")])
+        out = tmp_path / "i.vpri"
+        assert main(["extract", str(manifest), "--out", str(out), *MODEL_FLAGS]) == 2
+        assert f"{bad}: dims (1, 3, 0, 5)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_manifest_is_usage_error(self, tmp_path):
         assert main(["extract", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "i.vpri")]) == 2
 

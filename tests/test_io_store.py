@@ -463,6 +463,36 @@ class TestIndexFile:
         back, store = load_index(path)
         assert len(back) == 0 and store == {}
 
+    def test_negative_count_refused(self, tmp_path):
+        """Read as is, a count of -2 would load the file as an empty index."""
+        path = tmp_path / "db.vpri"
+        table = index_to_tensors(*sample_index(np.random.default_rng(SEED + 12)))
+        table["meta.count"] = np.array([-2], dtype=np.int32)
+        path.write_bytes(pack_tensors(table, INDEX_MAGIC))
+        with pytest.raises(FormatError, match="'meta.count' holds -2"):
+            load_index(path)
+
+    def test_count_short_of_the_entries_refused(self, tmp_path):
+        """Read as is, a count of 1 would load the four-entry file as a one-entry index."""
+        path = tmp_path / "db.vpri"
+        table = index_to_tensors(*sample_index(np.random.default_rng(SEED + 13)))
+        table["meta.count"] = np.array([1], dtype=np.int32)
+        path.write_bytes(pack_tensors(table, INDEX_MAGIC))
+        with pytest.raises(FormatError, match="'meta.count' holds 1, but the file holds an entry00001"):
+            load_index(path)
+
+    @pytest.mark.parametrize("name, at", [("entry00001.descriptor", (4,)), ("entry00003.patches.descriptors", (2, 5))])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_descriptor_refused(self, tmp_path, name, at, bad):
+        """A NaN global descriptor would otherwise load and rank ahead of equal scores."""
+        path = tmp_path / "db.vpri"
+        table = index_to_tensors(*sample_index(np.random.default_rng(SEED + 14)))
+        table[name] = table[name].copy()
+        table[name][at] = bad
+        path.write_bytes(pack_tensors(table, INDEX_MAGIC))
+        with pytest.raises(FormatError, match=re.escape(f"'{name}': 1 non-finite values, the first at {at}")):
+            load_index(path)
+
 
 class TestManifest:
     def records(self):
@@ -581,6 +611,16 @@ class TestT4:
             load_t4(path)
         message = str(refused.value)
         assert str(path) in message and "2 non-finite" in message and "(0, 2, 1, 3)" in message
+
+    @pytest.mark.parametrize("dims", [(1, 3, 0, 5), (1, 0, 4, 5), (0, 3, 4, 5)])
+    def test_zero_dim_refused(self, tmp_path, dims):
+        path = tmp_path / "x.t4"
+        save_t4(path, np.zeros(dims, dtype=np.float32))
+        with pytest.raises(FormatError) as refused:
+            load_t4(path)
+        assert str(path) in str(refused.value) and str(dims) in str(refused.value)
+        with pytest.raises(FormatError, match="include a zero"):
+            load_image(path, input_dims=(64, 80))
 
     def test_batch_other_than_one_refused(self, tmp_path):
         path = tmp_path / "x.t4"

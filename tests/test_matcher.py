@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from functools import partial
 
 import numpy as np
@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import central_difference, sinkhorn_linear, sinkhorn_log
 from vprkit.errors import EmptyGroundTruthWarning, ShapeError
-from vprkit import matcher, tensor
+from vprkit import matcher
 from vprkit.model import random_model
 from vprkit.pipeline import ExtractionSettings, extract_from_tensor
 from vprkit.matcher import (
@@ -200,14 +200,17 @@ class TestAttentionHalves:
         ids=["float32-128x300", "float32-257x130", "float32-600x530", "float32-dim16", "float64", "mixed"],
     )
     def test_halves_give_the_whole_bits(self, band_halves, monkeypatch, n_q, n_d, dim, q_dtype, d_dtype, cut):
-        submitted = []
+        threads = []
+        split_halves = matcher.split_halves
 
-        class CountingPool(ThreadPoolExecutor):
-            def submit(self, *args, **kwargs):
-                submitted.append(args)
-                return super().submit(*args, **kwargs)
+        def recording(fn, n, least):
+            def run(lo, hi):
+                threads.append(threading.current_thread().name)
+                fn(lo, hi)
 
-        monkeypatch.setattr(tensor, "ThreadPoolExecutor", CountingPool)
+            split_halves(run, n, least)
+
+        monkeypatch.setattr(matcher, "split_halves", recording)
         rng = np.random.default_rng(SEED + 50)
         params = random_matcher_params(dim=dim, rng=rng, rounds=2)
         q, d = unit_rows(rng, n_q, dim).astype(q_dtype), unit_rows(rng, n_d, dim).astype(d_dtype)
@@ -223,7 +226,7 @@ class TestAttentionHalves:
             for got, want in zip(halves, whole):
                 assert got.dtype == np.result_type(q_dtype, d_dtype)
                 assert_array_equal(got, want)
-        assert bool(submitted) == cut
+        assert any(name.startswith("vprkit-band") for name in threads) == cut
 
 
 class TestEnhance:
